@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-from scipy.integrate import quad
+from typing import Callable, NamedTuple, Sequence
 
 from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError
 
@@ -55,6 +53,8 @@ def conditional_reciprocal_moments_quadrature(mu: float, sigma: float) -> tuple[
         raise ValidationError(f"mu must exceed 1, got {mu}")
     if not sigma > 0.0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
+    from scipy.integrate import quad  # only the oracle needs scipy, the slowest import by far
+
     lim = min((mu - 1.0) / sigma, _T_CLAMP)
     mass = math.erf(lim / _SQRT2)
     mean_num, _ = quad(
@@ -78,6 +78,8 @@ def truncated_even_moment(mu: float, sigma: float, half_width: float, order: int
         raise ValidationError(f"half_width must be positive, got {half_width}")
     if order < 1:
         raise ValidationError(f"order must be a positive integer, got {order}")
+    from scipy.integrate import quad
+
     lim = min(half_width / sigma, _T_CLAMP)
     mass = math.erf(lim / _SQRT2)
     k2 = 2 * order
@@ -171,6 +173,70 @@ def sampling_weights(design: Sequence[StratumDesign]) -> tuple[float, ...]:
     return tuple(s.sampling_weight for s in design)
 
 
+def _wn2(design: Sequence[StratumDesign]) -> list[float]:
+    return [(s.weight / s.sample_size) ** 2 for s in design]
+
+
+def _private_sizes_extrinsic(design, budget, p_h) -> float:
+    wn2 = _wn2(design)
+    return sum(wn2) / (2.0 * budget.rho1) + sum(
+        v * p * p for v, p in zip(wn2, p_h)
+    ) / (2.0 * budget.rho2)
+
+
+class _ClosedForms(NamedTuple):
+    """One private mechanism's closed forms.
+
+    ``extrinsic_variance`` and ``mean_shift`` take (design, budget, per-stratum
+    proportions), which only ``needs_proportions`` forms read.  ``p_factor(p)``
+    multiplies 1/(p(1-p) n rho) in the one-stratum width ratio at the even
+    split; ``bound_factor`` is its numerator minimized over p, fpc dropped.
+    """
+
+    extrinsic_variance: Callable
+    mean_shift: Callable
+    p_factor: Callable[[float], float]
+    bound_factor: float
+    needs_proportions: bool = False
+
+
+_CLOSED_FORMS = {
+    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: _ClosedForms(
+        lambda design, budget, p_h: sum(_wn2(design)) / (2.0 * budget.rho),
+        lambda design, budget, p_h: 0.0, lambda p: 0.5, 2.0,
+    ),
+    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: _ClosedForms(
+        lambda design, budget, p_h: max(_wn2(design)) / (2.0 * budget.rho1),
+        lambda design, budget, p_h: 0.0, lambda p: 1.0, 4.0,
+    ),
+    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: _ClosedForms(
+        _private_sizes_extrinsic,
+        lambda design, budget, p_h: sum(
+            s.weight * p / (2.0 * budget.rho2 * s.sample_size**2) for s, p in zip(design, p_h)
+        ),
+        lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
+    ),
+}
+
+
+def _closed_forms(algorithm: AlgorithmTag, what: str) -> _ClosedForms:
+    if algorithm not in _CLOSED_FORMS:
+        raise ValidationError(f"no {what} defined for {algorithm}")
+    return _CLOSED_FORMS[algorithm]
+
+
+def _stratum_term(term: str, design, algorithm, budget, stratum_proportions) -> float:
+    if algorithm is AlgorithmTag.NON_PRIVATE:
+        return 0.0
+    what = term.replace("_", " ")
+    forms = _closed_forms(algorithm, what)
+    if forms.needs_proportions and (
+        stratum_proportions is None or len(stratum_proportions) != len(design)
+    ):
+        raise ValidationError(f"the {algorithm.value} {what} needs one proportion per stratum")
+    return getattr(forms, term)(design, budget, stratum_proportions)
+
+
 def extrinsic_variance(
     design: Sequence[StratumDesign],
     algorithm: AlgorithmTag,
@@ -184,24 +250,21 @@ def extrinsic_variance(
     Stratum noise, private sizes:  (1/(2 rho1)) * sum_h w_h^2 / n_h^2
                                  + (1/(2 rho2)) * sum_h w_h^2 p_h^2 / n_h^2
     """
-    wn2 = [(s.weight / s.sample_size) ** 2 for s in design]
-    if algorithm is AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES:
-        return sum(wn2) / (2.0 * budget.rho)
-    if algorithm is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
-        return max(wn2) / (2.0 * budget.rho1)
-    if algorithm is AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES:
-        if stratum_proportions is None:
-            raise ValidationError(
-                "stratum proportions are required for the private-sizes extrinsic variance"
-            )
-        if len(stratum_proportions) != len(design):
-            raise ValidationError("stratum proportions must pair with the design")
-        return sum(wn2) / (2.0 * budget.rho1) + sum(
-            v * p * p for v, p in zip(wn2, stratum_proportions)
-        ) / (2.0 * budget.rho2)
-    if algorithm is AlgorithmTag.NON_PRIVATE:
-        return 0.0
-    raise ValidationError(f"no extrinsic variance defined for {algorithm}")
+    return _stratum_term("extrinsic_variance", design, algorithm, budget, stratum_proportions)
+
+
+def mean_shift(
+    design: Sequence[StratumDesign],
+    algorithm: AlgorithmTag,
+    budget: PrivacyBudget,
+    stratum_proportions: Sequence[float] | None = None,
+) -> float:
+    """Leading bias of the released point estimate over the true proportion.
+
+    sum_h w_h p_h / (2 rho2 n_h^2) for stratum noise with private sizes, the
+    noisy-size ratio's second-order term; zero for the other mechanisms.
+    """
+    return _stratum_term("mean_shift", design, algorithm, budget, stratum_proportions)
 
 
 def budget_ratio_stratum_vs_population(sampling_weights: Sequence[float]) -> float:
@@ -233,23 +296,6 @@ def budget_ratio_private_vs_public(
     return 2.0 * sum(s * (1.0 + p * p) for s, p in zip(sq, stratum_proportions)) / sum(sq)
 
 
-_TWR_P_FACTOR = {
-    # multiplier on 1 / (p(1-p) n rho) inside the width-ratio formula,
-    # assuming the even split for the two split-budget mechanisms
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: lambda p: 0.5,
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: lambda p: 1.0,
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: lambda p: 1.0 + p * p,
-}
-
-_TWR_BOUND_FACTOR = {
-    # numerator of the lower bound term, minimized over p with the
-    # finite-population factor dropped
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: 2.0,
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: 4.0,
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: 2.0 * (1.0 + math.sqrt(2.0)),
-}
-
-
 def theoretical_width_ratio(
     population_size: int, sample_size: int, p: float, rho: float, algorithm: AlgorithmTag
 ) -> float:
@@ -260,8 +306,7 @@ def theoretical_width_ratio(
     """
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
-    if algorithm not in _TWR_P_FACTOR:
-        raise ValidationError(f"no width ratio defined for {algorithm}")
+    forms = _closed_forms(algorithm, "width ratio")
     if not (0.0 < p < 1.0):
         raise ValidationError(f"p must lie strictly inside (0, 1), got {p}")
     if sample_size >= population_size:
@@ -269,7 +314,7 @@ def theoretical_width_ratio(
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
     N, n = population_size, sample_size
-    factor = _TWR_P_FACTOR[algorithm](p)
+    factor = forms.p_factor(p)
     return math.sqrt(1.0 + ((N - 1) / (N - n)) * factor / (p * (1.0 - p) * n * rho))
 
 
@@ -282,11 +327,10 @@ def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTa
     """
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
-    if algorithm not in _TWR_BOUND_FACTOR:
-        raise ValidationError(f"no width-ratio bound defined for {algorithm}")
+    forms = _closed_forms(algorithm, "width-ratio bound")
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
-    return math.sqrt(1.0 + _TWR_BOUND_FACTOR[algorithm] / (sample_size * rho))
+    return math.sqrt(1.0 + forms.bound_factor / (sample_size * rho))
 
 
 @dataclass(frozen=True)
@@ -305,13 +349,6 @@ class WidthRatioReport:
     sampling_weights: tuple[float, ...]
 
 
-_PRIVATE_TAGS = (
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES,
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES,
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,
-)
-
-
 def width_ratio_report(
     design: Sequence[StratumDesign],
     budget: PrivacyBudget,
@@ -319,17 +356,17 @@ def width_ratio_report(
 ) -> WidthRatioReport:
     """Assemble the comparison quantities for a design in one pass."""
     u = sampling_weights(design)
-    vex = []
-    for tag in _PRIVATE_TAGS:
-        if tag is AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES and stratum_proportions is None:
-            continue
-        vex.append((tag, extrinsic_variance(design, tag, budget, stratum_proportions)))
+    vex = [
+        (tag, extrinsic_variance(design, tag, budget, stratum_proportions))
+        for tag, forms in _CLOSED_FORMS.items()
+        if stratum_proportions is not None or not forms.needs_proportions
+    ]
     twr: list[tuple[AlgorithmTag, float]] = []
     bounds: list[tuple[AlgorithmTag, float]] = []
     if len(design) == 1 and stratum_proportions is not None:
         stratum = design[0]
         p = stratum_proportions[0]
-        for tag in _PRIVATE_TAGS:
+        for tag in _CLOSED_FORMS:
             twr.append(
                 (tag, theoretical_width_ratio(
                     stratum.population_size, stratum.sample_size, p, budget.rho, tag

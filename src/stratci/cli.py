@@ -29,12 +29,7 @@ from .core import (
     ValidationError,
     build_design,
 )
-from .dp_ci import (
-    PrivateStratumRelease,
-    population_noise_public_sizes,
-    stratum_noise_private_sizes,
-    stratum_noise_public_sizes,
-)
+from .dp_ci import PrivateStratumRelease, release
 from .estimators import non_private_ci, sample_proportions
 from .randomness import derive_stream
 from .simharness import (
@@ -48,7 +43,8 @@ from .simharness import (
 
 STRATUM_FILE_HEADER = "stratum_id,N_h,n_h,c_h"
 
-_TAG_BY_NAME = {tag.value: tag for tag in AlgorithmTag}
+# Wire names of the algorithms that release an interval from stratum counts.
+_ALGORITHM_NAMES = tuple(t.value for t in AlgorithmTag if t is not AlgorithmTag.DIFFERENCE)
 
 
 class CliParseError(Exception):
@@ -179,32 +175,19 @@ def _payload_to_csv(payload: dict) -> str:
 
 def _cmd_ci(args: argparse.Namespace) -> int:
     design, counts = _read_stratum_file(args.input)
-    tag = _TAG_BY_NAME[args.algorithm]
-    releases = None
+    tag = AlgorithmTag(args.algorithm)
     if tag is AlgorithmTag.NON_PRIVATE:
-        ci = non_private_ci(design, counts, args.alpha)
+        ci, releases = non_private_ci(design, counts, args.alpha), None
         if args.clip_interval:
             ci = ci.clip_to_unit_interval()
     else:
         if args.rho is None:
             raise ValidationError(f"--rho is required for algorithm {args.algorithm!r}")
-        budget = PrivacyBudget.total(args.rho, args.split)
-        stream = derive_stream(args.seed, [0])
-        if tag is AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES:
-            ci, releases = stratum_noise_public_sizes(
-                stream, design, counts, budget, args.alpha,
-                clip_proportions=args.clip_proportions, clip_interval=args.clip_interval,
-            )
-        elif tag is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
-            ci = population_noise_public_sizes(
-                stream, design, counts, budget, args.alpha,
-                clip_estimate=args.clip_proportions, clip_interval=args.clip_interval,
-            )
-        else:
-            ci, releases = stratum_noise_private_sizes(
-                stream, design, counts, budget, args.alpha,
-                clip_proportions=args.clip_proportions, clip_interval=args.clip_interval,
-            )
+        ci, releases = release(
+            tag, derive_stream(args.seed, [0]), design, counts,
+            PrivacyBudget.total(args.rho, args.split), args.alpha,
+            clip_proportions=args.clip_proportions, clip_interval=args.clip_interval,
+        )
     payload = _ci_payload(ci, releases)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
@@ -295,9 +278,9 @@ def _parse_config_file(path: str) -> tuple[ExperimentConfig, tuple[float, ...] |
     algorithms = []
     for name in values["algorithms"].split(","):
         name = name.strip()
-        if name not in _TAG_BY_NAME or name == AlgorithmTag.DIFFERENCE.value:
+        if name not in _ALGORITHM_NAMES:
             raise ValidationError(f"{path}: unknown algorithm {name!r}")
-        algorithms.append(_TAG_BY_NAME[name])
+        algorithms.append(AlgorithmTag(name))
 
     rho_grid = None
     rho: float | str = 1.0  # placeholder when sweeping
@@ -442,7 +425,7 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--input", required=True, help=f"CSV with header {STRATUM_FILE_HEADER!r}")
     p_ci.add_argument(
         "--algorithm", required=True,
-        choices=[t.value for t in AlgorithmTag if t is not AlgorithmTag.DIFFERENCE],
+        choices=_ALGORITHM_NAMES,
     )
     p_ci.add_argument("--rho", type=float, default=None, help="total privacy budget")
     p_ci.add_argument("--split", type=float, default=0.5, help="fraction of rho spent on the first mechanism")

@@ -163,12 +163,10 @@ class PrivacyBudget:
         if not (0.0 <= split_fraction <= 1.0):
             raise ValidationError(f"split fraction must lie in [0, 1], got {split_fraction}")
         rho1 = rho * split_fraction
-        return cls(rho1, rho - rho1)
-
-
-def compose_budgets(a: PrivacyBudget, b: PrivacyBudget) -> PrivacyBudget:
-    """Sequential composition: total adds, split records the two components."""
-    return PrivacyBudget(a.rho, b.rho)
+        rho2 = rho - rho1
+        if 0.0 < split_fraction < 1.0 and not (rho1 > 0.0 and rho2 > 0.0):
+            raise ValidationError(f"rho {rho!r} is too small to split at {split_fraction}: a part rounds to 0")
+        return cls(rho1, rho2)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ design facts stay public:
   sample size; budget split rho = rho1 + rho2.  Satisfies rho-zCDP under
   remove/add-one adjacency, protecting the sizes themselves.
 
+All three share one signature and return ``(CiResult, per-stratum releases
+or None)``; :func:`release` calls one by its :class:`AlgorithmTag`.
+
 Each invocation owns a single stream and derives per-stratum substreams by
 stratum index, so results do not depend on iteration order and repetitions
 can run concurrently.
@@ -95,6 +98,7 @@ def stratum_noise_public_sizes(
     counts: StratumCounts,
     budget: PrivacyBudget,
     alpha: float,
+    *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
 ) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
@@ -160,16 +164,18 @@ def population_noise_public_sizes(
     counts: StratumCounts,
     budget: PrivacyBudget,
     alpha: float,
-    clip_estimate: bool = False,
+    *,
+    clip_proportions: bool = False,
     clip_interval: bool = False,
-) -> CiResult:
+) -> tuple[CiResult, None]:
     """Population-level noise with public sample sizes.
 
     p_tilde = p_hat + N(0, Dp^2/(2 rho1)); the variance estimate adds the
     known extrinsic term Dp^2/(2 rho1) and is itself released through a
     second Gaussian mechanism at sensitivity DV with budget rho2.  A noisy
     variance driven negative is floored at zero (flagged), yielding a
-    degenerate zero-width interval rather than a failure.
+    degenerate zero-width interval rather than a failure.  No per-stratum
+    quantity is released, so the second element is always None.
     """
     check_paired(design, counts)
     if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
@@ -178,7 +184,7 @@ def population_noise_public_sizes(
     est = non_private_estimate(design, counts)
     out_p = gaussian_mechanism(stream.child(0), est.proportion, sens.proportion, budget.rho1)
     p_tilde, was_clipped = (
-        _clip_unit(out_p.value) if clip_estimate else (out_p.value, False)
+        _clip_unit(out_p.value) if clip_proportions else (out_p.value, False)
     )
     out_v = gaussian_mechanism(
         stream.child(1), est.variance + out_p.noise_variance, sens.variance, budget.rho2
@@ -199,7 +205,7 @@ def population_noise_public_sizes(
     )
     if clip_interval:
         ci = ci.clip_to_unit_interval()
-    return ci
+    return ci, None
 
 
 def stratum_noise_private_sizes(
@@ -208,6 +214,7 @@ def stratum_noise_private_sizes(
     counts: StratumCounts,
     budget: PrivacyBudget,
     alpha: float,
+    *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
 ) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
@@ -288,6 +295,40 @@ def stratum_noise_private_sizes(
     if clip_interval:
         ci = ci.clip_to_unit_interval()
     return ci, tuple(releases)
+
+
+# Looked up by module-level name at call time, so a rebinding of that name
+# (a wrapper or a test double) also reaches calls made through :func:`release`.
+_MECHANISM_NAMES = {
+    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: "stratum_noise_public_sizes",
+    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: "population_noise_public_sizes",
+    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: "stratum_noise_private_sizes",
+}
+
+
+def release(
+    algorithm: AlgorithmTag,
+    stream: RandomStream,
+    design: Sequence[StratumDesign],
+    counts: StratumCounts,
+    budget: PrivacyBudget,
+    alpha: float,
+    *,
+    clip_proportions: bool = False,
+    clip_interval: bool = False,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
+    """Release an interval through the private mechanism ``algorithm`` names.
+
+    Returns what that mechanism returns: the interval, and its per-stratum
+    releases (None for the population-level mechanism).
+    """
+    name = _MECHANISM_NAMES.get(algorithm)
+    if name is None:
+        raise ValidationError(f"{algorithm} is not a private release mechanism")
+    return globals()[name](
+        stream, design, counts, budget, alpha,
+        clip_proportions=clip_proportions, clip_interval=clip_interval,
+    )
 
 
 def difference_ci(result_a: CiResult, result_b: CiResult, alpha: float) -> CiResult:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -29,7 +30,10 @@ def gaussian_mechanism(
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
     noise_variance = sensitivity * sensitivity / (2.0 * rho)
-    return MechanismOutput(gaussian(stream, true_value, noise_variance), noise_variance)
+    value = gaussian(stream, true_value, noise_variance)  # not finite if the variance overflows
+    if not math.isfinite(value):
+        raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
+    return MechanismOutput(value, noise_variance)
 
 
 @dataclass(frozen=True)

@@ -129,3 +129,19 @@ def hypergeometric_count(
     if size is None:
         return int(gen.hypergeometric(K, N - K, n)) if 0 < n else 0
     return gen.hypergeometric(K, N - K, n, size=size) if 0 < n else np.zeros(size, dtype=np.int64)
+
+
+def hypergeometric_counts(
+    stream: RandomStream,
+    population_sizes: Sequence[int],
+    positive_counts: Sequence[int],
+    sample_sizes: Sequence[int],
+) -> tuple[int, ...]:
+    """Hypergeometric(N_h, K_h, n_h) count per stratum, in one draw at the stream's start.
+
+    The caller checks 0 <= K_h <= N_h and 0 <= n_h <= N_h.
+    """
+    good = np.asarray(positive_counts, dtype=np.int64)
+    bad = np.asarray(population_sizes, dtype=np.int64) - good
+    counts = _scratch.reset(stream).hypergeometric(good, bad, np.asarray(sample_sizes, dtype=np.int64))
+    return tuple(int(c) for c in np.atleast_1d(counts))

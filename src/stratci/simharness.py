@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .analysis import extrinsic_variance, mean_shift
 from .core import (
     AlgorithmTag,
-    CiResult,
     InfeasibleError,
     PrivacyBudget,
     StratumCounts,
@@ -27,14 +27,9 @@ from .core import (
     build_design,
     normal_quantile,
 )
-from .dp_ci import (
-    population_noise_public_sizes,
-    stratum_noise_private_sizes,
-    stratum_noise_public_sizes,
-)
+from .dp_ci import release
 from .estimators import exact_stratum_variance, non_private_ci
-from .mechanisms import sensitivities
-from .randomness import RandomStream, derive_stream
+from .randomness import RandomStream, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
 
@@ -193,11 +188,8 @@ def draw_sample(
         raise ValidationError("rates must pair with the population's strata")
     sizes = _sample_sizes(population, rates, min_sample_size)
     design = build_design(list(zip(population.stratum_sizes, sizes)))
-    gen = stream.generator()
-    ngood = np.asarray(population.positive_counts, dtype=np.int64)
-    nbad = np.asarray(population.stratum_sizes, dtype=np.int64) - ngood
-    counts = gen.hypergeometric(ngood, nbad, np.asarray(sizes, dtype=np.int64))
-    return design, StratumCounts(tuple(int(c) for c in np.atleast_1d(counts)))
+    counts = hypergeometric_counts(stream, population.stratum_sizes, population.positive_counts, sizes)
+    return design, StratumCounts(counts)
 
 
 @dataclass(frozen=True)
@@ -243,38 +235,6 @@ def _resolve_rho(config: ExperimentConfig, sample_sizes: Sequence[int]) -> float
     return float(config.rho)
 
 
-def _run_algorithm(
-    tag: AlgorithmTag,
-    stream: RandomStream,
-    design: tuple[StratumDesign, ...],
-    counts: StratumCounts,
-    rho: float,
-    config: ExperimentConfig,
-) -> CiResult:
-    if tag is AlgorithmTag.NON_PRIVATE:
-        ci = non_private_ci(design, counts, config.alpha)
-        return ci.clip_to_unit_interval() if config.clip_interval else ci
-    budget = PrivacyBudget.total(rho, config.split)
-    if tag is AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES:
-        ci, _ = stratum_noise_public_sizes(
-            stream, design, counts, budget, config.alpha,
-            clip_proportions=config.clip_proportions, clip_interval=config.clip_interval,
-        )
-        return ci
-    if tag is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
-        return population_noise_public_sizes(
-            stream, design, counts, budget, config.alpha,
-            clip_estimate=config.clip_proportions, clip_interval=config.clip_interval,
-        )
-    if tag is AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES:
-        ci, _ = stratum_noise_private_sizes(
-            stream, design, counts, budget, config.alpha,
-            clip_proportions=config.clip_proportions, clip_interval=config.clip_interval,
-        )
-        return ci
-    raise ValidationError(f"cannot simulate algorithm {tag}")
-
-
 # Stream index layout within one repetition: 0 draws the sample, 1 + slot
 # feeds each mechanism.  Slots are fixed per tag so adding or reordering
 # algorithms in a config never shifts another algorithm's noise.
@@ -305,6 +265,7 @@ def run_experiment(
     rates = _realize_rates(setup.child(1), config)
     sample_sizes = _sample_sizes(population, rates, config.min_sample_size)
     rho = _resolve_rho(config, sample_sizes)
+    budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
 
     R = config.repetitions
@@ -333,9 +294,10 @@ def run_experiment(
             if tag is AlgorithmTag.NON_PRIVATE:
                 ci = baseline
             else:
-                ci = _run_algorithm(
-                    tag, rep_stream.child(1 + _ALGORITHM_SLOT[tag]),
-                    design, counts, rho, config,
+                ci, _ = release(
+                    tag, rep_stream.child(1 + _ALGORITHM_SLOT[tag]), design, counts, budget,
+                    config.alpha, clip_proportions=config.clip_proportions,
+                    clip_interval=config.clip_interval,
                 )
             width[tag][r] = ci.width
             lower[tag][r] = ci.lower
@@ -385,46 +347,6 @@ def run_experiment(
     )
 
 
-def _theoretical_law(
-    tag: AlgorithmTag,
-    population: Population,
-    design: Sequence[StratumDesign],
-    rho: float,
-    split: float,
-) -> tuple[float, float]:
-    """Mean and variance of the limiting normal law for each released estimator."""
-    p = population.proportion
-    p_h = population.stratum_proportions
-    var_phat = sum(
-        s.weight**2 * exact_stratum_variance(s, ph) for s, ph in zip(design, p_h)
-    )
-    if tag is AlgorithmTag.NON_PRIVATE:
-        return p, var_phat
-    budget = PrivacyBudget.total(rho, split)
-    if tag is AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES:
-        extra = sum((s.weight / s.sample_size) ** 2 for s in design) / (2.0 * rho)
-        return p, var_phat + extra
-    if tag is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
-        delta_p = sensitivities(design).proportion
-        return p, var_phat + delta_p**2 / (2.0 * budget.rho1)
-    if tag is AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES:
-        bias = sum(
-            s.weight * ph / (2.0 * budget.rho2 * s.sample_size**2)
-            for s, ph in zip(design, p_h)
-        )
-        var = sum(
-            s.weight**2
-            * (
-                exact_stratum_variance(s, ph)
-                + 1.0 / (2.0 * budget.rho1 * s.sample_size**2)
-                + ph**2 / (2.0 * budget.rho2 * s.sample_size**2)
-            )
-            for s, ph in zip(design, p_h)
-        )
-        return p + bias, var
-    raise ValidationError(f"no theoretical law for {tag}")
-
-
 def qq_data(
     config: ExperimentConfig, grid_size: int = 99
 ) -> tuple[tuple[AlgorithmTag, tuple[tuple[float, float, float], ...]], ...]:
@@ -435,20 +357,17 @@ def qq_data(
     """
     if grid_size < 1:
         raise ValidationError(f"grid_size must be at least 1, got {grid_size}")
-    setup = derive_stream(config.base_seed, [-1])
-    population = generate_population(setup.child(0), config)
-    rates = _realize_rates(setup.child(1), config)
-    sizes = _sample_sizes(population, rates, config.min_sample_size)
-    design = build_design(list(zip(population.stratum_sizes, sizes)))
-    rho = _resolve_rho(config, sizes)
-
     summary = run_experiment(config, keep_records=True)
     assert summary.records is not None
+    design = build_design(list(zip(summary.stratum_sizes, summary.sample_sizes)))
+    budget = PrivacyBudget.total(summary.rho, config.split)
+    p_h = generate_population(derive_stream(config.base_seed, [-1]).child(0), config).stratum_proportions
+    var_phat = sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
     qs = np.arange(1, grid_size + 1) / (grid_size + 1)
     out = []
     for tag in config.algorithms:
-        mean, var = _theoretical_law(tag, population, design, rho, config.split)
-        sd = math.sqrt(var)
+        mean = summary.true_proportion + mean_shift(design, tag, budget, p_h)
+        sd = math.sqrt(var_phat + extrinsic_variance(design, tag, budget, p_h))
         points = np.array(
             [rec.point_estimate for rec in summary.records if rec.algorithm is tag]
         )

@@ -206,7 +206,7 @@ def test_c6_noise_scale_audit():
     ci1, rel1 = stratum_noise_public_sizes(derive_stream(0, [0]), design, counts0, single, 0.1)
     exact_ok = rel1[0].proportion_noise_variance == delta_p * delta_p / (2.0 * single.rho)
     sens = sensitivities(design)
-    ci2 = population_noise_public_sizes(derive_stream(0, [0]), design, counts0, split, 0.1)
+    ci2, _ = population_noise_public_sizes(derive_stream(0, [0]), design, counts0, split, 0.1)
     recorded = dict(ci2.noise_variances)
     exact_ok = exact_ok and recorded["population_proportion"] == sens.proportion * sens.proportion / (2.0 * split.rho1)
     exact_ok = exact_ok and recorded["variance_estimate"] == sens.variance * sens.variance / (2.0 * split.rho2)
@@ -228,7 +228,7 @@ def test_c6_noise_scale_audit():
     ok = exact_ok
     for tag, runner in (
         (STR_PUB, lambda s, c: stratum_noise_public_sizes(s, design, c, single, 0.1)[0]),
-        (POP_PUB, lambda s, c: population_noise_public_sizes(s, design, c, split, 0.1)),
+        (POP_PUB, lambda s, c: population_noise_public_sizes(s, design, c, split, 0.1)[0]),
         (STR_PRIV, lambda s, c: stratum_noise_private_sizes(s, design, c, split, 0.1)[0]),
     ):
         points = np.empty(reps)
@@ -254,7 +254,7 @@ def test_c7_no_noise_limit():
         sc = StratumCounts(counts)
         baseline = non_private_ci(design, sc, 0.1)
         ci1, _ = stratum_noise_public_sizes(derive_stream(7, [0]), design, sc, huge, 0.1)
-        ci2 = population_noise_public_sizes(derive_stream(7, [0]), design, sc, huge, 0.1)
+        ci2, _ = population_noise_public_sizes(derive_stream(7, [0]), design, sc, huge, 0.1)
         p_hats = [c / s.sample_size for s, c in zip(design, counts)]
         exact_var = sum(
             s.weight**2 * exact_stratum_variance(s, ph) for s, ph in zip(design, p_hats)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,10 @@ from stratci.cli import main
 
 ONE_ROW = "stratum_id,N_h,n_h,c_h\n1,2000,100,50\n"
 TWO_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,20\n2,2500,100,45\n"
+# Rare attributes: at --rho 0.05 --seed 1 every private mechanism's output
+# changes under each clip flag.
+THREE_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,0\n2,2500,100,1\n3,800,40,0\n"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMOKE_CFG = """\
 alpha = 0.1
@@ -268,3 +274,100 @@ class TestCmdQq:
         cfg.write_text(SMOKE_CFG.replace("rho = 0.01", "rho_grid = 0.01, 0.1"))
         code, _, _ = _run(capsys, ["qq", "--config", str(cfg)])
         assert code == 2
+
+
+# SHA-256 of the output bytes.  These pin every output bit, including the
+# draws of numpy's Philox, ziggurat and hypergeometric implementations.
+CI_DIGESTS = {
+    ("nonprivate", "json", ""): "28ed978c1d691c1638436f4421e0b44e24ed64791bf8111ea3d8c088851a551f",
+    ("nonprivate", "json", "--clip-proportions"): "28ed978c1d691c1638436f4421e0b44e24ed64791bf8111ea3d8c088851a551f",
+    ("nonprivate", "json", "--clip-interval"): "e632bac893439bae29e9ffb4c8b6b9db90a189083345c9e38bcb6f5abb8e09ff",
+    ("nonprivate", "csv", ""): "b912a283ee62dace35a35b135d5b6ee55e73b831ca0815d5833d649d353fbbc6",
+    ("nonprivate", "csv", "--clip-proportions"): "b912a283ee62dace35a35b135d5b6ee55e73b831ca0815d5833d649d353fbbc6",
+    ("nonprivate", "csv", "--clip-interval"): "7b5bd1b0e3cd496008db2c54cb30c91afb5661a4a5f27940ce01ea2347f62879",
+    ("str-pub", "json", ""): "03e7ad81e871d4ce0293359cda77c0cc26b3da660ff474cac85d47b6e030a5d1",
+    ("str-pub", "json", "--clip-proportions"): "db9717ec431d809c5e00f7bfcd236de3a66cb3e4e646b2be00b2d4023ae7a467",
+    ("str-pub", "json", "--clip-interval"): "e7d8d7731d773a20936cd911516b0900d5d1ea8a62fa55079801abbb93406663",
+    ("str-pub", "csv", ""): "e73607f415528e8f6c84b901eda6baa2b966a04c4ce4b2a81b5a763c90c87dbc",
+    ("str-pub", "csv", "--clip-proportions"): "0e18d30fe0938a1a6834cc3eef471c4c513b93fa7ba9bd01ef7b99c059b4c669",
+    ("str-pub", "csv", "--clip-interval"): "680db0f1fe208f2eef77ea6215bb20b4861021a44ed17cf3f5d9c8e89131d67c",
+    ("pop-pub", "json", ""): "f2668527d6cec6ee2eba7fe4db072095a2937cb0f9af7ed4fafc027ee6d8cab6",
+    ("pop-pub", "json", "--clip-proportions"): "f471e8774a4df06c20adadc100806d797e4523984da0a7029aad8857cd52e20f",
+    ("pop-pub", "json", "--clip-interval"): "5a760d15dab48771016120e49c2defe24cfcfa9f01df672cfa1888536f612a41",
+    ("pop-pub", "csv", ""): "ad113cdf4f5a0ca0ae19e86348b5a818d72a1501349e288863c4a3f4111598a2",
+    ("pop-pub", "csv", "--clip-proportions"): "661cff74b37dc32a1bb0b68a83388f2e7362234163b9bc67bcdcf271fa085d25",
+    ("pop-pub", "csv", "--clip-interval"): "a233b0ca13a091a9296e75e65e8e99324878b52140ce4942fc1a70021552f7c3",
+    ("str-priv", "json", ""): "6d58ecb0f199b3c35095c8711e604d84932f2e89dc54547834cece5ee10c5f57",
+    ("str-priv", "json", "--clip-proportions"): "5c57a7aec6f03604580b72437d628ef232ecbab857720ccd7f26c9d5ba9358c7",
+    ("str-priv", "json", "--clip-interval"): "54328995869c2330d24219d4cd6f8e4da6526abf2497ad60c7287c557138f6fc",
+    ("str-priv", "csv", ""): "91488d8354de19d4701453b645eb4beb1220024ca620624ef820af7ad95ec603",
+    ("str-priv", "csv", "--clip-proportions"): "5ecfc4b86b1e391fe13a11b740edf1007951b33c4efbd6aa7aef0c8890e79d61",
+    ("str-priv", "csv", "--clip-interval"): "de6c6f105d22547bf9a1320cdaa176669d6592f868e4403b411af9f49105f0e4",
+}
+ANALYZE_DIGESTS = {
+    ("--input", None): "ac027823a26df07dd0997df2b80a39b180a6548bdc8dbdd6ed4978657711cbbf",
+    ("--N", None): "0e5c12abe09fe98103ff0f00fb4a3db3db606ea3110a09b098ddbc2488e4763a",
+    ("--input", "0.3"): "d77346d532869449da94e2dcd430c4bdbfde63958cb10858c1ba2da798da68ef",
+    ("--N", "0.3"): "034be752f2f281a7b1e1d45a53ef9989145de774f99f8de7d6100f5a338c1fd0",
+}
+
+
+def _sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+class TestFrozenOutputs:
+    @pytest.mark.parametrize(
+        "algorithm,fmt,clip", sorted(CI_DIGESTS), ids=lambda v: v.lstrip("-") or "no-clip"
+    )
+    def test_ci(self, capsys, tmp_path, algorithm, fmt, clip):
+        p = tmp_path / "three.csv"
+        p.write_text(THREE_ROWS)
+        argv = ["ci", "--input", str(p), "--algorithm", algorithm, "--rho", "0.05", "--seed", "1",
+                "--format", fmt] + ([clip] if clip else [])
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert _sha256(out) == CI_DIGESTS[(algorithm, fmt, clip)]
+
+    @pytest.mark.parametrize("source,p", sorted(ANALYZE_DIGESTS, key=str), ids=str)
+    def test_analyze(self, capsys, tmp_path, source, p):
+        path = tmp_path / "three.csv"
+        path.write_text(THREE_ROWS)
+        design = ["--input", str(path)] if source == "--input" else ["--N", "2000", "--n", "152"]
+        code, out, _ = _run(
+            capsys, ["analyze", *design, "--rho", "0.05"] + (["--p", p] if p else [])
+        )
+        assert code == 0
+        assert _sha256(out) == ANALYZE_DIGESTS[(source, p)]
+
+    def test_simulate_smoke(self, capsys, tmp_path):
+        code, _, _ = _run(
+            capsys, ["simulate", "--config", str(CONFIGS / "smoke.cfg"), "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert _sha256((tmp_path / "summary.json").read_bytes()) == (
+            "2b660575250bd67134d6228f8969884aa0289d95c840f5d61797980570a1061c"
+        )
+        assert _sha256((tmp_path / "reps.csv").read_bytes()) == (
+            "cb128a7cd7d7a76e5b962f55fb4bad505ecdd0c59095d33aefe26ad21881b613"
+        )
+
+    def test_qq_one_stratum(self, capsys):
+        code, out, _ = _run(
+            capsys, ["qq", "--config", str(CONFIGS / "one_stratum_n152.cfg"), "--grid", "9"]
+        )
+        assert code == 0
+        assert _sha256(out) == "7b24ac26c5d2e456e69e35342e9d3e0b3b988b52e0f387fadbca3ed8852486dc"
+
+
+class TestExtremeBudgets:
+    @pytest.mark.parametrize(
+        "algorithm,rho", [("str-priv", "1e-310"), ("str-pub", "5e-324"), ("pop-pub", "5e-324")]
+    )
+    def test_typed_error_without_nan(self, capsys, one_row_file, algorithm, rho):
+        code, out, err = _run(
+            capsys, ["ci", "--input", one_row_file, "--algorithm", algorithm, "--rho", rho]
+        )
+        assert code == 2
+        assert out == ""
+        assert "rho" in err and "nan" not in err.lower()

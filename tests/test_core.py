@@ -15,7 +15,6 @@ from stratci import (
     ValidationError,
     build_design,
     build_design_with_weights,
-    compose_budgets,
     normal_cdf,
     normal_quantile,
     wald_interval,
@@ -30,15 +29,6 @@ def _quantile_oracle(q: float) -> float:
 
 
 class TestPrivacyBudget:
-    def test_compose_halves(self):
-        c = compose_budgets(PrivacyBudget.total(0.5), PrivacyBudget.total(0.5))
-        assert c.rho == 1.0
-        assert (c.rho1, c.rho2) == (0.5, 0.5)
-
-    def test_compose_small(self):
-        c = compose_budgets(PrivacyBudget.total(0.003), PrivacyBudget.total(0.003))
-        assert c.rho == 0.006
-
     def test_zero_budget_rejected(self):
         with pytest.raises(ValidationError):
             PrivacyBudget.total(0.0)
@@ -59,18 +49,6 @@ class TestPrivacyBudget:
         b = PrivacyBudget.total(1.0, split_fraction=0.25)
         assert b.rho1 == 0.25
         assert b.rho1 + b.rho2 == b.rho
-
-    @given(
-        st.floats(min_value=1e-9, max_value=1e6),
-        st.floats(min_value=1e-9, max_value=1e6),
-        st.floats(min_value=1e-9, max_value=1e6),
-    )
-    def test_composition_commutative_associative(self, x, y, z):
-        a, b, c = (PrivacyBudget.total(v) for v in (x, y, z))
-        assert compose_budgets(a, b).rho == compose_budgets(b, a).rho
-        left = compose_budgets(compose_budgets(a, b), c).rho
-        right = compose_budgets(a, compose_budgets(b, c)).rho
-        assert math.isclose(left, right, rel_tol=1e-15)
 
 
 class TestNormalQuantile:

@@ -17,10 +17,12 @@ from stratci import (
     gaussian,
     non_private_ci,
     population_noise_public_sizes,
+    release,
     stratum_noise_private_sizes,
     stratum_noise_public_sizes,
     wald_interval,
 )
+from stratci import dp_ci
 
 DESIGN = build_design([(2000, 100)])
 COUNTS = StratumCounts((50,))
@@ -42,7 +44,7 @@ class TestNoNoiseLimits:
 
     def test_population_noise_recovers_nonprivate(self):
         baseline = non_private_ci(DESIGN, COUNTS, 0.1)
-        ci = population_noise_public_sizes(derive_stream(1, [0]), DESIGN, COUNTS, HUGE, 0.1)
+        ci, _ = population_noise_public_sizes(derive_stream(1, [0]), DESIGN, COUNTS, HUGE, 0.1)
         assert abs(ci.lower - baseline.lower) <= 1e-6
         assert abs(ci.upper - baseline.upper) <= 1e-6
 
@@ -137,7 +139,7 @@ class TestPopulationNoisePublicSizes:
             (
                 population_noise_public_sizes(
                     derive_stream(41, [i]), DESIGN, COUNTS, budget, 0.1
-                ).point_estimate
+                )[0].point_estimate
                 for i in range(reps)
             ),
             dtype=float,
@@ -156,9 +158,9 @@ class TestPopulationNoisePublicSizes:
             for s in range(200)
             if population_noise_public_sizes(
                 derive_stream(s, [0]), DESIGN, COUNTS, budget, 0.1
-            ).clipped.variance_floored
+            )[0].clipped.variance_floored
         )
-        ci = population_noise_public_sizes(derive_stream(seed, [0]), DESIGN, COUNTS, budget, 0.1)
+        ci, _ = population_noise_public_sizes(derive_stream(seed, [0]), DESIGN, COUNTS, budget, 0.1)
         assert ci.variance_estimate == 0.0
         assert ci.width == 0.0
 
@@ -170,7 +172,7 @@ class TestPopulationNoisePublicSizes:
 
     def test_budget_spent_sums_split(self):
         budget = PrivacyBudget.total(0.01, split_fraction=0.3)
-        ci = population_noise_public_sizes(derive_stream(2, [0]), DESIGN, COUNTS, budget, 0.1)
+        ci, _ = population_noise_public_sizes(derive_stream(2, [0]), DESIGN, COUNTS, budget, 0.1)
         assert ci.budget_spent.rho1 + ci.budget_spent.rho2 == 0.01
 
 
@@ -315,3 +317,40 @@ class TestDifferenceCi:
         assert diff.budget_spent is None
         assert a.budget_spent.rho == 0.01
         assert b.budget_spent.rho == 0.02
+
+
+class TestRelease:
+    MECHANISMS = {
+        AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: stratum_noise_public_sizes,
+        AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: population_noise_public_sizes,
+        AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: stratum_noise_private_sizes,
+    }
+
+    def test_every_private_tag_matches_its_mechanism(self):
+        design = build_design([(1500, 60), (2500, 100), (800, 40)])
+        counts = StratumCounts((0, 1, 0))
+        budget = PrivacyBudget.total(0.05, 0.3)
+        private = {t for t in AlgorithmTag} - {AlgorithmTag.NON_PRIVATE, AlgorithmTag.DIFFERENCE}
+        assert set(self.MECHANISMS) == private
+        for tag, mechanism in self.MECHANISMS.items():
+            for clips in ({}, {"clip_proportions": True}, {"clip_interval": True}):
+                via = release(tag, derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
+                direct = mechanism(derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
+                assert repr(via) == repr(direct)
+                assert via[0].algorithm is tag
+
+    @pytest.mark.parametrize("tag", [AlgorithmTag.NON_PRIVATE, AlgorithmTag.DIFFERENCE])
+    def test_non_mechanism_tags_rejected(self, tag):
+        with pytest.raises(ValidationError):
+            release(tag, derive_stream(0, [0]), DESIGN, COUNTS, HUGE, 0.1)
+
+    def test_mechanism_looked_up_at_call_time(self, monkeypatch):
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return stratum_noise_public_sizes(*args, **kwargs)
+
+        monkeypatch.setattr(dp_ci, "stratum_noise_public_sizes", wrapper)
+        release(AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, derive_stream(0, [0]), DESIGN, COUNTS, HUGE, 0.1)
+        assert len(calls) == 1
