@@ -6,8 +6,8 @@ Subcommands: ``ci`` (one interval from a stratum-count file), ``simulate``
 
 Every command is a pure function of its flags, input files, and seed; there
 is no time-based seeding, so identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 parse error, 2 validation error,
-3 infeasible configuration.
+output.  Exit codes: 0 success, 1 parse error (an unreadable or non-UTF-8
+file included), 2 validation error, 3 infeasible configuration.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .simharness import (
 STRATUM_FILE_HEADER = "stratum_id,N_h,n_h,c_h"
 
 # Wire names of the algorithms that release an interval from stratum counts.
-_ALGORITHM_NAMES = tuple(t.value for t in AlgorithmTag if t is not AlgorithmTag.DIFFERENCE)
+_ALGORITHMS = {t.value: t for t in AlgorithmTag if t is not AlgorithmTag.DIFFERENCE}
 
 
 class CliParseError(Exception):
@@ -60,12 +60,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _read_stratum_file(path: str) -> tuple[tuple[StratumDesign, ...], StratumCounts]:
+def _read_text(path: str, kind: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliParseError(f"cannot read input file {path!r}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliParseError(f"cannot read {kind} file {path!r}: {exc}") from exc
+
+
+def _read_stratum_file(path: str) -> tuple[tuple[StratumDesign, ...], StratumCounts]:
+    lines = [ln for ln in _read_text(path, "input").splitlines() if ln.strip()]
     if not lines:
         raise CliParseError(f"{path}: empty input file")
     if lines[0].strip() != STRATUM_FILE_HEADER:
@@ -198,120 +201,82 @@ def _cmd_ci(args: argparse.Namespace) -> int:
 
 # --- simulate -------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "alpha", "strata", "stratum_size", "rate", "proportion", "rho", "rho_grid",
-    "split", "algorithms", "repetitions", "base_seed", "clip_proportions",
-    "clip_interval", "min_sample_size", "emit_reps",
-}
 _REQUIRED_KEYS = {"strata", "stratum_size", "rate", "proportion", "algorithms", "repetitions", "base_seed"}
+_TRUTH = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_scalar_or_uniform(raw: str, key: str, integer: bool):
-    raw = raw.strip()
-    if raw.startswith("uniform(") and raw.endswith(")"):
-        inner = raw[len("uniform("):-1]
-        parts = [p.strip() for p in inner.split(",")]
-        if len(parts) != 2:
-            raise ValidationError(f"config key {key!r}: uniform(...) takes two bounds, got {raw!r}")
-        try:
-            lo, hi = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ValidationError(f"config key {key!r}: bad uniform bounds in {raw!r}") from exc
-        return Uniform(lo, hi)
-    try:
-        return int(raw) if integer else float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: expected a number or uniform(a,b), got {raw!r}") from exc
+def _lookup(table: dict, raw: str):
+    if raw not in table:
+        raise ValueError(f"expected one of {', '.join(table)}, got {raw!r}")
+    return table[raw]
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValidationError(f"config key {key!r}: expected true/false, got {raw!r}")
+def _number_or_uniform(number):
+    """Parser for a number, or for ``uniform(a, b)``, a range drawn per stratum."""
+
+    def parse(raw: str):
+        if not (raw.startswith("uniform(") and raw.endswith(")")):
+            return number(raw)
+        bounds = raw[len("uniform("):-1].split(",")
+        if len(bounds) != 2:
+            raise ValueError(f"uniform(...) takes two bounds, got {raw!r}")
+        return Uniform(float(bounds[0]), float(bounds[1]))
+
+    return parse
 
 
-def _parse_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: expected a number, got {raw!r}") from exc
+def _parse_truth(raw: str) -> bool:
+    return _lookup(_TRUTH, raw.lower())
 
 
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
+# Value parser per config key.  A key left out takes ExperimentConfig's
+# default; rho_grid and emit_reps are read here but are not config fields.
+_CONFIG_PARSERS = {
+    "alpha": float,
+    "strata": int,
+    "stratum_size": _number_or_uniform(int),
+    "rate": _number_or_uniform(float),
+    "proportion": _number_or_uniform(float),
+    "rho": lambda raw: raw if raw == RHO_ONE_OVER_MAX_N else float(raw),
+    "rho_grid": lambda raw: tuple(float(v) for v in raw.split(",")),
+    "split": float,
+    "algorithms": lambda raw: tuple(_lookup(_ALGORITHMS, name.strip()) for name in raw.split(",")),
+    "repetitions": int,
+    "base_seed": int,
+    "clip_proportions": _parse_truth,
+    "clip_interval": _parse_truth,
+    "min_sample_size": int,
+    "emit_reps": _parse_truth,
+}
 
 
 def _parse_config_file(path: str) -> tuple[ExperimentConfig, tuple[float, ...] | None, bool]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliParseError(f"cannot read config file {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
+    values: dict = {}
+    for i, line in enumerate(_read_text(path, "config").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise CliParseError(f"{path}: line {i}: expected 'key = value', got {line.strip()!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
+        key, raw = key.strip(), raw.strip()
+        if key not in _CONFIG_PARSERS:
             raise ValidationError(f"{path}: line {i}: unknown config key {key!r}")
         if key in values:
             raise ValidationError(f"{path}: line {i}: duplicate config key {key!r}")
-        values[key] = raw.strip()
+        try:
+            values[key] = _CONFIG_PARSERS[key](raw)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {i}: config key {key!r}: {exc}") from exc
 
     missing = _REQUIRED_KEYS - values.keys()
     if missing:
         raise ValidationError(f"{path}: missing required config keys: {', '.join(sorted(missing))}")
-    if "rho" not in values and "rho_grid" not in values:
-        raise ValidationError(f"{path}: one of 'rho' or 'rho_grid' is required")
-    if "rho" in values and "rho_grid" in values:
-        raise ValidationError(f"{path}: 'rho' and 'rho_grid' are mutually exclusive")
-
-    algorithms = []
-    for name in values["algorithms"].split(","):
-        name = name.strip()
-        if name not in _ALGORITHM_NAMES:
-            raise ValidationError(f"{path}: unknown algorithm {name!r}")
-        algorithms.append(AlgorithmTag(name))
-
-    rho_grid = None
-    rho: float | str = 1.0  # placeholder when sweeping
-    if "rho_grid" in values:
-        try:
-            rho_grid = tuple(float(v) for v in values["rho_grid"].split(","))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad rho_grid: {values['rho_grid']!r}") from exc
-    else:
-        raw = values["rho"]
-        rho = RHO_ONE_OVER_MAX_N if raw == RHO_ONE_OVER_MAX_N else _parse_float(raw, "rho")
-
-    config = ExperimentConfig(
-        alpha=_parse_float(values.get("alpha", "0.1"), "alpha"),
-        strata=_parse_int(values["strata"], "strata"),
-        stratum_size=_parse_scalar_or_uniform(values["stratum_size"], "stratum_size", integer=True),
-        rate=_parse_scalar_or_uniform(values["rate"], "rate", integer=False),
-        proportion=_parse_scalar_or_uniform(values["proportion"], "proportion", integer=False),
-        rho=rho,
-        split=_parse_float(values.get("split", "0.5"), "split"),
-        algorithms=tuple(algorithms),
-        repetitions=_parse_int(values["repetitions"], "repetitions"),
-        base_seed=_parse_int(values["base_seed"], "base_seed"),
-        clip_proportions=_parse_bool(values.get("clip_proportions", "false"), "clip_proportions"),
-        clip_interval=_parse_bool(values.get("clip_interval", "false"), "clip_interval"),
-        min_sample_size=_parse_int(values["min_sample_size"], "min_sample_size")
-        if "min_sample_size" in values
-        else None,
-    )
-    emit_reps = _parse_bool(values.get("emit_reps", "false"), "emit_reps")
-    return config, rho_grid, emit_reps
+    if ("rho" in values) == ("rho_grid" in values):
+        raise ValidationError(f"{path}: exactly one of 'rho' and 'rho_grid' is required")
+    rho_grid = values.pop("rho_grid", None)
+    emit_reps = values.pop("emit_reps", False)
+    return ExperimentConfig(**values), rho_grid, emit_reps
 
 
 def _summary_payload(summary) -> dict:
@@ -425,7 +390,7 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--input", required=True, help=f"CSV with header {STRATUM_FILE_HEADER!r}")
     p_ci.add_argument(
         "--algorithm", required=True,
-        choices=_ALGORITHM_NAMES,
+        choices=tuple(_ALGORITHMS),
     )
     p_ci.add_argument("--rho", type=float, default=None, help="total privacy budget")
     p_ci.add_argument("--split", type=float, default=0.5, help="fraction of rho spent on the first mechanism")

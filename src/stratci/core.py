@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
@@ -55,6 +56,8 @@ class StratumDesign:
             raise ValidationError("stratum sizes must be integers")
         if N < 1:
             raise ValidationError(f"population_size must be positive, got {N}")
+        if N > sys.float_info.max:
+            raise ValidationError("population_size is too large to represent as a float")
         if n < 2:
             raise ValidationError(f"sample_size must be at least 2, got {n}")
         if n > N:
@@ -79,6 +82,9 @@ def build_design(sizes: Sequence[tuple[int, int]]) -> tuple[StratumDesign, ...]:
     """
     if not sizes:
         raise ValidationError("design must contain at least one stratum")
+    smallest = min(N for N, _ in sizes)
+    if smallest < 1:  # so that 0 < N_h / total <= 1
+        raise ValidationError(f"population_size must be positive, got {smallest}")
     total = sum(N for N, _ in sizes)
     return tuple(StratumDesign(N, n, N / total) for N, n in sizes)
 

@@ -177,11 +177,10 @@ def population_noise_public_sizes(
     degenerate zero-width interval rather than a failure.  No per-stratum
     quantity is released, so the second element is always None.
     """
-    check_paired(design, counts)
+    est = non_private_estimate(design, counts)  # checks that counts pair with design
     if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
         raise ValidationError("population-level mechanism requires a strictly positive split")
     sens = sensitivities(design)
-    est = non_private_estimate(design, counts)
     out_p = gaussian_mechanism(stream.child(0), est.proportion, sens.proportion, budget.rho1)
     p_tilde, was_clipped = (
         _clip_unit(out_p.value) if clip_proportions else (out_p.value, False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,6 +89,10 @@ def wald_interval(
     noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
+    if not (math.isfinite(estimate) and math.isfinite(variance)):
+        raise ValidationError(
+            "the point or variance estimate is not finite; the privacy budget rho may be too small"
+        )
     if variance < 0.0:
         raise ValidationError(f"variance must be nonnegative, got {variance}")
     half_width = normal_quantile(1.0 - alpha / 2.0) * variance**0.5

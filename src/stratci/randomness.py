@@ -137,11 +137,14 @@ def hypergeometric_counts(
     positive_counts: Sequence[int],
     sample_sizes: Sequence[int],
 ) -> tuple[int, ...]:
-    """Hypergeometric(N_h, K_h, n_h) count per stratum, in one draw at the stream's start.
+    """Hypergeometric(N_h, K_h, n_h) count per stratum, drawn in stratum order from the stream's start.
 
-    The caller checks 0 <= K_h <= N_h and 0 <= n_h <= N_h.
+    Scalar draws in order read the same bits as numpy's one array-argument
+    call, at a fraction of its per-call cost.  The caller checks
+    0 <= K_h <= N_h and 0 <= n_h <= N_h.
     """
-    good = np.asarray(positive_counts, dtype=np.int64)
-    bad = np.asarray(population_sizes, dtype=np.int64) - good
-    counts = _scratch.reset(stream).hypergeometric(good, bad, np.asarray(sample_sizes, dtype=np.int64))
-    return tuple(int(c) for c in np.atleast_1d(counts))
+    gen = _scratch.reset(stream)
+    return tuple(
+        int(gen.hypergeometric(K, N - K, n))
+        for N, K, n in zip(population_sizes, positive_counts, sample_sizes)
+    )

@@ -245,6 +245,15 @@ _ALGORITHM_SLOT = {
 }
 
 
+def _set_up(config: ExperimentConfig) -> tuple[Population, tuple[StratumDesign, ...], float]:
+    """The fixed population, design and resolved rho, from stream (base_seed, -1)."""
+    setup = derive_stream(config.base_seed, [-1])
+    population = generate_population(setup.child(0), config)
+    sample_sizes = _sample_sizes(population, _realize_rates(setup.child(1), config), config.min_sample_size)
+    design = build_design(list(zip(population.stratum_sizes, sample_sizes)))
+    return population, design, _resolve_rho(config, sample_sizes)
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -254,43 +263,36 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run the configured repetitions against one fixed population.
 
-    The population (and the realized sampling rates) come from stream
-    (base_seed, -1); repetition r uses stream (base_seed, r), or
-    (base_seed, grid_index, r) inside a sweep.  ``rep_order`` only permutes
-    execution; records are keyed by repetition index and reduced in index
-    order, so the summary is order-invariant.
+    The population and the design (with the realized sampling rates) come
+    from stream (base_seed, -1); repetition r draws its counts and releases
+    from stream (base_seed, r), or (base_seed, grid_index, r) inside a
+    sweep.  ``rep_order`` only permutes execution; results are keyed by
+    repetition index and reduced in index order, so the summary is
+    order-invariant.
     """
-    setup = derive_stream(config.base_seed, [-1])
-    population = generate_population(setup.child(0), config)
-    rates = _realize_rates(setup.child(1), config)
-    sample_sizes = _sample_sizes(population, rates, config.min_sample_size)
-    rho = _resolve_rho(config, sample_sizes)
+    population, design, rho = _set_up(config)
     budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
+    sample_sizes = tuple(s.sample_size for s in design)
 
     R = config.repetitions
     tags = config.algorithms
-    width = {tag: np.empty(R) for tag in tags}
-    lower = {tag: np.empty(R) for tag in tags}
-    upper = {tag: np.empty(R) for tag in tags}
-    point = {tag: np.empty(R) for tag in tags}
-    covered = {tag: np.empty(R, dtype=bool) for tag in tags}
-    baseline_width = np.empty(R)
-
+    # (lower, upper, point) per algorithm and repetition; the last row holds
+    # the non-private baseline that width ratios divide by.
+    bounds = np.empty((len(tags) + 1, 3, R))
     order = range(R) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(R)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
     for r in order:
-        indices = [r] if grid_index is None else [grid_index, r]
-        rep_stream = derive_stream(config.base_seed, indices)
-        design, counts = draw_sample(
-            rep_stream.child(0), population, rates, config.min_sample_size
-        )
+        rep_stream = derive_stream(config.base_seed, [r] if grid_index is None else [grid_index, r])
+        counts = StratumCounts(hypergeometric_counts(
+            rep_stream.child(0), population.stratum_sizes, population.positive_counts, sample_sizes
+        ))
         baseline = non_private_ci(design, counts, config.alpha)
         if config.clip_interval:
             baseline = baseline.clip_to_unit_interval()
-        baseline_width[r] = baseline.width
-        for tag in tags:
+        bounds[-1, :, r] = baseline.lower, baseline.upper, baseline.point_estimate
+        for i, tag in enumerate(tags):
             if tag is AlgorithmTag.NON_PRIVATE:
                 ci = baseline
             else:
@@ -299,41 +301,32 @@ def run_experiment(
                     config.alpha, clip_proportions=config.clip_proportions,
                     clip_interval=config.clip_interval,
                 )
-            width[tag][r] = ci.width
-            lower[tag][r] = ci.lower
-            upper[tag][r] = ci.upper
-            point[tag][r] = ci.point_estimate
-            covered[tag][r] = ci.lower <= true_p <= ci.upper
+            bounds[i, :, r] = ci.lower, ci.upper, ci.point_estimate
 
-    rows = []
-    for tag in tags:
-        ratios = width[tag] / baseline_width
-        rows.append(
-            (
-                tag,
-                AlgorithmSummary(
-                    coverage=float(np.mean(covered[tag])),
-                    mean_width=float(np.mean(width[tag])),
-                    width_sd=float(np.std(width[tag], ddof=1)) if R > 1 else 0.0,
-                    mean_width_ratio=float(np.mean(ratios)),
-                    mean_lower=float(np.mean(lower[tag])),
-                    mean_upper=float(np.mean(upper[tag])),
-                ),
-            )
+    lower, upper, point = bounds[:, 0], bounds[:, 1], bounds[:, 2]
+    width = upper - lower
+    covered = (lower <= true_p) & (true_p <= upper)
+    rows = tuple(
+        (
+            tag,
+            AlgorithmSummary(
+                coverage=float(np.mean(covered[i])),
+                mean_width=float(np.mean(width[i])),
+                width_sd=float(np.std(width[i], ddof=1)) if R > 1 else 0.0,
+                mean_width_ratio=float(np.mean(width[i] / width[-1])),
+                mean_lower=float(np.mean(lower[i])),
+                mean_upper=float(np.mean(upper[i])),
+            ),
         )
+        for i, tag in enumerate(tags)
+    )
     records = None
     if keep_records:
+        columns = covered.tolist(), width.tolist(), lower.tolist(), upper.tolist(), point.tolist()
         records = tuple(
-            RepetitionRecord(
-                r, tag,
-                bool(covered[tag][r]),
-                float(width[tag][r]),
-                float(lower[tag][r]),
-                float(upper[tag][r]),
-                float(point[tag][r]),
-            )
+            RepetitionRecord(r, tag, *(column[i][r] for column in columns))
             for r in range(R)
-            for tag in tags
+            for i, tag in enumerate(tags)
         )
     return ExperimentSummary(
         true_proportion=true_p,
@@ -342,7 +335,7 @@ def run_experiment(
         rho=rho,
         alpha=config.alpha,
         repetitions=R,
-        by_algorithm=tuple(rows),
+        by_algorithm=rows,
         records=records,
     )
 
@@ -359,14 +352,14 @@ def qq_data(
         raise ValidationError(f"grid_size must be at least 1, got {grid_size}")
     summary = run_experiment(config, keep_records=True)
     assert summary.records is not None
-    design = build_design(list(zip(summary.stratum_sizes, summary.sample_sizes)))
-    budget = PrivacyBudget.total(summary.rho, config.split)
-    p_h = generate_population(derive_stream(config.base_seed, [-1]).child(0), config).stratum_proportions
+    population, design, rho = _set_up(config)
+    budget = PrivacyBudget.total(rho, config.split)
+    p_h = population.stratum_proportions
     var_phat = sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
     qs = np.arange(1, grid_size + 1) / (grid_size + 1)
     out = []
     for tag in config.algorithms:
-        mean = summary.true_proportion + mean_shift(design, tag, budget, p_h)
+        mean = population.proportion + mean_shift(design, tag, budget, p_h)
         sd = math.sqrt(var_phat + extrinsic_variance(design, tag, budget, p_h))
         points = np.array(
             [rec.point_estimate for rec in summary.records if rec.algorithm is tag]

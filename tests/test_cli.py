@@ -4,8 +4,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from stratci.cli import main
+from stratci.cli import _CONFIG_PARSERS, CliParseError, _parse_config_file, main
+from stratci.core import InfeasibleError, ValidationError
 
 ONE_ROW = "stratum_id,N_h,n_h,c_h\n1,2000,100,50\n"
 TWO_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,20\n2,2500,100,45\n"
@@ -24,6 +27,37 @@ rho = 0.01
 algorithms = nonprivate, str-pub
 repetitions = 1
 base_seed = 0
+emit_reps = true
+"""
+# Frozen below: a twenty-stratum sweep with every algorithm and proportion
+# clipping, and a three-stratum design where min_sample_size floors two n_h,
+# rho = 1/max_n resolves against the realized sizes and clip_interval binds.
+SWEEP_CFG = """\
+alpha = 0.1
+strata = 20
+stratum_size = uniform(1500, 2000)
+rate = uniform(0.04, 0.08)
+proportion = uniform(0.05, 0.6)
+rho_grid = 0.002, 0.02, 0.2
+algorithms = nonprivate, str-pub, pop-pub, str-priv
+repetitions = 40
+base_seed = 11
+clip_proportions = true
+emit_reps = true
+"""
+THREE_STRATA_CFG = """\
+alpha = 0.05
+strata = 3
+stratum_size = uniform(200, 400)
+rate = uniform(0.01, 0.08)
+proportion = uniform(0.02, 0.3)
+rho = 1/max_n
+split = 0.3
+min_sample_size = 8
+algorithms = nonprivate, str-pub, pop-pub, str-priv
+repetitions = 60
+base_seed = 5
+clip_interval = true
 emit_reps = true
 """
 
@@ -352,6 +386,27 @@ class TestFrozenOutputs:
             "cb128a7cd7d7a76e5b962f55fb4bad505ecdd0c59095d33aefe26ad21881b613"
         )
 
+    @pytest.mark.parametrize("text,summary_digest,reps_digest", [
+        (SWEEP_CFG, "464713d39d1e14aa933565478ca1a969300283e4253ef145b1f4513f5c33df96",
+         "65ae0117288a7e7bf21146872e00357a75fc80a04cefec72b508586832802acb"),
+        (THREE_STRATA_CFG, "6c24bfbd8bec811986e3c17e75596c9b818ba7d7985992589f688fa1d1c1c64a",
+         "f4dac3211e4b6cc94f876698c702d758082a1a3a6ebfdcb8991087b1d259201f"),
+    ], ids=["sweep", "three-strata"])
+    def test_simulate(self, capsys, tmp_path, text, summary_digest, reps_digest):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert _sha256((tmp_path / "o" / "summary.json").read_bytes()) == summary_digest
+        assert _sha256((tmp_path / "o" / "reps.csv").read_bytes()) == reps_digest
+
+    def test_qq_three_strata(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(THREE_STRATA_CFG)
+        code, out, _ = _run(capsys, ["qq", "--config", str(cfg), "--grid", "9"])
+        assert code == 0
+        assert _sha256(out) == "a2bd18a6a231647e3e123f23f3dc24019760d0898691574e592225165185aefc"
+
     def test_qq_one_stratum(self, capsys):
         code, out, _ = _run(
             capsys, ["qq", "--config", str(CONFIGS / "one_stratum_n152.cfg"), "--grid", "9"]
@@ -371,3 +426,114 @@ class TestExtremeBudgets:
         assert code == 2
         assert out == ""
         assert "rho" in err and "nan" not in err.lower()
+
+    @pytest.mark.parametrize("rows,rho", [(ONE_ROW, "1e-200"), (THREE_ROWS, "7e-309")], ids=["one", "three"])
+    def test_non_finite_interval_is_typed_error(self, capsys, tmp_path, rows, rho):
+        # The noisy count over a floored noisy size overflows the variance
+        # (one stratum) or turns it NaN (three strata).
+        p = tmp_path / "rows.csv"
+        p.write_text(rows)
+        code, out, err = _run(
+            capsys, ["ci", "--input", str(p), "--algorithm", "str-priv", "--rho", rho, "--seed", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err and "rho" in err
+        assert "nan" not in err.lower() and "inf" not in err.lower()
+
+
+class TestInputBoundary:
+    def test_non_utf8_input_file(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(ONE_ROW.encode() + b"\xff\n")
+        code, _, err = _run(capsys, ["ci", "--input", str(p), "--algorithm", "nonprivate"])
+        assert code == 1
+        assert "cannot read input file" in err
+
+    def test_non_utf8_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(SMOKE_CFG.encode() + b"# \xff\n")
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cannot read config file" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ci", "--algorithm", "str-priv", "--rho", "1"],
+        ["ci", "--algorithm", "nonprivate"],
+        ["analyze", "--rho", "1"],
+    ], ids=["ci-str-priv", "ci-nonprivate", "analyze"])
+    def test_population_size_beyond_float_range(self, capsys, tmp_path, argv):
+        p = tmp_path / "huge.csv"
+        p.write_text(f"stratum_id,N_h,n_h,c_h\n1,1{'0' * 400},100,50\n")
+        code, out, err = _run(capsys, [*argv, "--input", str(p)])
+        assert code == 2
+        assert out == ""
+        assert "population_size" in err
+
+    def test_bad_value_names_line(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMOKE_CFG.replace("rate = 0.05", "rate = uniform(0.1)"))
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 4" in err and "'rate'" in err
+
+
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+_NUMBER = st.one_of(
+    st.integers(-3, 3000), st.integers(10**300, 10**420), st.floats(allow_nan=True)
+).map(str)
+_VALUE = st.one_of(
+    _NUMBER,
+    st.lists(_NUMBER, min_size=1, max_size=4).map(", ".join),
+    st.tuples(_NUMBER, _NUMBER).map(lambda b: f"uniform({b[0]}, {b[1]})"),
+    st.sampled_from(["true", "no", "1/max_n", "nonprivate, str-pub", "pop-pub,str-priv", "difference"]),
+    st.text(max_size=12),
+)
+_CONFIG_LINE = st.tuples(st.sampled_from([*_CONFIG_PARSERS, "typo"]), _VALUE).map(
+    lambda kv: f"{kv[0]} = {kv[1]}"
+)
+_CONFIG_TEXT = st.one_of(st.text(), st.lists(_CONFIG_LINE, max_size=16).map("\n".join))
+_CELL = st.one_of(_NUMBER, st.text(max_size=6))
+_STRATUM_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(_CELL, min_size=3, max_size=5).map(",".join), max_size=6).map(
+        lambda rows: "\n".join(["stratum_id,N_h,n_h,c_h", *rows])
+    ),
+)
+
+
+class TestFuzzedInputs:
+    """Arbitrary config and stratum files end in success or a typed error."""
+
+    @staticmethod
+    def _write(tmp_path, name, data):
+        p = tmp_path / name
+        if isinstance(data, bytes):
+            p.write_bytes(data)
+        else:
+            p.write_text(data, encoding="utf-8")
+        return str(p)
+
+    @_FUZZ
+    @given(data=st.one_of(_CONFIG_TEXT, st.binary()))
+    def test_config_file(self, tmp_path, data):
+        # Parsed only: a fuzzed config may ask for any number of repetitions.
+        try:
+            _parse_config_file(self._write(tmp_path, "fuzz.cfg", data))
+        except (CliParseError, ValidationError, InfeasibleError):
+            pass
+
+    @_FUZZ
+    @given(
+        data=st.one_of(_STRATUM_TEXT, st.binary()),
+        algorithm=st.sampled_from(["nonprivate", "str-pub", "pop-pub", "str-priv"]),
+        rho=st.sampled_from(["1e-300", "0.01", "1", "1e12"]),
+    )
+    def test_stratum_file(self, capsys, tmp_path, data, algorithm, rho):
+        path = self._write(tmp_path, "fuzz.csv", data)
+        code, _, _ = _run(capsys, ["ci", "--input", path, "--algorithm", algorithm, "--rho", rho])
+        assert code in (0, 1, 2, 3)
+        code, _, _ = _run(capsys, ["analyze", "--input", path, "--rho", rho])
+        assert code in (0, 1, 2, 3)

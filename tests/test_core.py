@@ -116,6 +116,18 @@ class TestDesign:
     def test_census_allowed(self):
         StratumDesign(population_size=10, sample_size=10, weight=1.0)
 
+    def test_population_size_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="population_size"):
+            build_design([(10**400, 100)])
+        build_design([(10**300, 100)])
+
+    def test_non_positive_population_sizes_rejected(self):
+        # A zero total, or a negative size offsetting a positive one, would
+        # otherwise reach the weight division.
+        for sizes in ([(0, 0)], [(5, 2), (-5, 2)], [(10**400, 2), (1 - 10**400, 2)]):
+            with pytest.raises(ValidationError, match="population_size"):
+                build_design(sizes)
+
     def test_user_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             build_design_with_weights([(100, 10), (100, 10)], [0.5, 0.6])

@@ -100,6 +100,14 @@ class TestWaldInterval:
         with pytest.raises(ValidationError):
             wald_interval(0.5, -1e-12, 0.1)
 
+    @pytest.mark.parametrize("estimate,variance", [
+        (0.5, math.inf), (0.5, math.nan), (math.inf, 0.1), (math.nan, 0.1), (-math.inf, math.inf),
+    ])
+    def test_non_finite_rejected_without_nan_in_message(self, estimate, variance):
+        with pytest.raises(ValidationError, match="not finite") as info:
+            wald_interval(estimate, variance, 0.1)
+        assert "nan" not in str(info.value).lower() and "inf" not in str(info.value).lower()
+
 
 class TestUnbiasedness:
     def test_mc_unbiased_point_and_variance(self):

@@ -9,6 +9,7 @@ from stratci import (
     gaussian,
     hypergeometric_count,
 )
+from stratci.randomness import _scratch, hypergeometric_counts
 
 # Monte-Carlo checks below use 4-sigma tolerances unless the contract states
 # a looser one; all draws are seeded, so they are deterministic.
@@ -123,3 +124,18 @@ class TestHypergeometric:
             n = int(gen.integers(0, N + 1))
             c = hypergeometric_count(derive_stream(98, [1, i]), N, K, n)
             assert max(0, n + K - N) <= c <= min(n, K)
+
+    def test_counts_match_one_array_call(self):
+        # Oracle: numpy's array-argument call on the same stream, which draws
+        # the strata in order from the stream's start.
+        gen = derive_stream(97, [0]).generator()
+        for i in range(3000):
+            H = int(gen.choice([1, 2, 5, 20]))
+            N = gen.integers(1, 3000, size=H)
+            K = gen.integers(0, N + 1)
+            n = gen.integers(0, N + 1)
+            n[gen.random(H) < 0.1] = 0
+            stream = derive_stream(97, [1, i])
+            oracle = _scratch.reset(stream).hypergeometric(K, N - K, n)
+            counts = hypergeometric_counts(stream, N.tolist(), K.tolist(), n.tolist())
+            assert counts == tuple(int(c) for c in oracle)
