@@ -24,8 +24,7 @@ can run concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .analysis import CV_NORMAL_APPROX_THRESHOLD, denominator_cv
 from .core import (
@@ -39,8 +38,8 @@ from .core import (
     check_paired,
 )
 from .estimators import non_private_estimate, wald_interval
-from .mechanisms import gaussian_mechanism, sensitivities
-from .randomness import RandomStream
+from .mechanisms import gaussian_mechanism, gaussian_releases, sensitivities
+from .randomness import RandomStream, _combine
 
 NOISY_SIZE_FLOOR = 2.0
 
@@ -49,8 +48,7 @@ class RatioApproximationWarning(UserWarning):
     """Denominator noise is large enough to strain the normal approximation."""
 
 
-@dataclass(frozen=True)
-class PrivateStratumRelease:
+class PrivateStratumRelease(NamedTuple):
     """Per-stratum private quantities released by the stratum-level mechanisms.
 
     ``noisy_count``/``noisy_size`` and their noise variances are populated
@@ -115,17 +113,20 @@ def stratum_noise_public_sizes(
     Spends the full (unsplit) budget.
     """
     check_paired(design, counts)
-    rho = budget.rho
+    # Stratum h draws its noise from stream child(h).
+    sid = stream.stream_id
+    sizes = [s.sample_size for s in design]
+    noisy, variances = gaussian_releases(
+        stream.base_seed,
+        [_combine(sid, h) for h in range(len(sizes))],
+        [c / n for c, n in zip(counts.counts, sizes)],
+        [1.0 / n for n in sizes],
+        [budget.rho] * len(sizes),
+    )
     releases = []
     noise_variances = []
-    for h, (stratum, c) in enumerate(zip(design, counts.counts)):
-        n = stratum.sample_size
-        p_hat_h = c / n
-        out = gaussian_mechanism(stream.child(h), p_hat_h, 1.0 / n, rho)
-        p_tilde, was_clipped = (
-            _clip_unit(out.value) if clip_proportions else (out.value, False)
-        )
-        s2 = out.noise_variance
+    for h, (stratum, n, value, s2) in enumerate(zip(design, sizes, noisy, variances)):
+        p_tilde, was_clipped = _clip_unit(value) if clip_proportions else (value, False)
         fpc = (stratum.population_size - n) / stratum.population_size
         v_raw = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
         v_tilde, floored = _floor_zero(v_raw)
@@ -233,7 +234,7 @@ def stratum_noise_private_sizes(
     check_paired(design, counts)
     if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
         raise ValidationError("private-sizes mechanism requires a strictly positive split")
-    worst_cv = max(denominator_cv(s.sample_size, budget.rho2) for s in design)
+    worst_cv = denominator_cv(min(s.sample_size for s in design), budget.rho2)
     if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
         warnings.warn(
             f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
@@ -241,41 +242,51 @@ def stratum_noise_private_sizes(
             RatioApproximationWarning,
             stacklevel=2,
         )
+    # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
+    sid = stream.stream_id
+    stream_ids, true_values = [], []
+    for h, (stratum, c) in enumerate(zip(design, counts.counts)):
+        sub = _combine(sid, h)
+        stream_ids += (_combine(sub, 0), _combine(sub, 1))
+        true_values += (float(c), float(stratum.sample_size))
+    noisy, variances = gaussian_releases(
+        stream.base_seed, stream_ids, true_values, [1.0] * len(true_values),
+        [budget.rho1, budget.rho2] * len(design),
+    )
     releases = []
     noise_variances = []
-    for h, (stratum, c) in enumerate(zip(design, counts.counts)):
-        sub = stream.child(h)
-        out_c = gaussian_mechanism(sub.child(0), float(c), 1.0, budget.rho1)
-        out_n = gaussian_mechanism(sub.child(1), float(stratum.sample_size), 1.0, budget.rho2)
-        size_floored = out_n.value < NOISY_SIZE_FLOOR
-        n_tilde = NOISY_SIZE_FLOOR if size_floored else out_n.value
-        ratio = out_c.value / n_tilde
+    for h, (stratum, c_noisy, n_noisy, count_variance, size_variance) in enumerate(
+        zip(design, noisy[::2], noisy[1::2], variances[::2], variances[1::2])
+    ):
+        size_floored = n_noisy < NOISY_SIZE_FLOOR
+        n_tilde = NOISY_SIZE_FLOOR if size_floored else n_noisy
+        ratio = c_noisy / n_tilde
         p_tilde, was_clipped = _clip_unit(ratio) if clip_proportions else (ratio, False)
         fpc_raw = (stratum.population_size - n_tilde) / (stratum.population_size - 1)
         fpc, fpc_floored = _floor_zero(fpc_raw)
         nsq = n_tilde * n_tilde
         v_raw = (
             fpc * p_tilde * (1.0 - p_tilde) / n_tilde
-            + out_c.noise_variance / nsq
-            + p_tilde * p_tilde * out_n.noise_variance / nsq
+            + count_variance / nsq
+            + p_tilde * p_tilde * size_variance / nsq
         )
         v_tilde, floored = _floor_zero(v_raw)
         releases.append(
             PrivateStratumRelease(
                 proportion=p_tilde,
                 variance=v_tilde,
-                noisy_count=out_c.value,
+                noisy_count=c_noisy,
                 noisy_size=n_tilde,
-                count_noise_variance=out_c.noise_variance,
-                size_noise_variance=out_n.noise_variance,
+                count_noise_variance=count_variance,
+                size_noise_variance=size_variance,
                 proportion_clipped=was_clipped,
                 variance_floored=floored,
                 noisy_size_floored=size_floored,
                 fpc_floored=fpc_floored,
             )
         )
-        noise_variances.append((f"stratum_count[{h}]", out_c.noise_variance))
-        noise_variances.append((f"stratum_size[{h}]", out_n.noise_variance))
+        noise_variances.append((f"stratum_count[{h}]", count_variance))
+        noise_variances.append((f"stratum_size[{h}]", size_variance))
     point, variance = _aggregate(design, releases)
     flags = ClipFlags(
         proportion_clipped=any(r.proportion_clipped for r in releases),

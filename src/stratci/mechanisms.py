@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import StratumDesign, ValidationError
-from .randomness import RandomStream, gaussian
+from .randomness import RandomStream, standard_normals
 
 
 class MechanismOutput(NamedTuple):
@@ -17,22 +17,44 @@ class MechanismOutput(NamedTuple):
     noise_variance: float
 
 
+def gaussian_releases(
+    base_seed: int,
+    stream_ids: Sequence[int],
+    true_values: Sequence[float],
+    sensitivities: Sequence[float],
+    rhos: Sequence[float],
+) -> tuple[list[float], list[float]]:
+    """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, noise variances).
+
+    Value i draws the first standard normal of stream (base_seed,
+    stream_ids[i]) and has its own sensitivity and rho.  Each release
+    satisfies rho-zCDP for a sensitivity-``sensitivity`` query under the
+    adjacency the sensitivity was computed for.  A zero noise variance
+    releases the true value exactly.
+    """
+    noise_variances = []
+    for sensitivity, rho in zip(sensitivities, rhos):
+        if not sensitivity > 0.0:
+            raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
+        if not rho > 0.0:
+            raise ValidationError(f"rho must be positive, got {rho}")
+        noise_variances.append(sensitivity * sensitivity / (2.0 * rho))
+    values = []
+    for x, v, z, rho in zip(true_values, noise_variances, standard_normals(base_seed, stream_ids), rhos):
+        value = x if v == 0.0 else x + v**0.5 * z
+        if not math.isfinite(value):  # the variance overflowed
+            raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
+        values.append(value)
+    return values, noise_variances
+
+
 def gaussian_mechanism(
     stream: RandomStream, true_value: float, sensitivity: float, rho: float
 ) -> MechanismOutput:
-    """Release true_value + N(0, sensitivity^2 / (2 rho)).
-
-    Satisfies rho-zCDP for a sensitivity-``sensitivity`` query under the
-    adjacency the sensitivity was computed for.
-    """
-    if not sensitivity > 0.0:
-        raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
-    if not rho > 0.0:
-        raise ValidationError(f"rho must be positive, got {rho}")
-    noise_variance = sensitivity * sensitivity / (2.0 * rho)
-    value = gaussian(stream, true_value, noise_variance)  # not finite if the variance overflows
-    if not math.isfinite(value):
-        raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
+    """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
+    (value,), (noise_variance,) = gaussian_releases(
+        stream.base_seed, (stream.stream_id,), (true_value,), (sensitivity,), (rho,)
+    )
     return MechanismOutput(value, noise_variance)
 
 

@@ -32,6 +32,8 @@ from .estimators import exact_stratum_variance, non_private_ci
 from .randomness import RandomStream, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
+# numpy's hypergeometric draw needs ngood and nbad below 10**9.
+MAX_STRATUM_SIZE = 999_999_999
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,10 @@ class ExperimentConfig:
             raise ValidationError(f"rho must be a positive number, got {self.rho!r}")
         if not (0.0 < self.split < 1.0):
             raise ValidationError(f"split must lie in (0, 1), got {self.split}")
+        size = self.stratum_size
+        low, high = (size.low, size.high) if isinstance(size, Uniform) else (size, size)
+        if not (1 <= low and high <= MAX_STRATUM_SIZE):
+            raise ValidationError(f"stratum_size values must lie in [1, {MAX_STRATUM_SIZE}], got {size}")
         for name, spec, lo, hi in (
             ("rate", self.rate, 0.0, 1.0),
             ("proportion", self.proportion, 0.0, 1.0),

@@ -1,12 +1,24 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from stratci import (
+    PrivacyBudget,
+    RatioApproximationWarning,
+    StratumCounts,
+    build_design,
+    derive_stream,
+    population_noise_public_sizes,
+    stratum_noise_private_sizes,
+    stratum_noise_public_sizes,
+)
 from stratci.cli import _CONFIG_PARSERS, CliParseError, _parse_config_file, main
 from stratci.core import InfeasibleError, ValidationError
 
@@ -350,6 +362,80 @@ def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
+_MECHANISMS = {
+    "str-pub": stratum_noise_public_sizes,
+    "pop-pub": population_noise_public_sizes,
+    "str-priv": stratum_noise_private_sizes,
+}
+_CLIPS = [
+    {"clip_proportions": p, "clip_interval": i} for p in (False, True) for i in (False, True)
+]
+_RELEASE_FIELDS = (
+    "proportion", "variance", "proportion_noise_variance", "noisy_count", "noisy_size",
+    "count_noise_variance", "size_noise_variance", "proportion_clipped", "variance_floored",
+    "noisy_size_floored", "fpc_floored",
+)
+_CLIP_FIELDS = ("proportion_clipped", "interval_clipped", "variance_floored", "noisy_size_floored")
+
+
+def _direct_release_cases(H: int):
+    """(stream, design, counts, budget) per case: H strata mixing typical,
+    tiny-sample, census and rare strata, so that every clip and floor fires."""
+    gen = np.random.default_rng(H)
+    rows = []
+    for _ in range(H):
+        kind = int(gen.integers(4))
+        N = int(gen.integers(200, 3000))
+        n = (max(2, N // 20), int(gen.integers(2, 4)), None, max(2, N // 40))[kind]
+        if kind == 2:
+            N = int(gen.integers(5, 30))
+            n = N - int(gen.integers(0, 2))
+        p = 0.02 if kind == 3 else float(gen.uniform(0.05, 0.6))
+        rows.append((N, n, min(n, int(gen.binomial(n, p)))))
+    design = build_design([(N, n) for N, n, _ in rows])
+    counts = StratumCounts(tuple(c for _, _, c in rows))
+    for k, (rho, split) in enumerate([(1e-3, 0.5), (0.05, 0.2), (2.0, 0.5), (1.0, 0.999)]):
+        yield derive_stream(71, [H, k]), design, counts, PrivacyBudget.total(rho, split)
+
+
+def _release_repr(ci, releases) -> list[str]:
+    """repr of every float and flag of one release, in field order."""
+    parts = [repr(v) for v in (ci.point_estimate, ci.variance_estimate, ci.lower, ci.upper, ci.alpha)]
+    parts += [ci.algorithm.value, repr(ci.budget_spent.rho1), repr(ci.budget_spent.rho2)]
+    parts += [repr(getattr(ci.clipped, f)) for f in _CLIP_FIELDS]
+    parts += [f"{name}={value!r}" for name, value in ci.noise_variances]
+    for r in releases or ():
+        parts += [repr(getattr(r, f)) for f in _RELEASE_FIELDS]
+    return parts
+
+
+def _direct_releases(mechanism: str, H: int):
+    """Each case of :func:`_direct_release_cases` under every clip flag pair."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RatioApproximationWarning)
+        for stream, design, counts, budget in _direct_release_cases(H):
+            for clips in _CLIPS:
+                yield _MECHANISMS[mechanism](stream, design, counts, budget, 0.1, **clips)
+
+
+# SHA-256 of the newline-joined _release_repr parts of _direct_releases(mechanism, H),
+# recorded while each stratum's noise was still drawn by its own mechanism call.
+DIRECT_RELEASE_DIGESTS = {
+    ("str-pub", 1): "803258f549fc6ff14bed7f8c60cf3205894600b7dd52b9962e73e0028725f98b",
+    ("str-pub", 5): "e6c0df59fdad2af79868b12e51cf0626778e26e1650741e48dd1207279701c76",
+    ("str-pub", 20): "81a8ee7713f0789bc960956f3228eadacd38203134df224f616f74e2fda26544",
+    ("str-pub", 50): "b315aad6a507b321354e6d277880840cb07311fab496fa26cc434546da3f78a4",
+    ("pop-pub", 1): "7c18dbab5d4e9f341055140783ebf3c253cb75a47a2aa567fc462728c5b51009",
+    ("pop-pub", 5): "a7b96f64367874684d03db30c3b0521d6e8156560c93f8aa15de802ac3950fb6",
+    ("pop-pub", 20): "b5206006f91928ee0d1b5a59c2872b54dc7072ff41de39b31846cf31e6bb3fc8",
+    ("pop-pub", 50): "0614a0de0cdc1f9827115a6bb898b2ac4131b3c6b1026410d249b549d4acc034",
+    ("str-priv", 1): "09aa60abca3eb9dccf73bb8c5250d451b8a5f645ae5df9dae306e1ab5f3f7629",
+    ("str-priv", 5): "694e2ff1ddaa7b7ca5053db1372756c80c1b90a7124fa7a461e91ac789d9d2e8",
+    ("str-priv", 20): "051970ec904a70dda8fb7e393f0f2efa617ecd8bd54d150a2201ad7f72f2a7be",
+    ("str-priv", 50): "29ae0b55cbe25409572af293df0c5615e9e7c69eb3f3277f33b2ca908571d23c",
+}
+
+
 class TestFrozenOutputs:
     @pytest.mark.parametrize(
         "algorithm,fmt,clip", sorted(CI_DIGESTS), ids=lambda v: v.lstrip("-") or "no-clip"
@@ -414,6 +500,25 @@ class TestFrozenOutputs:
         assert code == 0
         assert _sha256(out) == "7b24ac26c5d2e456e69e35342e9d3e0b3b988b52e0f387fadbca3ed8852486dc"
 
+    @pytest.mark.parametrize("mechanism,H", sorted(DIRECT_RELEASE_DIGESTS), ids=str)
+    def test_direct_release(self, mechanism, H):
+        parts = [part for out in _direct_releases(mechanism, H) for part in _release_repr(*out)]
+        assert _sha256("\n".join(parts)) == DIRECT_RELEASE_DIGESTS[(mechanism, H)]
+
+    def test_direct_release_flags_fire(self):
+        # Every clip and floor changes some frozen release above.
+        fired = set()
+        for mechanism, H in DIRECT_RELEASE_DIGESTS:
+            for ci, releases in _direct_releases(mechanism, H):
+                fired |= {(mechanism, f) for f in _CLIP_FIELDS if getattr(ci.clipped, f)}
+                fired |= {(mechanism, "fpc_floored") for r in releases or () if r.fpc_floored}
+        every_mechanism = ("proportion_clipped", "interval_clipped", "variance_floored")
+        assert fired >= {
+            *((m, f) for m in _MECHANISMS for f in every_mechanism),
+            ("str-priv", "noisy_size_floored"),
+            ("str-priv", "fpc_floored"),
+        }
+
 
 class TestExtremeBudgets:
     @pytest.mark.parametrize(
@@ -469,6 +574,32 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert "population_size" in err
+
+    @pytest.mark.parametrize(
+        "size", ["uniform(1e30, 1e31)", str(10**30), "1000000000", "-5", "0", "uniform(0.5, 10)"]
+    )
+    def test_stratum_size_out_of_range(self, capsys, tmp_path, size):
+        # numpy's int64 integer draw and its hypergeometric draw (ngood and
+        # nbad below 10**9) cannot take the large sizes.
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(
+            SMOKE_CFG.replace("stratum_size = 2000", f"stratum_size = {size}").replace(
+                "proportion = 0.5", "proportion = 1.0"
+            )
+        )
+        code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "stratum_size" in err and "[1, 999999999]" in err
+
+    def test_largest_stratum_size(self, capsys, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(
+            SMOKE_CFG.replace("stratum_size = 2000", "stratum_size = 999999999").replace(
+                "proportion = 0.5", "proportion = 0.999"
+            )
+        )
+        code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
 
     def test_bad_value_names_line(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratci import (
     AlgorithmTag,
+    InfeasibleError,
     PrivacyBudget,
     RatioApproximationWarning,
     StratumCounts,
@@ -16,8 +19,10 @@ from stratci import (
     exact_stratum_variance,
     gaussian,
     non_private_ci,
+    normal_quantile,
     population_noise_public_sizes,
     release,
+    sensitivities,
     stratum_noise_private_sizes,
     stratum_noise_public_sizes,
     wald_interval,
@@ -354,3 +359,82 @@ class TestRelease:
         monkeypatch.setattr(dp_ci, "stratum_noise_public_sizes", wrapper)
         release(AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, derive_stream(0, [0]), DESIGN, COUNTS, HUGE, 0.1)
         assert len(calls) == 1
+
+
+@st.composite
+def _designs(draw):
+    """A design of up to 50 strata with 2 <= n_h <= N_h, and counts 0 <= c_h <= n_h."""
+    rows = []
+    for _ in range(draw(st.integers(1, 50))):
+        N = draw(st.integers(2, 10**6))
+        n = draw(st.integers(2, min(N, 5000)))
+        rows.append((N, n, draw(st.integers(0, n))))
+    return build_design([(N, n) for N, n, _ in rows]), StratumCounts(tuple(c for _, _, c in rows))
+
+
+def _expected_noise_variances(tag, design, budget):
+    """The zCDP Gaussian scale Delta^2/(2 rho) of each recorded noise component."""
+    if tag is AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES:
+        return tuple(
+            (f"stratum_proportion[{h}]", (1.0 / s.sample_size) * (1.0 / s.sample_size) / (2.0 * budget.rho))
+            for h, s in enumerate(design)
+        )
+    if tag is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
+        sens = sensitivities(design)
+        return (
+            ("population_proportion", sens.proportion * sens.proportion / (2.0 * budget.rho1)),
+            ("variance_estimate", sens.variance * sens.variance / (2.0 * budget.rho2)),
+        )
+    return tuple(
+        item
+        for h in range(len(design))
+        for item in (
+            (f"stratum_count[{h}]", 1.0 / (2.0 * budget.rho1)),
+            (f"stratum_size[{h}]", 1.0 / (2.0 * budget.rho2)),
+        )
+    )
+
+
+class TestReleaseProperties:
+    """Every release ends in a typed error or a finite, well-formed interval."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tag=st.sampled_from(list(TestRelease.MECHANISMS)),
+        design_counts=_designs(),
+        rho=st.floats(-300.0, 12.0).map(lambda e: 10.0**e),
+        split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        clip_proportions=st.booleans(),
+        clip_interval=st.booleans(),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_release(self, tag, design_counts, rho, split, clip_proportions, clip_interval, seed):
+        design, counts = design_counts
+        clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
+
+        def run(mechanism, *args):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RatioApproximationWarning)
+                try:
+                    return mechanism(*args, derive_stream(seed, [1]), design, counts, budget, 0.1, **clips)
+                except (ValidationError, InfeasibleError) as exc:
+                    return exc
+
+        try:
+            budget = PrivacyBudget.total(rho, split)
+        except ValidationError:
+            return
+        out = run(release, tag)
+        # Reruns, and the direct call, give the same interval or the same error.
+        assert repr(run(release, tag)) == repr(out)
+        assert repr(run(TestRelease.MECHANISMS[tag])) == repr(out)
+        if isinstance(out, Exception):
+            return
+        ci, _ = out
+        assert all(math.isfinite(x) for x in (ci.lower, ci.point_estimate, ci.upper, ci.variance_estimate))
+        assert ci.lower <= ci.point_estimate <= ci.upper
+        assert ci.noise_variances == _expected_noise_variances(tag, design, budget)
+        if not ci.clipped.interval_clipped:
+            width = 2.0 * (normal_quantile(1.0 - 0.1 / 2.0) * ci.variance_estimate**0.5)
+            rounding = math.ulp(ci.upper) + math.ulp(ci.lower) + math.ulp(width)
+            assert abs((ci.upper - ci.lower) - width) <= rounding

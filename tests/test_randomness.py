@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from stratci import (
     gaussian,
     hypergeometric_count,
 )
-from stratci.randomness import _scratch, hypergeometric_counts
+from stratci.randomness import RandomStream, _scratch, hypergeometric_counts, standard_normals
 
 # Monte-Carlo checks below use 4-sigma tolerances unless the contract states
 # a looser one; all draws are seeded, so they are deterministic.
@@ -139,3 +140,52 @@ class TestHypergeometric:
             oracle = _scratch.reset(stream).hypergeometric(K, N - K, n)
             counts = hypergeometric_counts(stream, N.tolist(), K.tolist(), n.tolist())
             assert counts == tuple(int(c) for c in oracle)
+
+
+class TestScratchReset:
+    def test_draws_match_fresh_philox(self):
+        # Oracle: a fresh Philox generator keyed (base_seed & M, stream_id & M)
+        # per call.  The calls run in a shuffled order on the one per-thread
+        # scratch generator, with a five-draw call that leaves the Philox
+        # buffer part-used and a 32-bit draw that leaves a cached half word,
+        # so that state a reset failed to clear would show in the next call.
+        M = (1 << 64) - 1
+        rnd = random.Random(20261018)
+
+        def fresh(base, sid):
+            # A uint64 array: numpy reads a list of ints at or above 2**63 as floats.
+            key = np.array([base & M, sid & M], dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key))
+
+        for _ in range(10_000):
+            base = rnd.choice([
+                rnd.getrandbits(64),
+                -rnd.getrandbits(64) - 1,
+                rnd.getrandbits(64) + (rnd.randint(1, 255) << 64),
+            ])
+            sid = rnd.getrandbits(64) - rnd.choice([0, 1 << 63])
+            stream = RandomStream(base, sid)
+            N = [rnd.randint(1, 3000) for _ in range(rnd.choice([1, 2, 5]))]
+            K = [rnd.randint(0, x) for x in N]
+            n = [rnd.randint(0, x) for x in N]
+            z = fresh(base, sid).standard_normal()
+            z5 = fresh(base, sid).standard_normal(5)
+            u = fresh(base, sid).random(dtype=np.float32)
+            oracle = fresh(base, sid)
+            counts = tuple(int(oracle.hypergeometric(k, x - k, m)) for x, k, m in zip(N, K, n))
+            checks = [
+                lambda: standard_normals(base, [sid]) == [z],
+                lambda: gaussian(stream, 0.0, 1.0) == z,
+                lambda: hypergeometric_counts(stream, N, K, n) == counts,
+                lambda: np.array_equal(gaussian(stream, 0.0, 1.0, size=5), z5),
+                lambda: _scratch.reset(stream).random(dtype=np.float32) == u,
+            ]
+            rnd.shuffle(checks)
+            for check in checks:
+                assert check(), (base, sid)
+
+    def test_standard_normals_in_order(self):
+        ids = [derive_stream(3, [i]).stream_id for i in range(50)]
+        expected = [gaussian(derive_stream(3, [i]), 0.0, 1.0) for i in range(50)]
+        assert standard_normals(3, ids) == expected
+        assert standard_normals(3, []) == []
