@@ -66,10 +66,6 @@ class StratumDesign:
             raise ValidationError(f"weight must lie in (0, 1], got {self.weight}")
 
     @property
-    def sampling_rate(self) -> float:
-        return self.sample_size / self.population_size
-
-    @property
     def sampling_weight(self) -> float:
         """Number of population units each sampled unit represents, N_h / n_h."""
         return self.population_size / self.sample_size

@@ -23,6 +23,7 @@ can run concurrently.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from typing import NamedTuple, Sequence
 
@@ -82,12 +83,36 @@ def _floor_zero(v: float) -> tuple[float, bool]:
     return (0.0, True) if v < 0.0 else (v, False)
 
 
-def _aggregate(
-    design: Sequence[StratumDesign], releases: Sequence[PrivateStratumRelease]
-) -> tuple[float, float]:
-    point = sum(s.weight * r.proportion for s, r in zip(design, releases))
-    variance = sum(s.weight**2 * r.variance for s, r in zip(design, releases))
-    return point, variance
+def _interval(
+    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
+    point: float, variance: float, flags: ClipFlags, noise_variances: tuple[tuple[str, float], ...],
+) -> CiResult:
+    """The Wald interval, clipped onto [0, 1] when ``clip_interval`` is set."""
+    ci = wald_interval(
+        point, variance, alpha, algorithm=algorithm, budget=budget, clipped=flags,
+        noise_variances=noise_variances,
+    )
+    return ci.clip_to_unit_interval() if clip_interval else ci
+
+
+def _stratum_interval(
+    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
+    design: Sequence[StratumDesign], releases: list[PrivateStratumRelease],
+    noise_variances: list[tuple[str, float]],
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    """The interval of the weighted per-stratum releases; a flag is set if any stratum set it."""
+    flags = ClipFlags(
+        proportion_clipped=any(r.proportion_clipped for r in releases),
+        variance_floored=any(r.variance_floored for r in releases),
+        noisy_size_floored=any(r.noisy_size_floored for r in releases),
+    )
+    ci = _interval(
+        algorithm, budget, alpha, clip_interval,
+        sum(s.weight * r.proportion for s, r in zip(design, releases)),
+        sum(s.weight**2 * r.variance for s, r in zip(design, releases)),
+        flags, tuple(noise_variances),
+    )
+    return ci, tuple(releases)
 
 
 def stratum_noise_public_sizes(
@@ -140,23 +165,10 @@ def stratum_noise_public_sizes(
             )
         )
         noise_variances.append((f"stratum_proportion[{h}]", s2))
-    point, variance = _aggregate(design, releases)
-    flags = ClipFlags(
-        proportion_clipped=any(r.proportion_clipped for r in releases),
-        variance_floored=any(r.variance_floored for r in releases),
+    return _stratum_interval(
+        AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
+        design, releases, noise_variances,
     )
-    ci = wald_interval(
-        point,
-        variance,
-        alpha,
-        algorithm=AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES,
-        budget=budget,
-        clipped=flags,
-        noise_variances=tuple(noise_variances),
-    )
-    if clip_interval:
-        ci = ci.clip_to_unit_interval()
-    return ci, tuple(releases)
 
 
 def population_noise_public_sizes(
@@ -190,21 +202,11 @@ def population_noise_public_sizes(
         stream.child(1), est.variance + out_p.noise_variance, sens.variance, budget.rho2
     )
     v_tilde, floored = _floor_zero(out_v.value)
-    flags = ClipFlags(proportion_clipped=was_clipped, variance_floored=floored)
-    ci = wald_interval(
-        p_tilde,
-        v_tilde,
-        alpha,
-        algorithm=AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES,
-        budget=budget,
-        clipped=flags,
-        noise_variances=(
-            ("population_proportion", out_p.noise_variance),
-            ("variance_estimate", out_v.noise_variance),
-        ),
+    ci = _interval(
+        AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
+        ClipFlags(proportion_clipped=was_clipped, variance_floored=floored),
+        (("population_proportion", out_p.noise_variance), ("variance_estimate", out_v.noise_variance)),
     )
-    if clip_interval:
-        ci = ci.clip_to_unit_interval()
     return ci, None
 
 
@@ -240,7 +242,8 @@ def stratum_noise_private_sizes(
             f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
             f"{CV_NORMAL_APPROX_THRESHOLD}; the ratio's normal approximation may be poor",
             RatioApproximationWarning,
-            stacklevel=2,
+            # Name the line that called release, or this mechanism when called directly.
+            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
         )
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
     sid = stream.stream_id
@@ -287,24 +290,10 @@ def stratum_noise_private_sizes(
         )
         noise_variances.append((f"stratum_count[{h}]", count_variance))
         noise_variances.append((f"stratum_size[{h}]", size_variance))
-    point, variance = _aggregate(design, releases)
-    flags = ClipFlags(
-        proportion_clipped=any(r.proportion_clipped for r in releases),
-        variance_floored=any(r.variance_floored for r in releases),
-        noisy_size_floored=any(r.noisy_size_floored for r in releases),
+    return _stratum_interval(
+        AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
+        design, releases, noise_variances,
     )
-    ci = wald_interval(
-        point,
-        variance,
-        alpha,
-        algorithm=AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,
-        budget=budget,
-        clipped=flags,
-        noise_variances=tuple(noise_variances),
-    )
-    if clip_interval:
-        ci = ci.clip_to_unit_interval()
-    return ci, tuple(releases)
 
 
 # Looked up by module-level name at call time, so a rebinding of that name

@@ -24,15 +24,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _combine(state: int, index: int) -> int:
-    """``_splitmix64(state ^ index)``, inlined: it runs once per stratum draw."""
+    """The splitmix64 finalizer of ``state ^ index``, with ``index`` taken mod 2**64."""
     x = ((state ^ (int(index) & _MASK64)) + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -61,7 +54,7 @@ class RandomStream:
 
 def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
     """Map (base_seed, index tuple) to a stream, injectively up to hash collisions."""
-    sid = _splitmix64(base_seed & _MASK64)
+    sid = _combine(0, base_seed)
     for idx in indices:
         sid = _combine(sid, idx)
     return RandomStream(base_seed, sid)
@@ -130,26 +123,6 @@ def gaussian(stream: RandomStream, mean: float, variance: float, size: int | Non
     if size is None:
         return mean + sd * gen.standard_normal()
     return mean + sd * gen.standard_normal(size)
-
-
-def hypergeometric_count(
-    stream: RandomStream, population_size: int, positive_count: int, sample_size: int, size: int | None = None
-):
-    """Exact draw of the positive count in a without-replacement sample.
-
-    Distributed Hypergeometric(N, K, n); the support bounds
-    max(0, n + K - N) <= c <= min(n, K) hold on every draw.  No normal or
-    binomial approximation is involved.
-    """
-    N, K, n = population_size, positive_count, sample_size
-    if not (0 <= K <= N):
-        raise ValidationError(f"positive count {K} outside [0, {N}]")
-    if not (0 <= n <= N):
-        raise ValidationError(f"sample size {n} outside [0, {N}]")
-    gen = _scratch.reset(stream)
-    if size is None:
-        return int(gen.hypergeometric(K, N - K, n)) if 0 < n else 0
-    return gen.hypergeometric(K, N - K, n, size=size) if 0 < n else np.zeros(size, dtype=np.int64)
 
 
 def hypergeometric_counts(

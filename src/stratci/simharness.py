@@ -213,10 +213,12 @@ class RepetitionRecord:
 
 @dataclass(frozen=True)
 class AlgorithmSummary:
+    """One algorithm's results; ``mean_width_ratio`` is None when some non-private width is 0."""
+
     coverage: float
     mean_width: float
     width_sd: float
-    mean_width_ratio: float
+    mean_width_ratio: float | None
     mean_lower: float
     mean_upper: float
 
@@ -319,7 +321,7 @@ def run_experiment(
                 coverage=float(np.mean(covered[i])),
                 mean_width=float(np.mean(width[i])),
                 width_sd=float(np.std(width[i], ddof=1)) if R > 1 else 0.0,
-                mean_width_ratio=float(np.mean(width[i] / width[-1])),
+                mean_width_ratio=float(np.mean(width[i] / width[-1])) if width[-1].all() else None,
                 mean_lower=float(np.mean(lower[i])),
                 mean_upper=float(np.mean(upper[i])),
             ),

@@ -225,6 +225,25 @@ class TestCmdSimulate:
         assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
         assert (out_a / "reps.csv").read_bytes() == (out_b / "reps.csv").read_bytes()
 
+    def test_zero_width_baseline_writes_strict_json(self, capsys, tmp_path):
+        # At proportion 1.0 every non-private interval has zero width, so no
+        # width ratio exists; summary.json must still hold no NaN or Infinity.
+        cfg = tmp_path / "unit.cfg"
+        cfg.write_text(
+            SMOKE_CFG.replace("proportion = 0.5", "proportion = 1.0").replace("repetitions = 1", "repetitions = 3")
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert (code, err) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=reject)
+        rows = summary["grid"][0]["algorithms"]
+        assert rows["nonprivate"]["mean_width"] == 0.0
+        assert [row["mean_width_ratio"] for row in rows.values()] == [None, None]
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(SMOKE_CFG + "typo_key = 3\n")

@@ -243,6 +243,16 @@ class TestStratumNoisePrivateSizes:
                 derive_stream(0, [0]), DESIGN, COUNTS, PrivacyBudget(0.05, 0.05), 0.1
             )
 
+    def test_cv_warning_names_the_caller(self):
+        # Through release and by a direct call, the warning points at this file.
+        budget = PrivacyBudget(0.05, 1e-6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            release(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, derive_stream(0, [0]), DESIGN, COUNTS, budget, 0.1)
+            stratum_noise_private_sizes(derive_stream(0, [0]), DESIGN, COUNTS, budget, 0.1)
+        assert [w.category for w in caught] == [RatioApproximationWarning] * 2
+        assert [w.filename for w in caught] == [__file__] * 2
+
     def test_recorded_noise_variances(self):
         budget = PrivacyBudget(0.03, 0.07)
         ci, releases = _quiet_priv(derive_stream(7, [0]), DESIGN, COUNTS, budget, 0.1)

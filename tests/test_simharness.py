@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratci import (
     AlgorithmTag,
@@ -19,6 +22,7 @@ from stratci import (
     rho_sweep,
     run_experiment,
 )
+from stratci.cli import _summary_payload
 
 ALL_TAGS = (
     AlgorithmTag.NON_PRIVATE,
@@ -68,6 +72,8 @@ class TestPopulationGeneration:
     def test_population_invariants(self):
         with pytest.raises(ValidationError):
             Population((100,), (101,))
+        with pytest.raises(ValidationError):
+            Population((100,), (-1,))
 
 
 class TestDrawSample:
@@ -96,6 +102,8 @@ class TestDrawSample:
         pop = Population((100,), (50,))
         with pytest.raises(InfeasibleError):
             draw_sample(derive_stream(1, [0]), pop, (0.001,))
+        with pytest.raises(InfeasibleError):  # n = 150 > N
+            draw_sample(derive_stream(1, [0]), pop, (1.5,))
 
     def test_unbiased_proportion_estimate(self):
         # E[p_hat] equals the true proportion across 1e5 redraws
@@ -255,3 +263,61 @@ class TestConfigValidation:
         cfg = _config()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.alpha = 0.2
+
+
+def _number_or_uniform(values):
+    return values | st.tuples(values, values).map(lambda ends: Uniform(min(ends), max(ends)))
+
+
+_LOG_RHO = st.floats(-300.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _experiments(draw):
+    """Keyword arguments of a small ExperimentConfig, and a rho grid or None."""
+    fields = dict(
+        strata=draw(st.integers(1, 5)),
+        stratum_size=draw(_number_or_uniform(st.integers(1, 5000))),
+        rate=draw(_number_or_uniform(st.floats(0.0, 1.0, exclude_min=True))),
+        proportion=draw(_number_or_uniform(st.floats(0.0, 1.0))),
+        rho=draw(_LOG_RHO | st.just("1/max_n")),
+        split=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        algorithms=tuple(draw(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=4, unique=True))),
+        repetitions=draw(st.integers(1, 20)),
+        base_seed=draw(st.integers(-(2**70), 2**70)),
+        clip_proportions=draw(st.booleans()),
+        clip_interval=draw(st.booleans()),
+        min_sample_size=draw(st.none() | st.integers(2, 50)),
+    )
+    return fields, draw(st.none() | st.lists(_LOG_RHO, min_size=1, max_size=3))
+
+
+class TestExperimentProperties:
+    """Every experiment ends in a typed error or a finite summary that is strict JSON."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_experiments())
+    def test_typed_error_or_finite_summary(self, case):
+        fields, grid = case
+
+        def run():
+            try:
+                config = ExperimentConfig(**fields)
+                if grid is None:
+                    return ((config.rho, run_experiment(config)),)
+                return rho_sweep(config, grid)
+            except (ValidationError, InfeasibleError) as exc:
+                return exc
+
+        out = run()
+        assert repr(run()) == repr(out)  # reruns are equal, bit for bit
+        if isinstance(out, Exception):
+            return
+        for _, summary in out:
+            assert math.isfinite(summary.true_proportion) and math.isfinite(summary.rho)
+            for _, row in summary.by_algorithm:
+                values = dataclasses.asdict(row)
+                ratio = values.pop("mean_width_ratio")
+                assert ratio is None or math.isfinite(ratio)
+                assert all(math.isfinite(v) for v in values.values()), values
+            json.dumps(_summary_payload(summary), allow_nan=False)
