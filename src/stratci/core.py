@@ -180,14 +180,6 @@ class ClipFlags:
     variance_floored: bool = False
     noisy_size_floored: bool = False
 
-    def any(self) -> bool:
-        return (
-            self.proportion_clipped
-            or self.interval_clipped
-            or self.variance_floored
-            or self.noisy_size_floored
-        )
-
 
 @dataclass(frozen=True)
 class CiResult:

@@ -39,7 +39,7 @@ from .core import (
     check_paired,
 )
 from .estimators import non_private_estimate, wald_interval
-from .mechanisms import gaussian_mechanism, gaussian_releases, sensitivities
+from .mechanisms import MechanismOutput, gaussian_mechanism, gaussian_releases, sensitivities
 from .randomness import RandomStream, _combine
 
 NOISY_SIZE_FLOOR = 2.0
@@ -185,10 +185,11 @@ def population_noise_public_sizes(
 
     p_tilde = p_hat + N(0, Dp^2/(2 rho1)); the variance estimate adds the
     known extrinsic term Dp^2/(2 rho1) and is itself released through a
-    second Gaussian mechanism at sensitivity DV with budget rho2.  A noisy
-    variance driven negative is floored at zero (flagged), yielding a
-    degenerate zero-width interval rather than a failure.  No per-stratum
-    quantity is released, so the second element is always None.
+    second Gaussian mechanism at sensitivity DV with budget rho2, or exactly
+    when every stratum is a census and DV is 0.  A noisy variance driven
+    negative is floored at zero (flagged), yielding a degenerate zero-width
+    interval rather than a failure.  No per-stratum quantity is released, so
+    the second element is always None.
     """
     est = non_private_estimate(design, counts)  # checks that counts pair with design
     if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
@@ -198,9 +199,13 @@ def population_noise_public_sizes(
     p_tilde, was_clipped = (
         _clip_unit(out_p.value) if clip_proportions else (out_p.value, False)
     )
-    out_v = gaussian_mechanism(
-        stream.child(1), est.variance + out_p.noise_variance, sens.variance, budget.rho2
-    )
+    variance = est.variance + out_p.noise_variance
+    if sens.variance == 0.0:
+        # Every stratum is a census: the variance estimate is 0 whatever the
+        # data, a sensitivity-0 query that is 0-zCDP, so it is released exactly.
+        out_v = MechanismOutput(variance, 0.0)
+    else:
+        out_v = gaussian_mechanism(stream.child(1), variance, sens.variance, budget.rho2)
     v_tilde, floored = _floor_zero(out_v.value)
     ci = _interval(
         AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,

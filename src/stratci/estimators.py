@@ -89,13 +89,19 @@ def wald_interval(
     noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
+    q = 1.0 - alpha / 2.0
+    if not (0.5 < q < 1.0):
+        raise ValidationError(
+            f"alpha must lie in (0, 1) and 1 - alpha/2 below 1, got {alpha}; "
+            "1 - alpha/2 rounds to 1 when alpha is too small (at most about 1.1e-16)"
+        )
     if not (math.isfinite(estimate) and math.isfinite(variance)):
         raise ValidationError(
             "the point or variance estimate is not finite; the privacy budget rho may be too small"
         )
     if variance < 0.0:
         raise ValidationError(f"variance must be nonnegative, got {variance}")
-    half_width = normal_quantile(1.0 - alpha / 2.0) * variance**0.5
+    half_width = normal_quantile(q) * variance**0.5
     return CiResult(
         point_estimate=estimate,
         variance_estimate=variance,

@@ -119,14 +119,14 @@ class ExperimentConfig:
         low, high = (size.low, size.high) if isinstance(size, Uniform) else (size, size)
         if not (1 <= low and high <= MAX_STRATUM_SIZE):
             raise ValidationError(f"stratum_size values must lie in [1, {MAX_STRATUM_SIZE}], got {size}")
-        for name, spec, lo, hi in (
-            ("rate", self.rate, 0.0, 1.0),
-            ("proportion", self.proportion, 0.0, 1.0),
+        for name, spec, interval in (
+            ("rate", self.rate, "(0.0, 1.0]"),
+            ("proportion", self.proportion, "[0.0, 1.0]"),
         ):
             low = spec.low if isinstance(spec, Uniform) else spec
             high = spec.high if isinstance(spec, Uniform) else spec
-            if not (lo < low if name == "rate" else lo <= low) or high > hi:
-                raise ValidationError(f"{name} values must lie in ({lo}, {hi}], got {spec}")
+            if not (0.0 < low if name == "rate" else 0.0 <= low) or high > 1.0:
+                raise ValidationError(f"{name} values must lie in {interval}, got {spec}")
         if not self.algorithms:
             raise ValidationError("at least one algorithm is required")
 

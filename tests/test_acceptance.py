@@ -20,12 +20,10 @@ from stratci import (
     StratumCounts,
     Uniform,
     build_design,
-    conditional_reciprocal_moments_quadrature,
     derive_stream,
     difference_ci,
     draw_sample,
     exact_stratum_variance,
-    gaussian,
     non_private_ci,
     population_noise_public_sizes,
     reciprocal_normal_moments,
@@ -39,6 +37,9 @@ from stratci import (
     width_ratio_lower_bound,
 )
 from stratci.cli import main
+from stratci.randomness import gaussian
+
+from oracles import conditional_reciprocal_moments_quadrature
 
 NON = AlgorithmTag.NON_PRIVATE
 STR_PUB = AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES

@@ -13,7 +13,6 @@ from stratci import (
     budget_ratio_stratum_vs_population,
     build_design,
     build_design_with_weights,
-    conditional_reciprocal_moments_quadrature,
     denominator_cv,
     derive_stream,
     extrinsic_variance,
@@ -21,10 +20,11 @@ from stratci import (
     reciprocal_normal_moments,
     sampling_weights,
     theoretical_width_ratio,
-    truncated_even_moment,
     width_ratio_lower_bound,
     width_ratio_report,
 )
+
+from oracles import conditional_reciprocal_moments_quadrature, truncated_even_moment
 
 STR_PUB = AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES
 POP_PUB = AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -27,7 +30,9 @@ TWO_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,20\n2,2500,100,45\n"
 # Rare attributes: at --rho 0.05 --seed 1 every private mechanism's output
 # changes under each clip flag.
 THREE_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,0\n2,2500,100,1\n3,800,40,0\n"
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+ALGORITHMS = ("nonprivate", "str-pub", "pop-pub", "str-priv")
 
 SMOKE_CFG = """\
 alpha = 0.1
@@ -184,6 +189,28 @@ class TestCmdCi:
         code, _, _ = _run(capsys, ["ci", "--input", str(p), "--algorithm", "nonprivate"])
         assert code == 2
 
+    def test_all_census_pop_pub(self, capsys, tmp_path):
+        # n_h = N_h: the variance estimate is 0 whatever the data.
+        p = tmp_path / "census.csv"
+        p.write_text("stratum_id,N_h,n_h,c_h\n1,100,100,50\n")
+        code, out, err = _run(
+            capsys, ["ci", "--input", str(p), "--algorithm", "pop-pub", "--rho", "0.1", "--seed", "1"]
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[key]) for key in ("lower", "point_estimate", "upper"))
+        assert payload["lower"] <= payload["point_estimate"] <= payload["upper"]
+
+    @pytest.mark.parametrize("alpha", ["0", "1e-17"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_alpha_without_quantile_names_alpha(self, capsys, one_row_file, algorithm, alpha):
+        code, out, err = _run(
+            capsys,
+            ["ci", "--input", one_row_file, "--algorithm", algorithm, "--rho", "0.01", "--alpha", alpha],
+        )
+        assert (code, out) == (2, "")
+        assert "alpha" in err and "quantile" not in err
+
 
 class TestCmdSimulate:
     def test_smoke_run_writes_outputs(self, capsys, tmp_path):
@@ -268,6 +295,13 @@ class TestCmdSimulate:
         code, _, _ = _run(capsys, ["simulate", "--config", "configs/smoke.cfg", "--out", str(tmp_path / "o")])
         assert code == 0
 
+    def test_alpha_without_quantile_names_alpha(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny_alpha.cfg"
+        cfg.write_text(SMOKE_CFG.replace("alpha = 0.1", "alpha = 1e-17"))
+        code, _, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "alpha" in err and "quantile" not in err
+
 
 class TestCmdAnalyze:
     def test_one_stratum_table(self, capsys):
@@ -339,6 +373,48 @@ class TestCmdQq:
         cfg.write_text(SMOKE_CFG.replace("rho = 0.01", "rho_grid = 0.01, 0.1"))
         code, _, _ = _run(capsys, ["qq", "--config", str(cfg)])
         assert code == 2
+
+    def test_alpha_without_quantile_names_alpha(self, capsys, tmp_path):
+        cfg = tmp_path / "qq.cfg"
+        cfg.write_text(SMOKE_CFG.replace("alpha = 0.1", "alpha = 1e-17"))
+        code, out, err = _run(capsys, ["qq", "--config", str(cfg), "--grid", "3"])
+        assert (code, out) == (2, "")
+        assert "alpha" in err and "quantile" not in err
+
+
+# Makes every scipy import fail, then runs each argv through cli.main and
+# prints the exit codes as the last line of stdout.
+_WITHOUT_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None
+from stratci.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    for path in sorted((ROOT / "src" / "stratci").glob("*.py")):
+        assert "scipy" not in path.read_text(encoding="utf-8"), path.name
+    rows = tmp_path / "three.csv"
+    rows.write_text(THREE_ROWS)
+    smoke = str(CONFIGS / "smoke.cfg")
+    runs = [
+        ["simulate", "--config", smoke, "--out", str(tmp_path / "o")],
+        *(
+            ["ci", "--input", str(rows), "--algorithm", a, "--rho", "0.05", "--seed", "1"]
+            for a in ALGORITHMS
+        ),
+        ["analyze", "--N", "2000", "--n", "152", "--rho", "0.01", "--p", "0.5"],
+        ["qq", "--config", smoke, "--grid", "3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs), proc.stderr
 
 
 # SHA-256 of the output bytes.  These pin every output bit, including the

@@ -181,7 +181,7 @@ class TestCiResult:
     def test_width_identity(self, estimate, variance, alpha):
         ci = wald_interval(estimate, variance, alpha)
         expected = 2.0 * normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance)
-        assert not ci.clipped.any()
+        assert ci.clipped == ClipFlags()
         assert math.isclose(ci.width, expected, rel_tol=1e-12, abs_tol=1e-15)
 
     def test_clip_to_unit_interval_sets_flag_only_on_change(self):
@@ -198,7 +198,3 @@ class TestCiResult:
         clipped = ci.clip_to_unit_interval()
         assert clipped.point_estimate == 0.0
         assert clipped.lower <= clipped.point_estimate <= clipped.upper
-
-    def test_flags_any(self):
-        assert not ClipFlags().any()
-        assert ClipFlags(variance_floored=True).any()

@@ -17,7 +17,6 @@ from stratci import (
     derive_stream,
     difference_ci,
     exact_stratum_variance,
-    gaussian,
     non_private_ci,
     normal_quantile,
     population_noise_public_sizes,
@@ -28,6 +27,7 @@ from stratci import (
     wald_interval,
 )
 from stratci import dp_ci
+from stratci.randomness import gaussian
 
 DESIGN = build_design([(2000, 100)])
 COUNTS = StratumCounts((50,))
@@ -373,11 +373,18 @@ class TestRelease:
 
 @st.composite
 def _designs(draw):
-    """A design of up to 50 strata with 2 <= n_h <= N_h, and counts 0 <= c_h <= n_h."""
+    """A design of up to 50 strata with 2 <= n_h <= N_h, and counts 0 <= c_h <= n_h.
+
+    One design in four is an all-census design (every n_h = N_h).
+    """
+    census = draw(st.integers(0, 3)) == 0
     rows = []
     for _ in range(draw(st.integers(1, 50))):
-        N = draw(st.integers(2, 10**6))
-        n = draw(st.integers(2, min(N, 5000)))
+        if census:
+            N = n = draw(st.integers(2, 5000))
+        else:
+            N = draw(st.integers(2, 10**6))
+            n = draw(st.integers(2, min(N, 5000)))
         rows.append((N, n, draw(st.integers(0, n))))
     return build_design([(N, n) for N, n, _ in rows]), StratumCounts(tuple(c for _, _, c in rows))
 

@@ -4,8 +4,14 @@ import random
 import numpy as np
 import pytest
 
-from stratci import ValidationError, derive_stream, gaussian
-from stratci.randomness import RandomStream, _scratch, hypergeometric_counts, standard_normals
+from stratci import ValidationError, derive_stream
+from stratci.randomness import (
+    RandomStream,
+    _scratch,
+    gaussian,
+    hypergeometric_counts,
+    standard_normals,
+)
 
 # Monte-Carlo checks below use 4-sigma tolerances unless the contract states
 # a looser one; all draws are seeded, so they are deterministic.

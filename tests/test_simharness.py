@@ -258,6 +258,8 @@ class TestConfigValidation:
             _config(rate=0.0)
         with pytest.raises(ValidationError):
             _config(rate=Uniform(0.5, 1.5))
+        with pytest.raises(ValidationError, match=r"proportion values must lie in \[0\.0, 1\.0\]"):
+            _config(proportion=-0.1)
 
     def test_config_is_frozen(self):
         cfg = _config()
