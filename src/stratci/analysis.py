@@ -4,26 +4,17 @@ Extrinsic variances (the variance privacy noise adds on top of sampling
 variance), budget ratios between mechanisms, theoretical width ratios with
 their lower bounds, and the conditional-moment machinery for the reciprocal
 of a normal variable that underpins the private-sizes variance estimate.
+Each mechanism's closed forms are its row of :data:`stratci.dp_ci.MECHANISMS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError
-
-CV_NORMAL_APPROX_THRESHOLD = 0.1
-
-
-def denominator_cv(sample_size: int, rho2: float) -> float:
-    """Coefficient of variation of the noisy size n + N(0, 1/(2 rho2)).
-
-    Values at or above :data:`CV_NORMAL_APPROX_THRESHOLD` mean the normal
-    approximation for the count/size ratio is unreliable (rule of thumb).
-    """
-    return math.sqrt(1.0 / (2.0 * rho2)) / sample_size
+from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError, ordered_sum
+from .dp_ci import MECHANISMS, mechanism
 
 
 def double_factorial(n: int) -> int:
@@ -93,8 +84,8 @@ def ratio_estimator_k2_moments(
     N = population_size
     var_phat = ((N - n) / (N - 1)) * p * (1.0 - p) / n
     x = 1.0 / (2.0 * n * n * rho2)
-    odd = sum(double_factorial(2 * j - 1) * x**j for j in range(3))   # 1 + x + 3x^2
-    even = sum(double_factorial(2 * j + 1) * x**j for j in range(3))  # 1 + 3x + 15x^2
+    odd = ordered_sum(double_factorial(2 * j - 1) * x**j for j in range(3))   # 1 + x + 3x^2
+    even = ordered_sum(double_factorial(2 * j + 1) * x**j for j in range(3))  # 1 + 3x + 15x^2
     mean = p * odd
     variance = (
         var_phat * even
@@ -109,68 +100,24 @@ def sampling_weights(design: Sequence[StratumDesign]) -> tuple[float, ...]:
     return tuple(s.sampling_weight for s in design)
 
 
-def _wn2(design: Sequence[StratumDesign]) -> list[float]:
-    return [(s.weight / s.sample_size) ** 2 for s in design]
-
-
-def _private_sizes_extrinsic(design, budget, p_h) -> float:
-    wn2 = _wn2(design)
-    return sum(wn2) / (2.0 * budget.rho1) + sum(
-        v * p * p for v, p in zip(wn2, p_h)
-    ) / (2.0 * budget.rho2)
-
-
-class _ClosedForms(NamedTuple):
-    """One private mechanism's closed forms.
-
-    ``extrinsic_variance`` and ``mean_shift`` take (design, budget, per-stratum
-    proportions), which only ``needs_proportions`` forms read.  ``p_factor(p)``
-    multiplies 1/(p(1-p) n rho) in the one-stratum width ratio at the even
-    split; ``bound_factor`` is its numerator minimized over p, fpc dropped.
-    """
-
-    extrinsic_variance: Callable
-    mean_shift: Callable
-    p_factor: Callable[[float], float]
-    bound_factor: float
-    needs_proportions: bool = False
-
-
-_CLOSED_FORMS = {
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: _ClosedForms(
-        lambda design, budget, p_h: sum(_wn2(design)) / (2.0 * budget.rho),
-        lambda design, budget, p_h: 0.0, lambda p: 0.5, 2.0,
-    ),
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: _ClosedForms(
-        lambda design, budget, p_h: max(_wn2(design)) / (2.0 * budget.rho1),
-        lambda design, budget, p_h: 0.0, lambda p: 1.0, 4.0,
-    ),
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: _ClosedForms(
-        _private_sizes_extrinsic,
-        lambda design, budget, p_h: sum(
-            s.weight * p / (2.0 * budget.rho2 * s.sample_size**2) for s, p in zip(design, p_h)
-        ),
-        lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
-    ),
-}
-
-
-def _closed_forms(algorithm: AlgorithmTag, what: str) -> _ClosedForms:
-    if algorithm not in _CLOSED_FORMS:
-        raise ValidationError(f"no {what} defined for {algorithm}")
-    return _CLOSED_FORMS[algorithm]
+def _finite(value: float, rho: float, algorithm: AlgorithmTag, what: str) -> float:
+    if not math.isfinite(value):
+        what = what.replace("_", " ")
+        raise ValidationError(f"rho {rho!r} is too small: the {algorithm.value} {what} is not finite")
+    return value
 
 
 def _stratum_term(term: str, design, algorithm, budget, stratum_proportions) -> float:
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 0.0
-    what = term.replace("_", " ")
-    forms = _closed_forms(algorithm, what)
-    if forms.needs_proportions and (
-        stratum_proportions is None or len(stratum_proportions) != len(design)
-    ):
-        raise ValidationError(f"the {algorithm.value} {what} needs one proportion per stratum")
-    return getattr(forms, term)(design, budget, stratum_proportions)
+    row = mechanism(algorithm, budget)
+    if row.needs_proportions:
+        what = f"{algorithm.value} {term.replace('_', ' ')}"
+        if stratum_proportions is None or len(stratum_proportions) != len(design):
+            raise ValidationError(f"the {what} needs one proportion per stratum")
+        if not all(0.0 <= p <= 1.0 for p in stratum_proportions):
+            raise ValidationError(f"the {what} needs proportions in [0, 1], got {tuple(stratum_proportions)}")
+    return _finite(getattr(row, term)(design, budget, stratum_proportions), budget.rho, algorithm, term)
 
 
 def extrinsic_variance(
@@ -213,7 +160,7 @@ def budget_ratio_stratum_vs_population(sampling_weights: Sequence[float]) -> flo
     if not sampling_weights:
         raise ValidationError("at least one sampling weight is required")
     sq = [u * u for u in sampling_weights]
-    return sum(sq) / (2.0 * max(sq))
+    return ordered_sum(sq) / (2.0 * max(sq))
 
 
 def budget_ratio_private_vs_public(
@@ -229,7 +176,7 @@ def budget_ratio_private_vs_public(
     if len(sampling_weights) != len(stratum_proportions):
         raise ValidationError("weights and proportions must have equal length")
     sq = [u * u for u in sampling_weights]
-    return 2.0 * sum(s * (1.0 + p * p) for s, p in zip(sq, stratum_proportions)) / sum(sq)
+    return 2.0 * ordered_sum(s * (1.0 + p * p) for s, p in zip(sq, stratum_proportions)) / ordered_sum(sq)
 
 
 def theoretical_width_ratio(
@@ -242,7 +189,7 @@ def theoretical_width_ratio(
     """
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
-    forms = _closed_forms(algorithm, "width ratio")
+    row = mechanism(algorithm)
     if not (0.0 < p < 1.0):
         raise ValidationError(f"p must lie strictly inside (0, 1), got {p}")
     if sample_size >= population_size:
@@ -250,8 +197,9 @@ def theoretical_width_ratio(
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
     N, n = population_size, sample_size
-    factor = forms.p_factor(p)
-    return math.sqrt(1.0 + ((N - 1) / (N - n)) * factor / (p * (1.0 - p) * n * rho))
+    denominator = p * (1.0 - p) * n * rho
+    ratio = ((N - 1) / (N - n)) * row.p_factor(p) / denominator if denominator > 0.0 else math.inf
+    return _finite(math.sqrt(1.0 + ratio), rho, algorithm, "width ratio")
 
 
 def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTag) -> float:
@@ -263,10 +211,11 @@ def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTa
     """
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
-    forms = _closed_forms(algorithm, "width-ratio bound")
+    row = mechanism(algorithm)
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
-    return math.sqrt(1.0 + forms.bound_factor / (sample_size * rho))
+    bound = math.sqrt(1.0 + row.bound_factor / (sample_size * rho))
+    return _finite(bound, rho, algorithm, "width-ratio bound")
 
 
 @dataclass(frozen=True)
@@ -274,7 +223,9 @@ class WidthRatioReport:
     """Side-by-side width/variance comparison for one design.
 
     ``width_ratios`` and ``lower_bounds`` are populated only for one-stratum
-    designs, where the closed forms apply.
+    designs, where the closed forms apply, and only where the sampling
+    variance they divide by is positive: not for a census (n = N) and not at
+    a proportion of 0 or 1.
     """
 
     extrinsic_variances: tuple[tuple[AlgorithmTag, float], ...]
@@ -294,21 +245,18 @@ def width_ratio_report(
     u = sampling_weights(design)
     vex = [
         (tag, extrinsic_variance(design, tag, budget, stratum_proportions))
-        for tag, forms in _CLOSED_FORMS.items()
-        if stratum_proportions is not None or not forms.needs_proportions
+        for tag, row in MECHANISMS.items()
+        if stratum_proportions is not None or not row.needs_proportions
     ]
     twr: list[tuple[AlgorithmTag, float]] = []
     bounds: list[tuple[AlgorithmTag, float]] = []
     if len(design) == 1 and stratum_proportions is not None:
-        stratum = design[0]
-        p = stratum_proportions[0]
-        for tag in _CLOSED_FORMS:
-            twr.append(
-                (tag, theoretical_width_ratio(
-                    stratum.population_size, stratum.sample_size, p, budget.rho, tag
-                ))
-            )
-            bounds.append((tag, width_ratio_lower_bound(stratum.sample_size, budget.rho, tag)))
+        (stratum,), (p,) = design, stratum_proportions
+        N, n = stratum.population_size, stratum.sample_size
+        if n < N and 0.0 < p < 1.0:  # Var(p_hat) > 0, so the width ratio is defined
+            for tag in MECHANISMS:
+                twr.append((tag, theoretical_width_ratio(N, n, p, budget.rho, tag)))
+                bounds.append((tag, width_ratio_lower_bound(n, budget.rho, tag)))
     ratio_priv = (
         budget_ratio_private_vs_public(u, stratum_proportions)
         if stratum_proportions is not None

@@ -351,6 +351,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ValidationError("either --input or both --N and --n are required")
         design = build_design([(args.N, args.n)])
         proportions = (args.p,) * 1 if args.p is not None else None
+    if not 0.0 < args.split < 1.0:
+        raise ValidationError(f"split must lie in (0, 1), got {args.split}")
     budget = PrivacyBudget.total(args.rho, args.split)
     report = width_ratio_report(design, budget, proportions)
     lines = ["metric,algorithm,value"]

@@ -11,9 +11,23 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 WEIGHT_SUM_TOL = 1e-12
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The float sum added left to right from 0.0, as every CPython adds it.
+
+    CPython 3.12 made the built-in ``sum`` of floats compensated, so its bits
+    depend on the interpreter; this gives the bits of ``sum`` up to 3.11.  It
+    equals ``functools.reduce(operator.add, values, 0.0)``, and the loop is
+    the faster of the two.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class ValidationError(ValueError):
@@ -95,10 +109,9 @@ def build_design_with_weights(
     """
     if len(sizes) != len(weights):
         raise ValidationError("sizes and weights must have equal length")
-    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(
-            f"weights sum to {sum(weights)!r}, expected 1 within {WEIGHT_SUM_TOL}"
-        )
+    total = ordered_sum(weights)
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
     return tuple(StratumDesign(N, n, w) for (N, n), w in zip(sizes, weights))
 
 
@@ -125,7 +138,7 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
         )
-    total_weight = sum(s.weight for s in design)
+    total_weight = ordered_sum(s.weight for s in design)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
     for h, (stratum, c) in enumerate(zip(design, counts.counts)):

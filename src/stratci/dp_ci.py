@@ -15,6 +15,8 @@ design facts stay public:
 
 All three share one signature and return ``(CiResult, per-stratum releases
 or None)``; :func:`release` calls one by its :class:`AlgorithmTag`.
+:data:`MECHANISMS` holds one row per mechanism: its release function, its
+repetition stream slot, its budget rule and its closed forms.
 
 Each invocation owns a single stream and derives per-stratum substreams by
 stratum index, so results do not depend on iteration order and repetitions
@@ -23,11 +25,11 @@ can run concurrently.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .analysis import CV_NORMAL_APPROX_THRESHOLD, denominator_cv
 from .core import (
     AlgorithmTag,
     CiResult,
@@ -37,12 +39,14 @@ from .core import (
     StratumDesign,
     ValidationError,
     check_paired,
+    ordered_sum,
 )
 from .estimators import non_private_estimate, wald_interval
 from .mechanisms import MechanismOutput, gaussian_mechanism, gaussian_releases, sensitivities
 from .randomness import RandomStream, _combine
 
 NOISY_SIZE_FLOOR = 2.0
+CV_NORMAL_APPROX_THRESHOLD = 0.1
 
 
 class RatioApproximationWarning(UserWarning):
@@ -69,6 +73,15 @@ class PrivateStratumRelease(NamedTuple):
     variance_floored: bool = False
     noisy_size_floored: bool = False
     fpc_floored: bool = False
+
+
+def denominator_cv(sample_size: int, rho2: float) -> float:
+    """Coefficient of variation of the noisy size n + N(0, 1/(2 rho2)).
+
+    Values at or above :data:`CV_NORMAL_APPROX_THRESHOLD` mean the normal
+    approximation for the count/size ratio is unreliable (rule of thumb).
+    """
+    return math.sqrt(1.0 / (2.0 * rho2)) / sample_size
 
 
 def _clip_unit(x: float) -> tuple[float, bool]:
@@ -108,8 +121,8 @@ def _stratum_interval(
     )
     ci = _interval(
         algorithm, budget, alpha, clip_interval,
-        sum(s.weight * r.proportion for s, r in zip(design, releases)),
-        sum(s.weight**2 * r.variance for s, r in zip(design, releases)),
+        ordered_sum(s.weight * r.proportion for s, r in zip(design, releases)),
+        ordered_sum(s.weight**2 * r.variance for s, r in zip(design, releases)),
         flags, tuple(noise_variances),
     )
     return ci, tuple(releases)
@@ -192,8 +205,7 @@ def population_noise_public_sizes(
     the second element is always None.
     """
     est = non_private_estimate(design, counts)  # checks that counts pair with design
-    if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
-        raise ValidationError("population-level mechanism requires a strictly positive split")
+    mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
     sens = sensitivities(design)
     out_p = gaussian_mechanism(stream.child(0), est.proportion, sens.proportion, budget.rho1)
     p_tilde, was_clipped = (
@@ -239,8 +251,7 @@ def stratum_noise_private_sizes(
     denominator's coefficient of variation strains the normal approximation.
     """
     check_paired(design, counts)
-    if budget.rho1 <= 0.0 or budget.rho2 <= 0.0:
-        raise ValidationError("private-sizes mechanism requires a strictly positive split")
+    mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
     worst_cv = denominator_cv(min(s.sample_size for s in design), budget.rho2)
     if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
         warnings.warn(
@@ -301,13 +312,75 @@ def stratum_noise_private_sizes(
     )
 
 
-# Looked up by module-level name at call time, so a rebinding of that name
-# (a wrapper or a test double) also reaches calls made through :func:`release`.
-_MECHANISM_NAMES = {
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: "stratum_noise_public_sizes",
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: "population_noise_public_sizes",
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: "stratum_noise_private_sizes",
+def _wn2(design: Sequence[StratumDesign]) -> list[float]:
+    return [(s.weight / s.sample_size) ** 2 for s in design]
+
+
+def _private_sizes_extrinsic(design, budget, p_h) -> float:
+    wn2 = _wn2(design)
+    return ordered_sum(wn2) / (2.0 * budget.rho1) + ordered_sum(
+        v * p * p for v, p in zip(wn2, p_h)
+    ) / (2.0 * budget.rho2)
+
+
+class Mechanism(NamedTuple):
+    """One private mechanism: how it is released, and its closed forms.
+
+    ``function`` names the release function, looked up at call time so that
+    a rebinding of that module-level name (a wrapper or a test double) also
+    reaches calls made through :func:`release`.  A repetition feeds it from
+    stream child ``1 + slot``, fixed per mechanism so that no config's choice
+    of algorithms shifts another's noise.  ``splits_budget`` marks a need for
+    rho1 > 0 and rho2 > 0.  The closed forms are those of ``analysis``:
+    ``extrinsic_variance`` and ``mean_shift`` take (design, budget, per-stratum
+    proportions), read only if ``needs_proportions``; ``p_factor(p)``
+    multiplies 1/(p(1-p) n rho) in the one-stratum width ratio at the even
+    split, and ``bound_factor`` is its numerator minimized over p, fpc dropped.
+    """
+
+    function: str
+    slot: int
+    splits_budget: bool
+    extrinsic_variance: Callable
+    mean_shift: Callable
+    p_factor: Callable[[float], float]
+    bound_factor: float
+    needs_proportions: bool = False
+
+
+MECHANISMS = {
+    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: Mechanism(
+        "stratum_noise_public_sizes", 0, False,
+        lambda design, budget, p_h: ordered_sum(_wn2(design)) / (2.0 * budget.rho),
+        lambda *_: 0.0, lambda p: 0.5, 2.0,
+    ),
+    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: Mechanism(
+        "population_noise_public_sizes", 1, True,
+        lambda design, budget, p_h: max(_wn2(design)) / (2.0 * budget.rho1),
+        lambda *_: 0.0, lambda p: 1.0, 4.0,
+    ),
+    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: Mechanism(
+        "stratum_noise_private_sizes", 2, True,
+        _private_sizes_extrinsic,
+        lambda design, budget, p_h: ordered_sum(
+            s.weight * p / (2.0 * budget.rho2 * s.sample_size**2) for s, p in zip(design, p_h)
+        ),
+        lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
+    ),
 }
+
+
+def mechanism(algorithm: AlgorithmTag, budget: PrivacyBudget | None = None) -> Mechanism:
+    """The row of ``algorithm``; given ``budget``, also checks its split rule."""
+    row = MECHANISMS.get(algorithm)
+    if row is None:
+        raise ValidationError(f"{algorithm} is not a private release mechanism")
+    if budget is not None and row.splits_budget and not (budget.rho1 > 0.0 and budget.rho2 > 0.0):
+        raise ValidationError(
+            f"{algorithm.value} needs a budget split with rho1 > 0 and rho2 > 0, "
+            f"got rho1 = {budget.rho1}, rho2 = {budget.rho2}"
+        )
+    return row
 
 
 def release(
@@ -326,10 +399,7 @@ def release(
     Returns what that mechanism returns: the interval, and its per-stratum
     releases (None for the population-level mechanism).
     """
-    name = _MECHANISM_NAMES.get(algorithm)
-    if name is None:
-        raise ValidationError(f"{algorithm} is not a private release mechanism")
-    return globals()[name](
+    return globals()[mechanism(algorithm).function](
         stream, design, counts, budget, alpha,
         clip_proportions=clip_proportions, clip_interval=clip_interval,
     )

@@ -16,6 +16,7 @@ from .core import (
     ValidationError,
     check_paired,
     normal_quantile,
+    ordered_sum,
 )
 
 
@@ -23,8 +24,8 @@ from .core import (
 class NonPrivateEstimate:
     """Point and variance estimates, per stratum and aggregated.
 
-    By construction ``proportion == sum(w_h * stratum_proportions[h])`` and
-    ``variance == sum(w_h**2 * stratum_variances[h])`` exactly.
+    By construction ``proportion == ordered_sum(w_h * stratum_proportions[h])``
+    and ``variance == ordered_sum(w_h**2 * stratum_variances[h])`` exactly.
     """
 
     proportion: float
@@ -39,7 +40,7 @@ def sample_proportions(
     """Return (p_hat, per-stratum p_hat_h) with p_hat_h = c_h / n_h."""
     check_paired(design, counts)
     per_stratum = tuple(c / s.sample_size for s, c in zip(design, counts.counts))
-    overall = sum(s.weight * p for s, p in zip(design, per_stratum))
+    overall = ordered_sum(s.weight * p for s, p in zip(design, per_stratum))
     return overall, per_stratum
 
 
@@ -74,7 +75,7 @@ def non_private_estimate(
     stratum_vars = tuple(
         stratum_variance_estimate(s, p) for s, p in zip(design, per_stratum)
     )
-    variance = sum(s.weight**2 * v for s, v in zip(design, stratum_vars))
+    variance = ordered_sum(s.weight**2 * v for s, v in zip(design, stratum_vars))
     return NonPrivateEstimate(overall, per_stratum, variance, stratum_vars)
 
 

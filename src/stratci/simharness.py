@@ -26,8 +26,9 @@ from .core import (
     ValidationError,
     build_design,
     normal_quantile,
+    ordered_sum,
 )
-from .dp_ci import release
+from .dp_ci import MECHANISMS, mechanism, release
 from .estimators import exact_stratum_variance, non_private_ci
 from .randomness import RandomStream, derive_stream, hypergeometric_counts
 
@@ -89,12 +90,7 @@ class ExperimentConfig:
     proportion: float | Uniform = 0.5
     rho: float | str = 0.01
     split: float = 0.5
-    algorithms: tuple[AlgorithmTag, ...] = (
-        AlgorithmTag.NON_PRIVATE,
-        AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES,
-        AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES,
-        AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,
-    )
+    algorithms: tuple[AlgorithmTag, ...] = (AlgorithmTag.NON_PRIVATE, *MECHANISMS)
     repetitions: int = 10000
     base_seed: int = 0
     clip_proportions: bool = False
@@ -243,16 +239,6 @@ def _resolve_rho(config: ExperimentConfig, sample_sizes: Sequence[int]) -> float
     return float(config.rho)
 
 
-# Stream index layout within one repetition: 0 draws the sample, 1 + slot
-# feeds each mechanism.  Slots are fixed per tag so adding or reordering
-# algorithms in a config never shifts another algorithm's noise.
-_ALGORITHM_SLOT = {
-    AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: 0,
-    AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: 1,
-    AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: 2,
-}
-
-
 def _set_up(config: ExperimentConfig) -> tuple[Population, tuple[StratumDesign, ...], float]:
     """The fixed population, design and resolved rho, from stream (base_seed, -1)."""
     setup = derive_stream(config.base_seed, [-1])
@@ -285,6 +271,8 @@ def run_experiment(
 
     R = config.repetitions
     tags = config.algorithms
+    # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
+    children = [None if tag is AlgorithmTag.NON_PRIVATE else 1 + mechanism(tag).slot for tag in tags]
     # (lower, upper, point) per algorithm and repetition; the last row holds
     # the non-private baseline that width ratios divide by.
     bounds = np.empty((len(tags) + 1, 3, R))
@@ -300,12 +288,12 @@ def run_experiment(
         if config.clip_interval:
             baseline = baseline.clip_to_unit_interval()
         bounds[-1, :, r] = baseline.lower, baseline.upper, baseline.point_estimate
-        for i, tag in enumerate(tags):
-            if tag is AlgorithmTag.NON_PRIVATE:
+        for i, (tag, child) in enumerate(zip(tags, children)):
+            if child is None:
                 ci = baseline
             else:
                 ci, _ = release(
-                    tag, rep_stream.child(1 + _ALGORITHM_SLOT[tag]), design, counts, budget,
+                    tag, rep_stream.child(child), design, counts, budget,
                     config.alpha, clip_proportions=config.clip_proportions,
                     clip_interval=config.clip_interval,
                 )
@@ -363,7 +351,7 @@ def qq_data(
     population, design, rho = _set_up(config)
     budget = PrivacyBudget.total(rho, config.split)
     p_h = population.stratum_proportions
-    var_phat = sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
+    var_phat = ordered_sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
     qs = np.arange(1, grid_size + 1) / (grid_size + 1)
     out = []
     for tag in config.algorithms:

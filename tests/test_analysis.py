@@ -24,6 +24,8 @@ from stratci import (
     width_ratio_report,
 )
 
+from stratci.analysis import mean_shift
+
 from oracles import conditional_reciprocal_moments_quadrature, truncated_even_moment
 
 STR_PUB = AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES
@@ -56,6 +58,24 @@ class TestExtrinsicVariance:
         v = extrinsic_variance(design, STR_PRIV, PrivacyBudget.total(0.01), (0.5,))
         expected = 1.0 / (2 * 0.005 * 100**2) + 0.25 / (2 * 0.005 * 100**2)
         assert math.isclose(v, expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("tag", [POP_PUB, STR_PRIV])
+    @pytest.mark.parametrize("budget", [PrivacyBudget(0.0, 0.01), PrivacyBudget(0.01, 0.0)], ids=["rho1", "rho2"])
+    @pytest.mark.parametrize("form", [extrinsic_variance, mean_shift])
+    def test_split_mechanisms_need_both_parts(self, tag, budget, form):
+        design = build_design([(2000, 100)])
+        with pytest.raises(ValidationError, match="rho1 > 0 and rho2 > 0"):
+            form(design, tag, budget, (0.5,))
+
+    def test_non_mechanism_tag_named(self):
+        design = build_design([(2000, 100)])
+        with pytest.raises(ValidationError, match="DIFFERENCE is not a private release mechanism"):
+            extrinsic_variance(design, AlgorithmTag.DIFFERENCE, PrivacyBudget.total(0.01))
+
+    def test_non_finite_names_rho(self):
+        design = build_design([(2000, 100)])
+        with pytest.raises(ValidationError, match="rho 1e-320 is too small"):
+            extrinsic_variance(design, STR_PUB, PrivacyBudget.total(1e-320))
 
     def test_non_private_is_zero(self):
         design = build_design([(2000, 100)])
@@ -294,6 +314,14 @@ class TestWidthRatioReport:
         report = width_ratio_report(design, PrivacyBudget.total(0.01), (0.4, 0.6))
         assert report.width_ratios == ()
         assert report.ratio_private_vs_public is not None
+
+    @pytest.mark.parametrize("sizes,p", [((100, 100), 0.5), ((2000, 152), 0.0), ((2000, 152), 1.0)])
+    def test_zero_sampling_variance_omits_twr(self, sizes, p):
+        # A census or a 0/1 proportion has Var(p_hat) = 0, so no width ratio.
+        report = width_ratio_report(build_design([sizes]), PrivacyBudget.total(0.01), (p,))
+        assert report.width_ratios == () and report.lower_bounds == ()
+        assert len(report.extrinsic_variances) == 3
+        assert all(math.isfinite(v) for _, v in report.extrinsic_variances)
 
     def test_report_without_proportions(self):
         design = build_design([(2000, 100)])

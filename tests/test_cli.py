@@ -346,6 +346,49 @@ class TestCmdAnalyze:
         code, _, _ = _run(capsys, ["analyze", "--rho", "0.01"])
         assert code == 2
 
+    @pytest.mark.parametrize("design", [
+        ["--N", "2000", "--n", "2000", "--p", "0.5"],
+        ["--input", "1,100,100,50"],
+        ["--input", "1,2000,152,0"],
+        ["--input", "1,2000,152,152"],
+    ], ids=["census", "census-file", "zero-count-file", "unit-count-file"])
+    def test_zero_sampling_variance_prints_the_rest(self, capsys, tmp_path, design):
+        if design[0] == "--input":
+            path = tmp_path / "one.csv"
+            path.write_text(f"stratum_id,N_h,n_h,c_h\n{design[1]}\n")
+            design = ["--input", str(path)]
+        code, out, err = _run(capsys, ["analyze", *design, "--rho", "0.01"])
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [metric for metric, _, _ in rows] == ["v_ex"] * 3 + [
+            "budget_ratio_stratum_vs_population", "budget_ratio_private_vs_public"
+        ]
+        assert all(math.isfinite(float(value)) for _, _, value in rows)
+
+    @pytest.mark.parametrize("argv,name", [
+        (["--split", "0", "--p", "0.5"], "split"),
+        (["--split", "1.0", "--p", "0.5"], "split"),
+        (["--split", "1.0"], "split"),
+        (["--rho", "1e-300", "--p", "1e-300"], "rho"),
+        (["--rho", "1e-320", "--p", "0.5"], "rho"),
+        (["--p", "nan"], "proportions"),
+        (["--p", "1.5"], "proportions"),
+    ])
+    def test_degenerate_input_is_named(self, capsys, argv, name):
+        base = {"--N": "2000", "--n": "152", "--rho": "0.01"}
+        flags = dict(base, **dict(zip(argv[::2], argv[1::2])))
+        code, out, err = _run(capsys, ["analyze", *(v for kv in flags.items() for v in kv)])
+        assert code == 2
+        assert out == ""
+        assert name in err and "inf" not in err
+
+    def test_multi_stratum_proportion_out_of_range(self, capsys, tmp_path):
+        p = tmp_path / "two.csv"
+        p.write_text(TWO_ROWS)
+        code, out, err = _run(capsys, ["analyze", "--input", str(p), "--rho", "0.01", "--p", "1.5"])
+        assert code == 2
+        assert out == "" and "proportions" in err
+
 
 class TestCmdQq:
     def test_single_algorithm_minimal_grid(self, capsys, tmp_path):
@@ -730,6 +773,18 @@ _STRATUM_TEXT = st.one_of(
 )
 
 
+@st.composite
+def _analyze_argv(draw):
+    """One-stratum ``analyze`` flags over the whole input range, census and edges included."""
+    N = draw(st.integers(2, 10**6))
+    n = draw(st.one_of(st.just(N), st.integers(2, N)))
+    rho = 10.0 ** draw(st.floats(-320.0, 12.0))
+    split = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    p = draw(st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([-0.1, 1.5, math.nan])))
+    argv = ["analyze", "--N", str(N), "--n", str(n), "--rho", repr(rho), "--split", repr(split)]
+    return argv + ([] if p is None else ["--p", repr(p)])
+
+
 class TestFuzzedInputs:
     """Arbitrary config and stratum files end in success or a typed error."""
 
@@ -763,3 +818,14 @@ class TestFuzzedInputs:
         assert code in (0, 1, 2, 3)
         code, _, _ = _run(capsys, ["analyze", "--input", path, "--rho", rho])
         assert code in (0, 1, 2, 3)
+
+    @_FUZZ
+    @given(argv=_analyze_argv())
+    def test_analyze_design(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code in (0, 2), err
+        if code == 0:
+            rows = out.splitlines()[1:]
+            assert rows and all(math.isfinite(float(row.split(",")[2])) for row in rows)
+        else:
+            assert out == "" and err.startswith("validation error: ")

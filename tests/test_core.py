@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import mpmath
 import pytest
@@ -19,6 +21,7 @@ from stratci import (
     normal_quantile,
     wald_interval,
 )
+from stratci.core import ordered_sum
 
 mpmath.mp.dps = 40
 
@@ -26,6 +29,22 @@ mpmath.mp.dps = 40
 def _quantile_oracle(q: float) -> float:
     """High-precision inverse normal CDF via mpmath's erfinv."""
     return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(q) - 1))
+
+
+class TestOrderedSum:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @settings(max_examples=300)
+    def test_matches_left_fold(self, values):
+        total = functools.reduce(operator.add, values, 0.0)
+        assert repr(ordered_sum(values)) == repr(total)
+        assert repr(ordered_sum(iter(values))) == repr(total)
+
+    def test_empty_is_float_zero(self):
+        assert repr(ordered_sum([])) == "0.0"
+
+    def test_not_compensated(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum would give 1.0.
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
 
 
 class TestPrivacyBudget:

@@ -16,6 +16,7 @@ from stratci import (
     stratum_variance_estimate,
     wald_interval,
 )
+from stratci.core import ordered_sum
 
 
 class TestProportions:
@@ -46,10 +47,10 @@ class TestProportions:
     def test_aggregation_identities(self):
         design = build_design([(1500, 60), (1800, 90), (2000, 150)])
         est = non_private_estimate(design, StratumCounts((10, 45, 75)))
-        assert est.proportion == sum(
+        assert est.proportion == ordered_sum(
             s.weight * p for s, p in zip(design, est.stratum_proportions)
         )
-        assert est.variance == sum(
+        assert est.variance == ordered_sum(
             s.weight**2 * v for s, v in zip(design, est.stratum_variances)
         )
 
