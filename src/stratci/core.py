@@ -9,9 +9,10 @@ from __future__ import annotations
 import enum
 import math
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -132,20 +133,84 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None
     """Validate that counts pair with a coherent design.
 
     Requires equal length, 0 <= c_h <= n_h, and stratum weights summing to 1
-    within ``WEIGHT_SUM_TOL``.
+    within ``WEIGHT_SUM_TOL``.  A pair already validated is not checked again.
     """
+    memoised(_check_paired, design, counts)
+
+
+def _check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None:
     if len(design) != len(counts.counts):
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
         )
-    total_weight = ordered_sum(s.weight for s in design)
-    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
+    memoised(_check_weights, design)
     for h, (stratum, c) in enumerate(zip(design, counts.counts)):
         if c > stratum.sample_size:
             raise ValidationError(
                 f"count {c} exceeds sample size {stratum.sample_size} in stratum {h}"
             )
+
+
+def _check_weights(design: Sequence[StratumDesign]) -> None:
+    total_weight = ordered_sum(s.weight for s in design)
+    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
+
+
+class _Memo(threading.local):
+    """Per-thread facts of the last design seen, and of its last sample.
+
+    Only a tuple of :class:`StratumDesign` and a :class:`StratumCounts` are
+    remembered: both are immutable, so a fact computed from one holds for as
+    long as the object lives, and the memo keeps a reference to it, so the
+    identity it is keyed on cannot pass to another object.
+    """
+
+    def __init__(self) -> None:
+        self.design: tuple[StratumDesign, ...] | None = None
+        self.design_facts: dict = {}
+        self.counts: StratumCounts | None = None
+        self.sample_facts: dict = {}
+
+    def facts(self, design: Sequence[StratumDesign], counts: StratumCounts | None) -> dict | None:
+        """The facts of ``design``, or of the sample (design, counts); None if not remembered."""
+        if design is not self.design:
+            if type(design) is not tuple or not all(type(s) is StratumDesign for s in design):
+                return None
+            self.design, self.design_facts, self.counts, self.sample_facts = design, {}, None, {}
+        if counts is None:
+            return self.design_facts
+        if counts is not self.counts:
+            if type(counts) is not StratumCounts:
+                return None
+            self.counts, self.sample_facts = counts, {}
+        return self.sample_facts
+
+
+_memo = _Memo()
+
+_T = TypeVar("_T")
+
+
+def memoised(
+    compute: Callable[..., _T], design: Sequence[StratumDesign], counts: StratumCounts | None = None
+) -> _T:
+    """``compute(design)``, or ``compute(design, counts)``, computed once per design or sample.
+
+    The result is kept, under ``compute``, until this thread meets another
+    immutable design (or, with ``counts``, another sample of it).  A list
+    design, or counts of another type, is computed afresh each time, and a
+    computation that raises keeps nothing, so it raises again next time.
+    """
+    args = (design,) if counts is None else (design, counts)
+    facts = _memo.facts(design, counts)
+    if facts is None:
+        return compute(*args)
+    try:
+        return facts[compute]
+    except KeyError:
+        value = facts[compute] = compute(*args)
+        return value
 
 
 @dataclass(frozen=True)

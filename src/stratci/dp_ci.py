@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -39,6 +40,7 @@ from .core import (
     StratumDesign,
     ValidationError,
     check_paired,
+    memoised,
     ordered_sum,
 )
 from .estimators import non_private_estimate, wald_interval
@@ -108,24 +110,37 @@ def _interval(
     return ci.clip_to_unit_interval() if clip_interval else ci
 
 
+def _weights(design: Sequence[StratumDesign]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per stratum w_h and w_h**2."""
+    return tuple(s.weight for s in design), tuple(s.weight**2 for s in design)
+
+
 def _stratum_interval(
     algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
     design: Sequence[StratumDesign], releases: list[PrivateStratumRelease],
-    noise_variances: list[tuple[str, float]],
+    noise_variances: tuple[tuple[str, float], ...],
 ) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
     """The interval of the weighted per-stratum releases; a flag is set if any stratum set it."""
-    flags = ClipFlags(
-        proportion_clipped=any(r.proportion_clipped for r in releases),
-        variance_floored=any(r.variance_floored for r in releases),
-        noisy_size_floored=any(r.noisy_size_floored for r in releases),
-    )
+    proportion, variance, *_, proportion_clipped, variance_floored, noisy_size_floored, _ = zip(*releases)
+    weights, squared_weights = memoised(_weights, design)
     ci = _interval(
         algorithm, budget, alpha, clip_interval,
-        ordered_sum(s.weight * r.proportion for s, r in zip(design, releases)),
-        ordered_sum(s.weight**2 * r.variance for s, r in zip(design, releases)),
-        flags, tuple(noise_variances),
+        ordered_sum(map(mul, weights, proportion)),
+        ordered_sum(map(mul, squared_weights, variance)),
+        ClipFlags(any(proportion_clipped), False, any(variance_floored), any(noisy_size_floored)),
+        noise_variances,
     )
     return ci, tuple(releases)
+
+
+def _public_sizes_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
+    """Per stratum: n_h, the proportion's sensitivity 1/n_h, (N_h - n_h)/N_h and the noise label."""
+    return (
+        tuple(s.sample_size for s in design),
+        tuple(1.0 / s.sample_size for s in design),
+        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
+        tuple(f"stratum_proportion[{h}]" for h in range(len(design))),
+    )
 
 
 def stratum_noise_public_sizes(
@@ -151,36 +166,25 @@ def stratum_noise_public_sizes(
     Spends the full (unsplit) budget.
     """
     check_paired(design, counts)
+    sizes, deltas, fpcs, labels = memoised(_public_sizes_facts, design)
     # Stratum h draws its noise from stream child(h).
     sid = stream.stream_id
-    sizes = [s.sample_size for s in design]
     noisy, variances = gaussian_releases(
         stream.base_seed,
         [_combine(sid, h) for h in range(len(sizes))],
         [c / n for c, n in zip(counts.counts, sizes)],
-        [1.0 / n for n in sizes],
+        deltas,
         [budget.rho] * len(sizes),
     )
     releases = []
-    noise_variances = []
-    for h, (stratum, n, value, s2) in enumerate(zip(design, sizes, noisy, variances)):
+    for n, fpc, value, s2 in zip(sizes, fpcs, noisy, variances):
         p_tilde, was_clipped = _clip_unit(value) if clip_proportions else (value, False)
-        fpc = (stratum.population_size - n) / stratum.population_size
         v_raw = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
         v_tilde, floored = _floor_zero(v_raw)
-        releases.append(
-            PrivateStratumRelease(
-                proportion=p_tilde,
-                variance=v_tilde,
-                proportion_noise_variance=s2,
-                proportion_clipped=was_clipped,
-                variance_floored=floored,
-            )
-        )
-        noise_variances.append((f"stratum_proportion[{h}]", s2))
+        releases.append(PrivateStratumRelease(p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored))
     return _stratum_interval(
         AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
-        design, releases, noise_variances,
+        design, releases, tuple(zip(labels, variances)),
     )
 
 
@@ -227,6 +231,16 @@ def population_noise_public_sizes(
     return ci, None
 
 
+def _private_sizes_facts(design: Sequence[StratumDesign]) -> tuple:
+    """The smallest n_h; per stratum float(n_h), (N_h, N_h - 1), and the count and size noise labels."""
+    return (
+        min(s.sample_size for s in design),
+        tuple(float(s.sample_size) for s in design),
+        tuple((s.population_size, s.population_size - 1) for s in design),
+        tuple(label for h in range(len(design)) for label in (f"stratum_count[{h}]", f"stratum_size[{h}]")),
+    )
+
+
 def stratum_noise_private_sizes(
     stream: RandomStream,
     design: Sequence[StratumDesign],
@@ -252,7 +266,8 @@ def stratum_noise_private_sizes(
     """
     check_paired(design, counts)
     mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
-    worst_cv = denominator_cv(min(s.sample_size for s in design), budget.rho2)
+    smallest, sizes, populations, labels = memoised(_private_sizes_facts, design)
+    worst_cv = denominator_cv(smallest, budget.rho2)
     if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
         warnings.warn(
             f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
@@ -264,25 +279,23 @@ def stratum_noise_private_sizes(
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
     sid = stream.stream_id
     stream_ids, true_values = [], []
-    for h, (stratum, c) in enumerate(zip(design, counts.counts)):
+    for h, (c, n) in enumerate(zip(counts.counts, sizes)):
         sub = _combine(sid, h)
         stream_ids += (_combine(sub, 0), _combine(sub, 1))
-        true_values += (float(c), float(stratum.sample_size))
+        true_values += (float(c), n)
     noisy, variances = gaussian_releases(
         stream.base_seed, stream_ids, true_values, [1.0] * len(true_values),
-        [budget.rho1, budget.rho2] * len(design),
+        [budget.rho1, budget.rho2] * len(sizes),
     )
     releases = []
-    noise_variances = []
-    for h, (stratum, c_noisy, n_noisy, count_variance, size_variance) in enumerate(
-        zip(design, noisy[::2], noisy[1::2], variances[::2], variances[1::2])
+    for (N, N_less_1), c_noisy, n_noisy, count_variance, size_variance in zip(
+        populations, noisy[::2], noisy[1::2], variances[::2], variances[1::2]
     ):
         size_floored = n_noisy < NOISY_SIZE_FLOOR
         n_tilde = NOISY_SIZE_FLOOR if size_floored else n_noisy
         ratio = c_noisy / n_tilde
         p_tilde, was_clipped = _clip_unit(ratio) if clip_proportions else (ratio, False)
-        fpc_raw = (stratum.population_size - n_tilde) / (stratum.population_size - 1)
-        fpc, fpc_floored = _floor_zero(fpc_raw)
+        fpc, fpc_floored = _floor_zero((N - n_tilde) / N_less_1)
         nsq = n_tilde * n_tilde
         v_raw = (
             fpc * p_tilde * (1.0 - p_tilde) / n_tilde
@@ -290,25 +303,13 @@ def stratum_noise_private_sizes(
             + p_tilde * p_tilde * size_variance / nsq
         )
         v_tilde, floored = _floor_zero(v_raw)
-        releases.append(
-            PrivateStratumRelease(
-                proportion=p_tilde,
-                variance=v_tilde,
-                noisy_count=c_noisy,
-                noisy_size=n_tilde,
-                count_noise_variance=count_variance,
-                size_noise_variance=size_variance,
-                proportion_clipped=was_clipped,
-                variance_floored=floored,
-                noisy_size_floored=size_floored,
-                fpc_floored=fpc_floored,
-            )
-        )
-        noise_variances.append((f"stratum_count[{h}]", count_variance))
-        noise_variances.append((f"stratum_size[{h}]", size_variance))
+        releases.append(PrivateStratumRelease(
+            p_tilde, v_tilde, None, c_noisy, n_tilde, count_variance, size_variance,
+            was_clipped, floored, size_floored, fpc_floored,
+        ))
     return _stratum_interval(
         AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
-        design, releases, noise_variances,
+        design, releases, tuple(zip(labels, variances)),
     )
 
 

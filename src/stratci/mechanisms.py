@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import StratumDesign, ValidationError
+from .core import StratumDesign, ValidationError, memoised
 from .randomness import RandomStream, standard_normals
 
 
@@ -32,19 +32,18 @@ def gaussian_releases(
     adjacency the sensitivity was computed for.  A zero noise variance
     releases the true value exactly.
     """
-    noise_variances = []
-    for sensitivity, rho in zip(sensitivities, rhos):
+    values, noise_variances = [], []
+    for x, sensitivity, rho, z in zip(true_values, sensitivities, rhos, standard_normals(base_seed, stream_ids)):
         if not sensitivity > 0.0:
             raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
         if not rho > 0.0:
             raise ValidationError(f"rho must be positive, got {rho}")
-        noise_variances.append(sensitivity * sensitivity / (2.0 * rho))
-    values = []
-    for x, v, z, rho in zip(true_values, noise_variances, standard_normals(base_seed, stream_ids), rhos):
+        v = sensitivity * sensitivity / (2.0 * rho)
         value = x if v == 0.0 else x + v**0.5 * z
         if not math.isfinite(value):  # the variance overflowed
             raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
         values.append(value)
+        noise_variances.append(v)
     return values, noise_variances
 
 
@@ -77,8 +76,12 @@ def sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
 
     Substituting one record within stratum h moves p_hat by at most w_h/n_h,
     and moves the variance estimate by at most (C_h/n_h)(1 - 1/n_h) where
-    C_h scales the p_hat_h(1-p_hat_h) term.
+    C_h scales the p_hat_h(1-p_hat_h) term.  Computed once per design.
     """
+    return memoised(_sensitivities, design)
+
+
+def _sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
     if not design:
         raise ValidationError("design must contain at least one stratum")
     delta_p = max(s.weight / s.sample_size for s in design)

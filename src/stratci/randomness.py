@@ -25,8 +25,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _combine(state: int, index: int) -> int:
-    """The splitmix64 finalizer of ``state ^ index``, with ``index`` taken mod 2**64."""
-    x = ((state ^ (int(index) & _MASK64)) + _GOLDEN) & _MASK64
+    """The splitmix64 finalizer of ``state ^ index``, with the int ``index`` taken mod 2**64."""
+    x = ((state ^ (index & _MASK64)) + _GOLDEN) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -43,7 +43,7 @@ class RandomStream:
         """Derive a sub-stream by hash-combining further indices."""
         sid = self.stream_id
         for idx in indices:
-            sid = _combine(sid, idx)
+            sid = _combine(sid, int(idx))
         return RandomStream(self.base_seed, sid)
 
     def generator(self) -> np.random.Generator:
@@ -54,9 +54,9 @@ class RandomStream:
 
 def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
     """Map (base_seed, index tuple) to a stream, injectively up to hash collisions."""
-    sid = _combine(0, base_seed)
+    sid = _combine(0, int(base_seed))
     for idx in indices:
-        sid = _combine(sid, idx)
+        sid = _combine(sid, int(idx))
     return RandomStream(base_seed, sid)
 
 

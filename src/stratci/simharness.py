@@ -11,6 +11,7 @@ execution order never changes a summary bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -35,6 +36,9 @@ from .randomness import RandomStream, derive_stream, hypergeometric_counts
 RHO_ONE_OVER_MAX_N = "1/max_n"
 # numpy's hypergeometric draw needs ngood and nbad below 10**9.
 MAX_STRATUM_SIZE = 999_999_999
+# 100 times the paper's 10**4 repetitions: each algorithm's interval
+# bounds then take 24 MB, and a twenty-stratum run takes minutes.
+MAX_REPETITIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,8 @@ class ExperimentConfig:
 
     ``rho`` is either a number or the string "1/max_n", resolved against the
     realized sample sizes.  ``min_sample_size`` optionally floors every n_h
-    (off by default).  Clipping flags mirror the mechanism arguments.
+    (off by default, at least 2 when set).  Clipping flags mirror the
+    mechanism arguments.
     """
 
     alpha: float = 0.1
@@ -102,8 +107,10 @@ class ExperimentConfig:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.strata < 1:
             raise ValidationError(f"strata must be at least 1, got {self.strata}")
-        if self.repetitions < 1:
-            raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValidationError(f"repetitions must lie in [1, {MAX_REPETITIONS}], got {self.repetitions}")
+        if self.min_sample_size is not None and self.min_sample_size < 2:
+            raise ValidationError(f"min_sample_size must be at least 2, got {self.min_sample_size}")
         if isinstance(self.rho, str):
             if self.rho != RHO_ONE_OVER_MAX_N:
                 raise ValidationError(f"rho must be a number or {RHO_ONE_OVER_MAX_N!r}, got {self.rho!r}")
@@ -273,9 +280,10 @@ def run_experiment(
     tags = config.algorithms
     # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
     children = [None if tag is AlgorithmTag.NON_PRIVATE else 1 + mechanism(tag).slot for tag in tags]
-    # (lower, upper, point) per algorithm and repetition; the last row holds
-    # the non-private baseline that width ratios divide by.
-    bounds = np.empty((len(tags) + 1, 3, R))
+    # (lower, upper, point) columns per algorithm, indexed by repetition; the
+    # last row holds the non-private baseline that width ratios divide by.
+    columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in range(len(tags) + 1)]
+    rows = tuple(zip(columns, (*tags, None), (*children, None)))
     order = range(R) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(R)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
@@ -287,8 +295,7 @@ def run_experiment(
         baseline = non_private_ci(design, counts, config.alpha)
         if config.clip_interval:
             baseline = baseline.clip_to_unit_interval()
-        bounds[-1, :, r] = baseline.lower, baseline.upper, baseline.point_estimate
-        for i, (tag, child) in enumerate(zip(tags, children)):
+        for (lower, upper, point), tag, child in rows:
             if child is None:
                 ci = baseline
             else:
@@ -297,8 +304,9 @@ def run_experiment(
                     config.alpha, clip_proportions=config.clip_proportions,
                     clip_interval=config.clip_interval,
                 )
-            bounds[i, :, r] = ci.lower, ci.upper, ci.point_estimate
+            lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
 
+    bounds = np.array(columns)
     lower, upper, point = bounds[:, 0], bounds[:, 1], bounds[:, 2]
     width = upper - lower
     covered = (lower <= true_p) & (true_p <= upper)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from stratci import (
 )
 from stratci.cli import _CONFIG_PARSERS, CliParseError, _parse_config_file, main
 from stratci.core import InfeasibleError, ValidationError
+from stratci.simharness import MAX_REPETITIONS
 
 ONE_ROW = "stratum_id,N_h,n_h,c_h\n1,2000,100,50\n"
 TWO_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,20\n2,2500,100,45\n"
@@ -745,6 +747,43 @@ class TestInputBoundary:
         code, _, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "line 4" in err and "'rate'" in err
+
+    @pytest.mark.parametrize("repetitions", [MAX_REPETITIONS + 1, 10**14])
+    def test_repetitions_above_cap(self, capsys, tmp_path, repetitions):
+        # Rejected as the config is read, before any per-repetition storage exists.
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text(SMOKE_CFG.replace("repetitions = 1", f"repetitions = {repetitions}"))
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "repetitions" in err and f"[1, {MAX_REPETITIONS}]" in err
+        assert peak < 2**20
+
+    def test_repetitions_at_cap_parse(self, tmp_path):
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text(SMOKE_CFG.replace("repetitions = 1", f"repetitions = {MAX_REPETITIONS}"))
+        config, _, _ = _parse_config_file(str(cfg))
+        assert config.repetitions == MAX_REPETITIONS
+
+    @pytest.mark.parametrize("floor", [-5, 0, 1])
+    def test_min_sample_size_below_two(self, capsys, tmp_path, floor):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(SMOKE_CFG + f"min_sample_size = {floor}\n")
+        code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert out == ""
+        assert "min_sample_size must be at least 2" in err
+
+    def test_min_sample_size_two(self, capsys, tmp_path):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(SMOKE_CFG + "min_sample_size = 2\n")
+        code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
 
 
 _FUZZ = settings(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,12 +14,14 @@ from stratci import (
     PrivacyBudget,
     RatioApproximationWarning,
     StratumCounts,
+    StratumDesign,
     ValidationError,
     build_design,
     derive_stream,
     difference_ci,
     exact_stratum_variance,
     non_private_ci,
+    non_private_estimate,
     normal_quantile,
     population_noise_public_sizes,
     release,
@@ -28,6 +32,7 @@ from stratci import (
 )
 from stratci import dp_ci
 from stratci.randomness import gaussian
+from test_cli import _release_repr
 
 DESIGN = build_design([(2000, 100)])
 COUNTS = StratumCounts((50,))
@@ -455,3 +460,132 @@ class TestReleaseProperties:
             width = 2.0 * (normal_quantile(1.0 - 0.1 / 2.0) * ci.variance_estimate**0.5)
             rounding = math.ulp(ci.upper) + math.ulp(ci.lower) + math.ulp(width)
             assert abs((ci.upper - ci.lower) - width) <= rounding
+
+
+class TestDesignFacts:
+    """Design facts and the sample's estimate are computed once per design or sample,
+    and reusing them moves no bit."""
+
+    DESIGN = [(1500, 60), (2500, 100), (800, 40)]
+    COUNTS = StratumCounts((20, 45, 0))
+    BUDGET = PrivacyBudget.total(0.05, 0.3)
+
+    @staticmethod
+    def _release(tag, design, counts, budget, seed=3, **clips):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RatioApproximationWarning)
+            try:
+                return release(tag, derive_stream(seed, [1]), design, counts, budget, 0.1, **clips)
+            except (ValidationError, InfeasibleError) as exc:
+                return exc
+
+    @pytest.mark.parametrize("tag", list(TestRelease.MECHANISMS))
+    def test_mutated_list_design_gives_new_bits(self, tag):
+        design = list(build_design(self.DESIGN))
+        before = self._release(tag, design, self.COUNTS, self.BUDGET)
+        # Same weights, other sample sizes: the weight check still passes.
+        design[1] = StratumDesign(2500, 90, design[1].weight)
+        after = self._release(tag, design, self.COUNTS, self.BUDGET)
+        assert repr(after) == repr(self._release(tag, tuple(design), self.COUNTS, self.BUDGET))
+        assert repr(after) != repr(before)
+
+    def test_threads_match_sequential(self):
+        # The two designs share one counts object, so a fact of one sample
+        # filed under the other design would show.
+        designs = [build_design([(1500, 60), (2500, 100)]), build_design([(900, 45), (3000, 150)])]
+        counts = StratumCounts((20, 45))
+        tags = list(TestRelease.MECHANISMS)
+
+        def releases(k):
+            return [
+                repr(release(tags[i % 3], derive_stream(i, [1]), designs[k], counts, self.BUDGET, 0.1))
+                for i in range(1000)
+            ]
+
+        got = [None, None]
+        start = threading.Barrier(2, timeout=60)
+
+        def work(k):
+            start.wait()
+            got[k] = releases(k)
+
+        interval = sys.getswitchinterval()
+        # The warning filters are process-wide, so they are set here, not in the threads.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RatioApproximationWarning)
+            expected = [releases(0), releases(1)]
+            sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+            try:
+                threads = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tag=st.sampled_from(list(TestRelease.MECHANISMS)),
+        design_counts=_designs(),
+        rho=st.floats(-300.0, 12.0).map(lambda e: 10.0**e),
+        split=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        clip_proportions=st.booleans(),
+        clip_interval=st.booleans(),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_hit_and_miss_agree(self, tag, design_counts, rho, split, clip_proportions, clip_interval, seed):
+        design, counts = design_counts
+        try:
+            budget = PrivacyBudget.total(rho, split)
+        except ValidationError:
+            return
+        clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
+
+        def parts(design, counts):
+            out = self._release(tag, design, counts, budget, seed, **clips)
+            return repr(out) if isinstance(out, Exception) else _release_repr(*out)
+
+        non_private_ci(design, counts, 0.1)  # leaves the sample's estimate behind
+        first, hit = parts(design, counts), parts(design, counts)
+        miss = parts(tuple(design), StratumCounts(counts.counts))
+        assert first == hit == miss
+
+    @pytest.mark.parametrize("tag", list(TestRelease.MECHANISMS))
+    def test_failure_is_not_kept(self, tag):
+        design = build_design(self.DESIGN)
+        too_many = StratumCounts((20, 101, 0))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="exceeds sample size 100"):
+                release(tag, derive_stream(0, [0]), design, too_many, self.BUDGET, 0.1)
+        light = (StratumDesign(2000, 100, 0.5),)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="weights sum"):
+                release(tag, derive_stream(0, [0]), light, StratumCounts((50,)), self.BUDGET, 0.1)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="at least one stratum"):
+                sensitivities(())
+
+    def test_facts_kept_for_tuples_only(self):
+        design = build_design(self.DESIGN)
+        assert sensitivities(design) is sensitivities(design)
+        assert non_private_estimate(design, self.COUNTS) is non_private_estimate(design, self.COUNTS)
+        other = StratumCounts((21, 45, 0))
+        assert non_private_estimate(design, other) == non_private_estimate(list(design), other)
+        assert non_private_estimate(design, other) != non_private_estimate(design, self.COUNTS)
+        as_list = list(design)
+        assert sensitivities(as_list) is not sensitivities(as_list)
+        assert sensitivities(as_list) == sensitivities(design)
+
+    def test_facts_kept_per_thread(self):
+        design = build_design(self.DESIGN)
+        mine = sensitivities(design)
+        theirs = []
+        thread = threading.Thread(target=lambda: theirs.extend([sensitivities(design), sensitivities(design)]))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert theirs[0] is theirs[1] and theirs[0] is not mine
+        assert theirs[0] == mine
