@@ -6,8 +6,9 @@ Subcommands: ``ci`` (one interval from a stratum-count file), ``simulate``
 
 Every command is a pure function of its flags, input files, and seed; there
 is no time-based seeding, so identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 parse error (an unreadable or non-UTF-8
-file included), 2 validation error, 3 infeasible configuration.
+output.  Exit codes: 0 success, 1 parse error (a file that cannot be read or
+written, or is not UTF-8, included), 2 validation error, 3 infeasible
+configuration.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _ALGORITHMS = {t.value: t for t in AlgorithmTag if t is not AlgorithmTag.DIFFERE
 
 
 class CliParseError(Exception):
-    """Malformed flags or input file syntax (exit code 1)."""
+    """Malformed flags, input file syntax, or a file that cannot be read or written (exit code 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +66,13 @@ def _read_text(path: str, kind: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliParseError(f"cannot read {kind} file {path!r}: {exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise CliParseError(f"cannot write output file {str(path)!r}: {exc}") from exc
 
 
 def _read_stratum_file(path: str) -> tuple[tuple[StratumDesign, ...], StratumCounts]:
@@ -296,7 +304,10 @@ def _summary_payload(summary) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, rho_grid, emit_reps = _parse_config_file(args.config)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliParseError(f"cannot create output directory {args.out!r}: {exc}") from exc
     if rho_grid is None:
         summary = run_experiment(config, keep_records=emit_reps)
         results = ((summary.rho, summary),)
@@ -316,26 +327,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for rho, summary in results
         ],
     }
-    (out_dir / "summary.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(out_dir / "summary.json", json.dumps(payload, indent=2) + "\n")
     if emit_reps:
         sweep = rho_grid is not None
         lines = ["rho,rep,algorithm,covered,width,lower,upper" if sweep
                  else "rep,algorithm,covered,width,lower,upper"]
+        names = [tag.value for tag in config.algorithms]
         for rho, summary in results:
             assert summary.records is not None
-            for rec in summary.records:
-                fields = [
-                    str(rec.repetition),
-                    rec.algorithm.value,
-                    "1" if rec.covered else "0",
-                    _fmt(rec.width),
-                    _fmt(rec.lower),
-                    _fmt(rec.upper),
-                ]
-                if sweep:
-                    fields.insert(0, _fmt(rho))
-                lines.append(",".join(fields))
-        (out_dir / "reps.csv").write_text("\n".join(lines) + "\n")
+            prefix = f"{_fmt(rho)}," if sweep else ""
+            true_p = summary.true_proportion
+            columns = [(name, lower, upper) for name, (lower, upper, _) in zip(names, summary.records)]
+            for r in range(summary.repetitions):
+                for name, lower, upper in columns:
+                    lo, hi = lower[r], upper[r]
+                    covered = "1" if lo <= true_p <= hi else "0"
+                    lines.append(f"{prefix}{r},{name},{covered},{_fmt(hi - lo)},{_fmt(lo)},{_fmt(hi)}")
+        _write_text(out_dir / "reps.csv", "\n".join(lines) + "\n")
     return 0
 
 

@@ -39,6 +39,9 @@ MAX_STRATUM_SIZE = 999_999_999
 # 100 times the paper's 10**4 repetitions: each algorithm's interval
 # bounds then take 24 MB, and a twenty-stratum run takes minutes.
 MAX_REPETITIONS = 1_000_000
+# 500 times the paper's twenty strata: the per-stratum state then takes
+# about 16 MB, and one repetition of all four algorithms about 0.25 s.
+MAX_STRATA = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.strata < 1:
-            raise ValidationError(f"strata must be at least 1, got {self.strata}")
+        if not 1 <= self.strata <= MAX_STRATA:
+            raise ValidationError(f"strata must lie in [1, {MAX_STRATA}], got {self.strata}")
         if not 1 <= self.repetitions <= MAX_REPETITIONS:
             raise ValidationError(f"repetitions must lie in [1, {MAX_REPETITIONS}], got {self.repetitions}")
         if self.min_sample_size is not None and self.min_sample_size < 2:
@@ -132,6 +135,9 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} values must lie in {interval}, got {spec}")
         if not self.algorithms:
             raise ValidationError("at least one algorithm is required")
+        repeated = sorted({tag.value for tag in self.algorithms if self.algorithms.count(tag) > 1})
+        if repeated:
+            raise ValidationError(f"algorithms must not repeat, got {', '.join(repeated)} more than once")
 
 
 def _round_half_up(x: float) -> int:
@@ -202,19 +208,6 @@ def draw_sample(
 
 
 @dataclass(frozen=True)
-class RepetitionRecord:
-    """One interval from one repetition."""
-
-    repetition: int
-    algorithm: AlgorithmTag
-    covered: bool
-    width: float
-    lower: float
-    upper: float
-    point_estimate: float
-
-
-@dataclass(frozen=True)
 class AlgorithmSummary:
     """One algorithm's results; ``mean_width_ratio`` is None when some non-private width is 0."""
 
@@ -228,7 +221,13 @@ class AlgorithmSummary:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregated results of one experiment, per algorithm."""
+    """Aggregated results of one experiment, per algorithm.
+
+    ``records`` is None unless the run kept them; then it holds one
+    ``(lower, upper, point)`` entry per configured algorithm, in config
+    order, each of the three a tuple of the ``repetitions`` values in
+    repetition order.
+    """
 
     true_proportion: float
     stratum_sizes: tuple[int, ...]
@@ -237,7 +236,7 @@ class ExperimentSummary:
     alpha: float
     repetitions: int
     by_algorithm: tuple[tuple[AlgorithmTag, AlgorithmSummary], ...]
-    records: tuple[RepetitionRecord, ...] | None = None
+    records: tuple[tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]], ...] | None = None
 
 
 def _resolve_rho(config: ExperimentConfig, sample_sizes: Sequence[int]) -> float:
@@ -307,7 +306,7 @@ def run_experiment(
             lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
 
     bounds = np.array(columns)
-    lower, upper, point = bounds[:, 0], bounds[:, 1], bounds[:, 2]
+    lower, upper = bounds[:, 0], bounds[:, 1]
     width = upper - lower
     covered = (lower <= true_p) & (true_p <= upper)
     rows = tuple(
@@ -326,12 +325,7 @@ def run_experiment(
     )
     records = None
     if keep_records:
-        columns = covered.tolist(), width.tolist(), lower.tolist(), upper.tolist(), point.tolist()
-        records = tuple(
-            RepetitionRecord(r, tag, *(column[i][r] for column in columns))
-            for r in range(R)
-            for i, tag in enumerate(tags)
-        )
+        records = tuple(tuple(map(tuple, table)) for table in bounds[:-1].tolist())
     return ExperimentSummary(
         true_proportion=true_p,
         stratum_sizes=population.stratum_sizes,
@@ -352,22 +346,20 @@ def qq_data(
     Rows are (q, theoretical, empirical) on the grid q = i/(grid_size+1);
     the private-sizes law includes its second-order bias term.
     """
-    if grid_size < 1:
-        raise ValidationError(f"grid_size must be at least 1, got {grid_size}")
-    summary = run_experiment(config, keep_records=True)
-    assert summary.records is not None
+    # A grid finer than the largest run's repetitions adds no empirical information.
+    if not 1 <= grid_size <= MAX_REPETITIONS:
+        raise ValidationError(f"grid_size must lie in [1, {MAX_REPETITIONS}], got {grid_size}")
+    records = run_experiment(config, keep_records=True).records
+    assert records is not None
     population, design, rho = _set_up(config)
     budget = PrivacyBudget.total(rho, config.split)
     p_h = population.stratum_proportions
     var_phat = ordered_sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
     qs = np.arange(1, grid_size + 1) / (grid_size + 1)
     out = []
-    for tag in config.algorithms:
+    for tag, (_, _, points) in zip(config.algorithms, records):
         mean = population.proportion + mean_shift(design, tag, budget, p_h)
         sd = math.sqrt(var_phat + extrinsic_variance(design, tag, budget, p_h))
-        points = np.array(
-            [rec.point_estimate for rec in summary.records if rec.algorithm is tag]
-        )
         empirical = np.quantile(points, qs)
         theoretical = [mean + normal_quantile(float(q)) * sd for q in qs]
         out.append(

@@ -25,7 +25,8 @@ from stratci import (
 )
 from stratci.cli import _CONFIG_PARSERS, CliParseError, _parse_config_file, main
 from stratci.core import InfeasibleError, ValidationError
-from stratci.simharness import MAX_REPETITIONS
+from stratci import simharness
+from stratci.simharness import MAX_REPETITIONS, MAX_STRATA
 
 ONE_ROW = "stratum_id,N_h,n_h,c_h\n1,2000,100,50\n"
 TWO_ROWS = "stratum_id,N_h,n_h,c_h\n1,1500,60,20\n2,2500,100,45\n"
@@ -784,6 +785,92 @@ class TestInputBoundary:
         cfg.write_text(SMOKE_CFG + "min_sample_size = 2\n")
         code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 0
+
+    @pytest.mark.parametrize("strata", [MAX_STRATA + 1, 10**14])
+    def test_strata_above_cap(self, capsys, tmp_path, strata):
+        # Rejected as the config is read, before the population is built.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(SMOKE_CFG.replace("strata = 1", f"strata = {strata}"))
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "strata" in err and f"[1, {MAX_STRATA}]" in err
+        assert peak < 2**20
+
+    def test_strata_at_cap_parse(self, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(SMOKE_CFG.replace("strata = 1", f"strata = {MAX_STRATA}"))
+        config, _, _ = _parse_config_file(str(cfg))
+        assert config.strata == MAX_STRATA
+
+    @pytest.mark.parametrize("grid", [MAX_REPETITIONS + 1, 10**14])
+    def test_qq_grid_above_cap(self, capsys, tmp_path, grid):
+        # Rejected before any repetition runs.
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["qq", "--config", str(cfg), "--grid", str(grid)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert "grid" in err and f"[1, {MAX_REPETITIONS}]" in err
+        assert peak < 2**20
+
+    def test_qq_grid_at_cap_passes_the_check(self, monkeypatch, tmp_path):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        config, _, _ = _parse_config_file(str(cfg))
+        monkeypatch.setattr(simharness, "run_experiment", reached)
+        with pytest.raises(Reached):
+            simharness.qq_data(config, MAX_REPETITIONS)
+
+    def test_repeated_algorithm(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(SMOKE_CFG.replace("algorithms = nonprivate, str-pub", "algorithms = str-pub, nonprivate, str-pub"))
+        for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")], ["qq", "--config", str(cfg)]):
+            code, out, err = _run(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert "algorithms must not repeat" in err and "str-pub" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "summary-is-dir", "reps-is-dir"])
+    def test_unwritable_out(self, tmp_path, case):
+        blocker = tmp_path / "blocker"
+        out = tmp_path / "o"
+        if case == "out-is-file":
+            blocker.write_text("")
+            out = blocker
+        elif case == "out-under-file":
+            blocker.write_text("")
+            out = blocker / "o"
+        else:
+            (out / ("summary.json" if case == "summary-is-dir" else "reps.csv")).mkdir(parents=True)
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratci.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot ") and str(out) in proc.stderr
 
 
 _FUZZ = settings(

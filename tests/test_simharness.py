@@ -164,9 +164,30 @@ class TestRunExperiment:
         assert run_experiment(cfg).records is None
         summary = run_experiment(cfg, keep_records=True)
         assert summary.records is not None
-        assert len(summary.records) == 10 * len(ALL_TAGS)
-        rec = summary.records[0]
-        assert rec.covered == (rec.lower <= summary.true_proportion <= rec.upper)
+        assert len(summary.records) == len(ALL_TAGS)
+        for table in summary.records:
+            assert len(table) == 3
+            for column in table:
+                assert type(column) is tuple and len(column) == 10
+                assert all(type(x) is float for x in column)
+            lower, upper, point = table
+            assert all(lo <= p <= hi for lo, p, hi in zip(lower, point, upper))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(strata=3, stratum_size=Uniform(300, 600), rate=Uniform(0.05, 0.2),
+             proportion=Uniform(0.02, 0.3), clip_interval=True, algorithms=ALL_TAGS[::-1]),
+    ], ids=["one-stratum", "three-strata-clipped"])
+    def test_records_agree_with_summary(self, overrides):
+        summary = run_experiment(_config(repetitions=300, **overrides), keep_records=True)
+        assert summary.records is not None
+        true_p = summary.true_proportion
+        for (tag, row), (lower, upper, _) in zip(summary.by_algorithm, summary.records, strict=True):
+            covered = sum(lo <= true_p <= hi for lo, hi in zip(lower, upper))
+            assert covered / summary.repetitions == row.coverage, tag
+            assert float(np.mean(np.array(upper) - np.array(lower))) == row.mean_width, tag
+            assert float(np.mean(lower)) == row.mean_lower, tag
+            assert float(np.mean(upper)) == row.mean_upper, tag
 
     def test_coverage_sane_at_moderate_budget(self):
         summary = run_experiment(_config(repetitions=2000, rho=0.05))

@@ -1,0 +1,91 @@
+"""Digest every output of the shipped configs, and compare two checkouts.
+
+    python3 tools/output_digests.py ROOT [ROOT2]
+
+For each ``configs/*.cfg`` of the first ROOT, with ``emit_reps = true`` set
+(the key replaced if the config has it, appended if not), each checkout runs
+``stratci simulate`` and ``stratci qq --grid 99`` from its own ``src`` in a
+subprocess.  One line is printed per config and output: the exit code of
+``simulate`` and the SHA-256 of its ``summary.json`` and ``reps.csv``, and
+the SHA-256 of the stdout of ``qq`` with its exit code.  ``qq`` refuses a
+``rho_grid`` config (exit 2), and that refusal is compared like any other
+output.  Given two roots, each line shows both sides, and the script exits 1
+if any of them differ.  The standard library is all it needs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def with_emit_reps(text: str) -> str:
+    """The config text with ``emit_reps = true``, replacing the key or appending it."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.split("#", 1)[0].partition("=")[0].strip() == "emit_reps":
+            lines[i] = "emit_reps = true"
+            break
+    else:
+        lines.append("emit_reps = true")
+    return "\n".join(lines) + "\n"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def stratci(root: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """Run the checkout's CLI from its own ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run([sys.executable, "-m", "stratci.cli", *argv], cwd=cwd, env=env, capture_output=True)
+
+
+def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
+    """``(config name, output) -> digest or exit code`` for every config."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for config in configs:
+            cfg = work / config.name
+            cfg.write_text(with_emit_reps(config.read_text(encoding="utf-8")))
+            result = work / config.stem
+            done = stratci(root, ["simulate", "--config", str(cfg), "--out", str(result)], work)
+            out[config.name, "simulate"] = f"exit {done.returncode}"
+            for name in ("summary.json", "reps.csv"):
+                path = result / name
+                out[config.name, name] = sha256(path.read_bytes()) if path.is_file() else "missing"
+            done = stratci(root, ["qq", "--config", str(cfg), "--grid", "99"], work)
+            out[config.name, "qq --grid 99"] = f"exit {done.returncode} {sha256(done.stdout)}"
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("roots", nargs="+", type=Path, metavar="ROOT", help="checkout root (one or two)")
+    args = parser.parse_args()
+    if len(args.roots) > 2:
+        parser.error("at most two roots")
+    roots = [root.resolve() for root in args.roots]
+    configs = sorted((roots[0] / "configs").glob("*.cfg"))
+    if not configs:
+        parser.error(f"no configs under {roots[0] / 'configs'}")
+    sides = [digests(root, configs) for root in roots]
+    differ = 0
+    for key, value in sides[0].items():
+        values = [side[key] for side in sides]
+        mark = "" if len(set(values)) == 1 else "  DIFFERS"
+        differ += bool(mark)
+        print(f"{key[0]:24s} {key[1]:14s} {'  '.join(values)}{mark}")
+    if len(sides) == 2:
+        print(f"{differ} of {len(sides[0])} outputs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
