@@ -44,6 +44,9 @@ from .simharness import (
 
 STRATUM_FILE_HEADER = "stratum_id,N_h,n_h,c_h"
 
+# Streams take a seed modulo 2**64, so a seed outside this range would alias one inside.
+_MAX_SEED = (1 << 64) - 1
+
 # Wire names of the algorithms that release an interval from stratum counts.
 _ALGORITHMS = {t.value: t for t in AlgorithmTag if t is not AlgorithmTag.DIFFERENCE}
 
@@ -184,7 +187,18 @@ def _payload_to_csv(payload: dict) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _seed(raw: str | int) -> int:
+    seed = int(raw)
+    if not 0 <= seed <= _MAX_SEED:
+        raise ValueError(f"must lie in [0, 2**64 - 1], got {seed}")
+    return seed
+
+
 def _cmd_ci(args: argparse.Namespace) -> int:
+    try:
+        _seed(args.seed)
+    except ValueError as exc:
+        raise ValidationError(f"--seed {exc}") from exc
     design, counts = _read_stratum_file(args.input)
     tag = AlgorithmTag(args.algorithm)
     if tag is AlgorithmTag.NON_PRIVATE:
@@ -250,7 +264,7 @@ _CONFIG_PARSERS = {
     "split": float,
     "algorithms": lambda raw: tuple(_lookup(_ALGORITHMS, name.strip()) for name in raw.split(",")),
     "repetitions": int,
-    "base_seed": int,
+    "base_seed": _seed,
     "clip_proportions": _parse_truth,
     "clip_interval": _parse_truth,
     "min_sample_size": int,

@@ -44,8 +44,8 @@ from .core import (
     ordered_sum,
 )
 from .estimators import non_private_estimate, wald_interval
-from .mechanisms import MechanismOutput, gaussian_mechanism, gaussian_releases, sensitivities
-from .randomness import RandomStream, _combine
+from .mechanisms import gaussian_releases, sensitivities
+from .randomness import RandomStream, child_normals
 
 NOISY_SIZE_FLOOR = 2.0
 CV_NORMAL_APPROX_THRESHOLD = 0.1
@@ -168,10 +168,8 @@ def stratum_noise_public_sizes(
     check_paired(design, counts)
     sizes, deltas, fpcs, labels = memoised(_public_sizes_facts, design)
     # Stratum h draws its noise from stream child(h).
-    sid = stream.stream_id
     noisy, variances = gaussian_releases(
-        stream.base_seed,
-        [_combine(sid, h) for h in range(len(sizes))],
+        child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(sizes))),
         [c / n for c, n in zip(counts.counts, sizes)],
         deltas,
         [budget.rho] * len(sizes),
@@ -209,24 +207,28 @@ def population_noise_public_sizes(
     the second element is always None.
     """
     est = non_private_estimate(design, counts)  # checks that counts pair with design
-    mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
+    row = mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
     sens = sensitivities(design)
-    out_p = gaussian_mechanism(stream.child(0), est.proportion, sens.proportion, budget.rho1)
-    p_tilde, was_clipped = (
-        _clip_unit(out_p.value) if clip_proportions else (out_p.value, False)
+    # The proportion draws its noise from stream child(0), the variance from child(1).
+    z_p, z_v = child_normals(stream, *row.noise_shape(len(design)))
+    (p_noisy,), (p_noise_variance,) = gaussian_releases(
+        (z_p,), (est.proportion,), (sens.proportion,), (budget.rho1,)
     )
-    variance = est.variance + out_p.noise_variance
+    p_tilde, was_clipped = _clip_unit(p_noisy) if clip_proportions else (p_noisy, False)
+    variance = est.variance + p_noise_variance
     if sens.variance == 0.0:
         # Every stratum is a census: the variance estimate is 0 whatever the
         # data, a sensitivity-0 query that is 0-zCDP, so it is released exactly.
-        out_v = MechanismOutput(variance, 0.0)
+        v_noisy, v_noise_variance = variance, 0.0
     else:
-        out_v = gaussian_mechanism(stream.child(1), variance, sens.variance, budget.rho2)
-    v_tilde, floored = _floor_zero(out_v.value)
+        (v_noisy,), (v_noise_variance,) = gaussian_releases(
+            (z_v,), (variance,), (sens.variance,), (budget.rho2,)
+        )
+    v_tilde, floored = _floor_zero(v_noisy)
     ci = _interval(
         AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
         ClipFlags(proportion_clipped=was_clipped, variance_floored=floored),
-        (("population_proportion", out_p.noise_variance), ("variance_estimate", out_v.noise_variance)),
+        (("population_proportion", p_noise_variance), ("variance_estimate", v_noise_variance)),
     )
     return ci, None
 
@@ -265,7 +267,7 @@ def stratum_noise_private_sizes(
     denominator's coefficient of variation strains the normal approximation.
     """
     check_paired(design, counts)
-    mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
+    row = mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
     smallest, sizes, populations, labels = memoised(_private_sizes_facts, design)
     worst_cv = denominator_cv(smallest, budget.rho2)
     if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
@@ -277,14 +279,11 @@ def stratum_noise_private_sizes(
             stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
         )
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
-    sid = stream.stream_id
-    stream_ids, true_values = [], []
-    for h, (c, n) in enumerate(zip(counts.counts, sizes)):
-        sub = _combine(sid, h)
-        stream_ids += (_combine(sub, 0), _combine(sub, 1))
+    true_values = []
+    for c, n in zip(counts.counts, sizes):
         true_values += (float(c), n)
     noisy, variances = gaussian_releases(
-        stream.base_seed, stream_ids, true_values, [1.0] * len(true_values),
+        child_normals(stream, *row.noise_shape(len(sizes))), true_values, [1.0] * len(true_values),
         [budget.rho1, budget.rho2] * len(sizes),
     )
     releases = []
@@ -331,8 +330,10 @@ class Mechanism(NamedTuple):
     a rebinding of that module-level name (a wrapper or a test double) also
     reaches calls made through :func:`release`.  A repetition feeds it from
     stream child ``1 + slot``, fixed per mechanism so that no config's choice
-    of algorithms shifts another's noise.  ``splits_budget`` marks a need for
-    rho1 > 0 and rho2 > 0.  The closed forms are those of ``analysis``:
+    of algorithms shifts another's noise.  ``noise_shape(H)`` is the
+    (children, fan) of the ``randomness.child_normals`` call that draws its
+    noise at H strata.  ``splits_budget`` marks a need for rho1 > 0 and
+    rho2 > 0.  The closed forms are those of ``analysis``:
     ``extrinsic_variance`` and ``mean_shift`` take (design, budget, per-stratum
     proportions), read only if ``needs_proportions``; ``p_factor(p)``
     multiplies 1/(p(1-p) n rho) in the one-stratum width ratio at the even
@@ -341,6 +342,7 @@ class Mechanism(NamedTuple):
 
     function: str
     slot: int
+    noise_shape: Callable[[int], tuple[int, int]]
     splits_budget: bool
     extrinsic_variance: Callable
     mean_shift: Callable
@@ -351,17 +353,17 @@ class Mechanism(NamedTuple):
 
 MECHANISMS = {
     AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES: Mechanism(
-        "stratum_noise_public_sizes", 0, False,
+        "stratum_noise_public_sizes", 0, lambda H: (H, 1), False,
         lambda design, budget, p_h: ordered_sum(_wn2(design)) / (2.0 * budget.rho),
         lambda *_: 0.0, lambda p: 0.5, 2.0,
     ),
     AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: Mechanism(
-        "population_noise_public_sizes", 1, True,
+        "population_noise_public_sizes", 1, lambda H: (2, 1), True,
         lambda design, budget, p_h: max(_wn2(design)) / (2.0 * budget.rho1),
         lambda *_: 0.0, lambda p: 1.0, 4.0,
     ),
     AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: Mechanism(
-        "stratum_noise_private_sizes", 2, True,
+        "stratum_noise_private_sizes", 2, lambda H: (H, 2), True,
         _private_sizes_extrinsic,
         lambda design, budget, p_h: ordered_sum(
             s.weight * p / (2.0 * budget.rho2 * s.sample_size**2) for s, p in zip(design, p_h)

@@ -101,11 +101,12 @@ def wald_interval(
     noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     q = 1.0 - alpha / 2.0
-    if not (0.5 < q < 1.0):
+    if not q < 1.0:
         raise ValidationError(
-            f"alpha must lie in (0, 1) and 1 - alpha/2 below 1, got {alpha}; "
-            "1 - alpha/2 rounds to 1 when alpha is too small (at most about 1.1e-16)"
+            f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1 when alpha is at most about 1.1e-16"
         )
     if not (math.isfinite(estimate) and math.isfinite(variance)):
         raise ValidationError(

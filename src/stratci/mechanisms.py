@@ -18,22 +18,22 @@ class MechanismOutput(NamedTuple):
 
 
 def gaussian_releases(
-    base_seed: int,
-    stream_ids: Sequence[int],
+    normals: Sequence[float],
     true_values: Sequence[float],
     sensitivities: Sequence[float],
     rhos: Sequence[float],
 ) -> tuple[list[float], list[float]]:
     """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, noise variances).
 
-    Value i draws the first standard normal of stream (base_seed,
-    stream_ids[i]) and has its own sensitivity and rho.  Each release
-    satisfies rho-zCDP for a sensitivity-``sensitivity`` query under the
-    adjacency the sensitivity was computed for.  A zero noise variance
-    releases the true value exactly.
+    Value i scales the standard normal ``normals[i]``, which must be a fresh
+    draw of a stream no other release reads (the first draw of its own
+    stream, from ``randomness.standard_normals`` or ``child_normals``), and
+    has its own sensitivity and rho.  Each release satisfies rho-zCDP for a
+    sensitivity-``sensitivity`` query under the adjacency the sensitivity was
+    computed for.  A zero noise variance releases the true value exactly.
     """
     values, noise_variances = [], []
-    for x, sensitivity, rho, z in zip(true_values, sensitivities, rhos, standard_normals(base_seed, stream_ids)):
+    for x, sensitivity, rho, z in zip(true_values, sensitivities, rhos, normals):
         if not sensitivity > 0.0:
             raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
         if not rho > 0.0:
@@ -52,7 +52,7 @@ def gaussian_mechanism(
 ) -> MechanismOutput:
     """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
     (value,), (noise_variance,) = gaussian_releases(
-        stream.base_seed, (stream.stream_id,), (true_value,), (sensitivity,), (rho,)
+        standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), (sensitivity,), (rho,)
     )
     return MechanismOutput(value, noise_variance)
 

@@ -5,6 +5,12 @@ determines its draw sequence, identically on every platform.  Derivation from
 index tuples uses a splitmix64 hash-combine, so concurrent tasks can each own
 a stream without any draw-order coupling.
 
+Noise for many streams can also be drawn ahead, in one vectorised pass: a
+bulk kernel computes splitmix64, the first Philox4x64-10 block and numpy's
+ziggurat fast path over uint64 arrays, bit for bit as a fresh generator
+would, and leaves the draws in a per-thread table that :func:`child_normals`
+reads.
+
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for
 differentially private noise generation, out of scope here).
@@ -18,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _ziggurat
 from .core import ValidationError
 
 _MASK64 = (1 << 64) - 1
@@ -53,7 +60,11 @@ class RandomStream:
 
 
 def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
-    """Map (base_seed, index tuple) to a stream, injectively up to hash collisions."""
+    """Map (base_seed, index tuple) to a stream, injectively up to hash collisions.
+
+    Like every index, ``base_seed`` is taken modulo 2**64, so seeds that agree
+    modulo 2**64 give the same streams; the CLI accepts only [0, 2**64 - 1].
+    """
     sid = _combine(0, int(base_seed))
     for idx in indices:
         sid = _combine(sid, int(idx))
@@ -106,6 +117,122 @@ def standard_normals(base_seed: int, stream_ids: Iterable[int]) -> list[float]:
         bitgen.state = template
         draws.append(draw())
     return draws
+
+
+def child_normals(stream: RandomStream, children: int, fan: int = 1) -> list[float]:
+    """The first standard normal of each ``stream.child(i)``, or of each ``child(i, j)`` if ``fan > 1``.
+
+    Ordered by i, then j, for i < ``children`` and j < ``fan``.  The draws
+    come from this thread's prefetched table when it holds them, and are
+    computed stream by stream otherwise.
+    """
+    entries = _table.entries
+    if entries:
+        normals = entries.pop((stream.base_seed, stream.stream_id, children, fan), None)
+        if normals is not None:
+            return normals
+    sid = stream.stream_id
+    if fan == 1:
+        ids = [_combine(sid, i) for i in range(children)]
+    else:
+        ids = [_combine(sub, j) for sub in (_combine(sid, i) for i in range(children)) for j in range(fan)]
+    return standard_normals(stream.base_seed, ids)
+
+
+class _Table(threading.local):
+    """Per-thread prefetched draws: (base_seed, stream_id, children, fan) -> :func:`child_normals`' list."""
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[int, int, int, int], list[float]] = {}
+
+
+_table = _Table()
+
+_U64 = np.uint64
+_MASK32 = _U64(0xFFFFFFFF)
+_MASK52 = _U64((1 << 52) - 1)
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_M = (_U64(0xD2E7470EE14C6C93), _U64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_KI = np.frombuffer(_ziggurat.KI, dtype="<u8").astype(_U64)
+_WI = np.frombuffer(_ziggurat.WI, dtype="<f8").astype(np.float64)
+
+
+def _combine_array(state, index):
+    """:func:`_combine` over uint64 arrays, wrapping mod 2**64 (numpy checks no array overflow)."""
+    x = (state ^ index) + _U64(_GOLDEN)
+    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return x ^ (x >> _U64(31))
+
+
+def _mulhi(m: np.uint64, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit product m * b, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> _U64(32)
+    b_lo, b_hi = b & _MASK32, b >> _U64(32)
+    lo_hi = m_hi * b_lo
+    cross = ((m_lo * b_lo) >> _U64(32)) + (lo_hi & _MASK32) + m_lo * b_hi
+    return m_hi * b_hi + (lo_hi >> _U64(32)) + (cross >> _U64(32))
+
+
+def _philox_first_words(key0: int, key1: np.ndarray) -> np.ndarray:
+    """The first output word of Philox4x64-10 at counter (1, 0, 0, 0), key (key0, key1[i]).
+
+    That is the first ``random_raw()`` of a fresh ``np.random.Philox(key)``.
+    The first round has the closed form (key0, 0, key1, M0).
+    """
+    m0, m1 = _PHILOX_M
+    c0, c1, c2, c3 = np.full_like(key1, key0), np.zeros_like(key1), key1, np.full_like(key1, m0)
+    for r in range(1, 9):
+        k0 = _U64((key0 + r * _PHILOX_W[0]) & _MASK64)
+        k1 = key1 + _U64((r * _PHILOX_W[1]) & _MASK64)
+        c0, c1, c2, c3 = _mulhi(m1, c2) ^ c1 ^ k0, m1 * c2, _mulhi(m0, c0) ^ c3 ^ k1, m0 * c0
+    # Of the tenth round, only the first word is needed.
+    return _mulhi(m1, c2) ^ c1 ^ _U64((key0 + 9 * _PHILOX_W[0]) & _MASK64)
+
+
+def _bulk_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """:func:`standard_normals` over a uint64 array of stream ids, as float64.
+
+    numpy's ziggurat (Marsaglia & Tsang 2000) reads one 64-bit word r:
+    index r & 0xff, sign bit 8, and a 52-bit magnitude above it; the draw is
+    +-magnitude * wi[index], accepted when the magnitude is below ki[index].
+    The draws that fail that test (about 1.5%) are redrawn by the scalar path.
+    """
+    r = _philox_first_words(base_seed & _MASK64, stream_ids)
+    idx = (r & _U64(0xFF)).astype(np.intp)
+    rabs = (r >> _U64(9)) & _MASK52
+    normals = rabs.astype(np.float64) * _WI[idx]
+    np.negative(normals, out=normals, where=((r >> _U64(8)) & _U64(1)).astype(bool))
+    slow = np.flatnonzero(rabs >= _KI[idx])
+    if slow.size:
+        normals[slow] = standard_normals(base_seed, stream_ids[slow].tolist())
+    return normals
+
+
+def _prefetch(base_seed: int, requests: Sequence[tuple[np.ndarray, int, int]]) -> None:
+    """Fill this thread's table for :func:`child_normals`, in one bulk draw.
+
+    Each request is (parent stream ids as a uint64 array, children, fan):
+    the table then holds ``child_normals(RandomStream(base_seed, p),
+    children, fan)`` for each parent id p.
+    """
+    ids = []
+    for parents, children, fan in requests:
+        sub = _combine_array(parents[:, None], np.arange(children, dtype=_U64))
+        if fan > 1:
+            sub = _combine_array(sub[:, :, None], np.arange(fan, dtype=_U64))
+        ids.append(sub.ravel())
+    normals = _bulk_normals(base_seed, np.concatenate(ids))
+    entries, at = _table.entries, 0
+    for (parents, children, fan), sub in zip(requests, ids):
+        block = normals[at:at + sub.size].reshape(len(parents), children * fan).tolist()
+        at += sub.size
+        entries.update(zip(((base_seed, p, children, fan) for p in parents.tolist()), block))
+
+
+def _clear_table() -> None:
+    _table.entries.clear()
 
 
 def gaussian(stream: RandomStream, mean: float, variance: float, size: int | None = None):

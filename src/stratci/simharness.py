@@ -31,7 +31,9 @@ from .core import (
 )
 from .dp_ci import MECHANISMS, mechanism, release
 from .estimators import exact_stratum_variance, non_private_ci
-from .randomness import RandomStream, derive_stream, hypergeometric_counts
+from .randomness import (
+    RandomStream, _clear_table, _combine_array, _prefetch, derive_stream, hypergeometric_counts,
+)
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
 # numpy's hypergeometric draw needs ngood and nbad below 10**9.
@@ -42,6 +44,10 @@ MAX_REPETITIONS = 1_000_000
 # 500 times the paper's twenty strata: the per-stratum state then takes
 # about 16 MB, and one repetition of all four algorithms about 0.25 s.
 MAX_STRATA = 10_000
+# run_experiment draws the noise of a block of repetitions ahead, about this
+# many normals at a time: enough to amortise the bulk kernel's fixed cost of
+# some 300 numpy calls, few enough to keep the table near a megabyte.
+_NOISE_BLOCK_DRAWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -286,24 +292,39 @@ def run_experiment(
     order = range(R) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(R)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
-    for r in order:
-        rep_stream = derive_stream(config.base_seed, [r] if grid_index is None else [grid_index, r])
-        counts = StratumCounts(hypergeometric_counts(
-            rep_stream.child(0), population.stratum_sizes, population.positive_counts, sample_sizes
-        ))
-        baseline = non_private_ci(design, counts, config.alpha)
-        if config.clip_interval:
-            baseline = baseline.clip_to_unit_interval()
-        for (lower, upper, point), tag, child in rows:
-            if child is None:
-                ci = baseline
-            else:
-                ci, _ = release(
-                    tag, rep_stream.child(child), design, counts, budget,
-                    config.alpha, clip_proportions=config.clip_proportions,
-                    clip_interval=config.clip_interval,
-                )
-            lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
+    # Each block of repetitions draws every mechanism's noise in one bulk
+    # pass; the releases then read it from the per-thread table.
+    shapes = [(child, mechanism(tag).noise_shape(len(design))) for tag, child in zip(tags, children) if child is not None]
+    block = max(1, _NOISE_BLOCK_DRAWS // max(1, sum(c * f for _, (c, f) in shapes)))
+    prefix = np.uint64(derive_stream(config.base_seed, [] if grid_index is None else [grid_index]).stream_id)
+    try:
+        for start in range(0, R, block):
+            chunk = order[start:start + block]
+            if shapes:
+                rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
+                _prefetch(config.base_seed, [
+                    (_combine_array(rep_ids, np.uint64(child)), c, f) for child, (c, f) in shapes
+                ])
+            for r in chunk:
+                rep_stream = derive_stream(config.base_seed, [r] if grid_index is None else [grid_index, r])
+                counts = StratumCounts(hypergeometric_counts(
+                    rep_stream.child(0), population.stratum_sizes, population.positive_counts, sample_sizes
+                ))
+                baseline = non_private_ci(design, counts, config.alpha)
+                if config.clip_interval:
+                    baseline = baseline.clip_to_unit_interval()
+                for (lower, upper, point), tag, child in rows:
+                    if child is None:
+                        ci = baseline
+                    else:
+                        ci, _ = release(
+                            tag, rep_stream.child(child), design, counts, budget,
+                            config.alpha, clip_proportions=config.clip_proportions,
+                            clip_interval=config.clip_interval,
+                        )
+                    lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
+    finally:
+        _clear_table()
 
     bounds = np.array(columns)
     lower, upper = bounds[:, 0], bounds[:, 1]

@@ -765,6 +765,51 @@ class TestInputBoundary:
         assert "repetitions" in err and f"[1, {MAX_REPETITIONS}]" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_seed_out_of_range(self, capsys, one_row_file, seed):
+        # Streams take seeds modulo 2**64, so these would alias seeds in range.
+        code, out, err = _run(
+            capsys,
+            ["ci", "--input", one_row_file, "--algorithm", "str-pub", "--rho", "0.01", f"--seed={seed}"],
+        )
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "[0, 2**64 - 1]" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+    def test_base_seed_out_of_range(self, capsys, tmp_path, seed):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(SMOKE_CFG.replace("base_seed = 0", f"base_seed = {seed}"))
+        code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert (code, out) == (2, "")
+        assert "'base_seed'" in err and "[0, 2**64 - 1]" in err
+
+    def test_largest_seed(self, capsys, one_row_file, tmp_path):
+        code, _, _ = _run(
+            capsys,
+            ["ci", "--input", one_row_file, "--algorithm", "str-pub", "--rho", "0.01", f"--seed={2**64 - 1}"],
+        )
+        assert code == 0
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(SMOKE_CFG.replace("base_seed = 0", f"base_seed = {2**64 - 1}"))
+        code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 0
+
+    @pytest.mark.parametrize("alpha", ["2", "-0.1", "0", "1", "nan", "inf"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_alpha_outside_unit_interval(self, capsys, one_row_file, algorithm, alpha):
+        code, out, err = _run(
+            capsys,
+            ["ci", "--input", one_row_file, "--algorithm", algorithm, "--rho", "0.01", f"--alpha={alpha}"],
+        )
+        assert (code, out) == (2, "")
+        assert f"alpha must lie in (0, 1), got {float(alpha)}" in err
+        assert "rounds" not in err
+
+    def test_tiny_alpha_names_rounding(self, capsys, one_row_file):
+        code, out, err = _run(capsys, ["ci", "--input", one_row_file, "--algorithm", "nonprivate", "--alpha", "1e-17"])
+        assert (code, out) == (2, "")
+        assert "alpha 1e-17 is too small" in err and "rounds to 1" in err
+
     def test_repetitions_at_cap_parse(self, tmp_path):
         cfg = tmp_path / "many.cfg"
         cfg.write_text(SMOKE_CFG.replace("repetitions = 1", f"repetitions = {MAX_REPETITIONS}"))

@@ -3,15 +3,26 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratci import ValidationError, derive_stream
 from stratci.randomness import (
+    _KI,
     RandomStream,
+    _bulk_normals,
+    _clear_table,
+    _philox_first_words,
+    _prefetch,
     _scratch,
+    _table,
+    child_normals,
     gaussian,
     hypergeometric_counts,
     standard_normals,
 )
+
+_MASK64 = (1 << 64) - 1
 
 # Monte-Carlo checks below use 4-sigma tolerances unless the contract states
 # a looser one; all draws are seeded, so they are deterministic.
@@ -181,3 +192,77 @@ class TestScratchReset:
         expected = [gaussian(derive_stream(3, [i]), 0.0, 1.0) for i in range(50)]
         assert standard_normals(3, ids) == expected
         assert standard_normals(3, []) == []
+
+
+def _slow_path(base_seed, ids):
+    """Where the ziggurat's fast path rejects the first word of stream (base_seed, id)."""
+    r = _philox_first_words(base_seed & _MASK64, ids)
+    return ((r >> np.uint64(9)) & np.uint64((1 << 52) - 1)) >= _KI[(r & np.uint64(0xFF)).astype(np.intp)]
+
+
+class TestBulkNormals:
+    KEYS_PER_EXAMPLE = 20_000
+
+    # 50 examples of 20 000 keys each compare 10**6 keys.  Base seeds come
+    # from below 0, from [0, 2**64) and from 2**64 and above; every other
+    # random id has its top bit set, and Hypothesis adds ids of its own.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        base_seed=st.one_of(
+            st.integers(-(2**80), -1), st.integers(0, _MASK64), st.integers(2**64, 2**80)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.lists(st.integers(0, _MASK64), max_size=20),
+    )
+    def test_bulk_equals_scalar(self, base_seed, seed, extra):
+        ids = np.random.default_rng(seed).integers(0, 2**64, size=self.KEYS_PER_EXAMPLE, dtype=np.uint64)
+        ids[::2] |= np.uint64(1 << 63)
+        ids = np.concatenate([ids, np.array(extra, dtype=np.uint64)])
+        assert _bulk_normals(base_seed, ids).tolist() == standard_normals(base_seed, ids.tolist())
+
+    def test_slow_path_draws_occur_and_match(self):
+        ids = np.random.default_rng(7).integers(0, 2**64, size=4000, dtype=np.uint64)
+        for base_seed in (0, 20240601, 2**64 - 5):
+            slow = _slow_path(base_seed, ids)
+            assert 20 <= slow.sum() <= 200  # about 1.5% of 4000
+            bulk = _bulk_normals(base_seed, ids)
+            assert bulk[slow].tolist() == standard_normals(base_seed, ids[slow].tolist())
+            assert bulk.tolist() == standard_normals(base_seed, ids.tolist())
+
+    def test_philox_first_word_matches_numpy(self):
+        ids = np.random.default_rng(3).integers(0, 2**64, size=500, dtype=np.uint64)
+        for base_seed in (0, 1, _MASK64):
+            expected = [
+                int(np.random.Philox(key=np.array([base_seed, sid], dtype=np.uint64)).random_raw())
+                for sid in ids.tolist()
+            ]
+            assert _philox_first_words(base_seed, ids).tolist() == expected
+
+    @pytest.mark.parametrize("children, fan", [(1, 1), (3, 1), (20, 1), (2, 1), (1, 2), (20, 2)])
+    def test_child_normals_scalar_and_prefetched(self, children, fan):
+        parents = [derive_stream(11, [r, 2]) for r in range(5)]
+        expected = []
+        for stream in parents:
+            kids = [
+                stream.child(i) if fan == 1 else stream.child(i, j)
+                for i in range(children) for j in range(fan)
+            ]
+            expected.append(standard_normals(11, [k.stream_id for k in kids]))
+        assert not _table.entries
+        assert [child_normals(s, children, fan) for s in parents] == expected
+        ids = np.array([s.stream_id for s in parents], dtype=np.uint64)
+        _prefetch(11, [(ids, children, fan)])
+        try:
+            assert len(_table.entries) == len(parents)
+            assert [child_normals(s, children, fan) for s in parents] == expected
+            assert not _table.entries  # each entry is read once
+        finally:
+            _clear_table()
+
+    def test_prefetched_entry_is_shape_specific(self):
+        stream = derive_stream(4, [9])
+        _prefetch(4, [(np.array([stream.stream_id], dtype=np.uint64), 3, 1)])
+        try:
+            assert child_normals(stream, 2) == child_normals(stream, 3)[:2]
+        finally:
+            _clear_table()

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,7 +25,10 @@ from stratci import (
     rho_sweep,
     run_experiment,
 )
+from stratci import randomness, simharness
 from stratci.cli import _summary_payload
+from stratci.dp_ci import MECHANISMS, release
+from stratci.estimators import non_private_ci
 
 ALL_TAGS = (
     AlgorithmTag.NON_PRIVATE,
@@ -344,3 +350,120 @@ class TestExperimentProperties:
                 assert ratio is None or math.isfinite(ratio)
                 assert all(math.isfinite(v) for v in values.values()), values
             json.dumps(_summary_payload(summary), allow_nan=False)
+
+
+def _draws_per_repetition(H):
+    return sum(c * f for c, f in (row.noise_shape(H) for row in MECHANISMS.values()))
+
+
+class TestBlockedNoise:
+    """run_experiment draws each block's noise ahead; the releases must not see it."""
+
+    @staticmethod
+    def _direct(config, grid_index=None):
+        """Each repetition's (lower, upper, point) per algorithm from direct calls, table empty."""
+        population, design, rho = simharness._set_up(config)
+        budget = simharness.PrivacyBudget.total(rho, config.split)
+        sizes = tuple(s.sample_size for s in design)
+        out = []
+        for r in range(config.repetitions):
+            stream = derive_stream(config.base_seed, [r] if grid_index is None else [grid_index, r])
+            counts = StratumCounts(randomness.hypergeometric_counts(
+                stream.child(0), population.stratum_sizes, population.positive_counts, sizes
+            ))
+            row = []
+            for tag in config.algorithms:
+                assert not randomness._table.entries
+                if tag is AlgorithmTag.NON_PRIVATE:
+                    ci = non_private_ci(design, counts, config.alpha)
+                else:
+                    ci, _ = release(
+                        tag, stream.child(1 + MECHANISMS[tag].slot), design, counts, budget,
+                        config.alpha, clip_proportions=config.clip_proportions,
+                    )
+                row.append((ci.lower, ci.upper, ci.point_estimate))
+            out.append(row)
+        return out
+
+    @pytest.mark.parametrize("H", [1, 20])
+    @pytest.mark.parametrize("blocks", ["one", "uneven"])
+    def test_records_equal_direct_releases(self, monkeypatch, H, blocks):
+        # Blocks of one repetition, or of three over R = 7 (3 + 3 + 1).
+        block_draws = 1 if blocks == "one" else 3 * _draws_per_repetition(H)
+        monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", block_draws)
+        prefetched, left = [], []
+        real_prefetch, real_clear = simharness._prefetch, simharness._clear_table
+
+        def prefetch(base_seed, requests):
+            prefetched.append(sum(len(parents) for parents, _, _ in requests))
+            real_prefetch(base_seed, requests)
+
+        def clear():
+            left.append(len(randomness._table.entries))
+            real_clear()
+
+        monkeypatch.setattr(simharness, "_prefetch", prefetch)
+        monkeypatch.setattr(simharness, "_clear_table", clear)
+        config = _config(
+            strata=H, stratum_size=Uniform(300, 900), rate=Uniform(0.02, 0.1),
+            proportion=Uniform(0.02, 0.6), repetitions=7, base_seed=2**64 - 3,
+        )
+        order = list(range(7))
+        random.Random(H).shuffle(order)
+        summary = run_experiment(config, rep_order=order, keep_records=True)
+        assert prefetched == ([3] * 7 if blocks == "one" else [9, 9, 3])
+        assert left == [0]  # every prefetched draw was read
+        direct = self._direct(config)
+        for i, (lower, upper, point) in enumerate(summary.records):
+            assert list(zip(lower, upper, point)) == [row[i] for row in direct]
+
+    def test_sweep_grid_point_streams(self):
+        config = _config(strata=3, repetitions=5, base_seed=9)
+        ((_, summary),) = rho_sweep(config, [0.01], keep_records=True)
+        direct = self._direct(config, grid_index=0)
+        for i, (lower, upper, point) in enumerate(summary.records):
+            assert list(zip(lower, upper, point)) == [row[i] for row in direct]
+
+    def test_table_empty_after_run(self):
+        run_experiment(_config(strata=5, repetitions=30))
+        assert not randomness._table.entries
+
+    def test_table_empty_after_run_that_raises(self, monkeypatch):
+        seen = []
+
+        def failing_release(*args, **kwargs):
+            seen.append(len(randomness._table.entries))
+            raise ValidationError("stop")
+
+        monkeypatch.setattr(simharness, "release", failing_release)
+        with pytest.raises(ValidationError, match="stop"):
+            run_experiment(_config(strata=5, repetitions=30))
+        assert seen == [3 * 30]  # the first block was prefetched when the release raised
+        assert not randomness._table.entries
+
+    def test_threads_match_sequential(self, monkeypatch):
+        # Four threads on small blocks, switching often, so that each thread's
+        # prefetch and clear fall between another's releases.
+        monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", 200)
+        left, real_clear = [], simharness._clear_table
+
+        def clear():
+            left.append(len(randomness._table.entries))
+            real_clear()
+
+        configs = [
+            _config(strata=20, stratum_size=Uniform(1500, 2000), repetitions=100, base_seed=seed)
+            for seed in range(8)
+        ]
+        sequential = [run_experiment(c, keep_records=True) for c in configs]
+        interval = sys.getswitchinterval()
+        monkeypatch.setattr(simharness, "_clear_table", clear)
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_experiment, c, keep_records=True) for c in configs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequential
+        assert left == [0] * 8  # no thread saw another's draws
