@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -298,7 +299,10 @@ def _parse_config_file(path: str) -> tuple[ExperimentConfig, tuple[float, ...] |
         raise ValidationError(f"{path}: exactly one of 'rho' and 'rho_grid' is required")
     rho_grid = values.pop("rho_grid", None)
     emit_reps = values.pop("emit_reps", False)
-    return ExperimentConfig(**values), rho_grid, emit_reps
+    config = ExperimentConfig(**values)
+    for rho in rho_grid or ():
+        replace(config, rho=rho)  # a bad grid value fails before --out is made
+    return config, rho_grid, emit_reps
 
 
 def _summary_payload(summary) -> dict:

@@ -8,8 +8,9 @@ a stream without any draw-order coupling.
 Noise for many streams can also be drawn ahead, in one vectorised pass: a
 bulk kernel computes splitmix64, the first Philox4x64-10 block and numpy's
 ziggurat fast path over uint64 arrays, bit for bit as a fresh generator
-would, and leaves the draws in a per-thread table that :func:`child_normals`
-reads.
+would.  A stream's draws are a pure function of its key, so the draws for a
+stream's children can travel with the stream value itself, which
+:func:`child_normals` then returns instead of drawing them again.
 
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,6 +71,15 @@ def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
     for idx in indices:
         sid = _combine(sid, int(idx))
     return RandomStream(base_seed, sid)
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawnStream(RandomStream):
+    """A stream with its :func:`child_normals` draws for one (children, fan) already made."""
+
+    children: int
+    fan: int
+    normals: list[float]
 
 
 class _Scratch(threading.local):
@@ -122,15 +133,12 @@ def standard_normals(base_seed: int, stream_ids: Iterable[int]) -> list[float]:
 def child_normals(stream: RandomStream, children: int, fan: int = 1) -> list[float]:
     """The first standard normal of each ``stream.child(i)``, or of each ``child(i, j)`` if ``fan > 1``.
 
-    Ordered by i, then j, for i < ``children`` and j < ``fan``.  The draws
-    come from this thread's prefetched table when it holds them, and are
-    computed stream by stream otherwise.
+    Ordered by i, then j, for i < ``children`` and j < ``fan``.  A stream that
+    carries the draws for this (children, fan) returns its list, which the
+    caller must not modify; any other is drawn stream by stream.
     """
-    entries = _table.entries
-    if entries:
-        normals = entries.pop((stream.base_seed, stream.stream_id, children, fan), None)
-        if normals is not None:
-            return normals
+    if isinstance(stream, _DrawnStream) and stream.children == children and stream.fan == fan:
+        return stream.normals
     sid = stream.stream_id
     if fan == 1:
         ids = [_combine(sid, i) for i in range(children)]
@@ -138,15 +146,6 @@ def child_normals(stream: RandomStream, children: int, fan: int = 1) -> list[flo
         ids = [_combine(sub, j) for sub in (_combine(sid, i) for i in range(children)) for j in range(fan)]
     return standard_normals(stream.base_seed, ids)
 
-
-class _Table(threading.local):
-    """Per-thread prefetched draws: (base_seed, stream_id, children, fan) -> :func:`child_normals`' list."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[int, int, int, int], list[float]] = {}
-
-
-_table = _Table()
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -210,12 +209,12 @@ def _bulk_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
     return normals
 
 
-def _prefetch(base_seed: int, requests: Sequence[tuple[np.ndarray, int, int]]) -> None:
-    """Fill this thread's table for :func:`child_normals`, in one bulk draw.
+def _drawn_streams(base_seed: int, requests: Sequence[tuple]) -> list[Iterator[_DrawnStream]]:
+    """Per request (parent stream ids as a uint64 array, children, fan), an iterator of its parents.
 
-    Each request is (parent stream ids as a uint64 array, children, fan):
-    the table then holds ``child_normals(RandomStream(base_seed, p),
-    children, fan)`` for each parent id p.
+    The iterator yields, per parent id p in order, the stream (base_seed, p)
+    carrying ``child_normals(RandomStream(base_seed, p), children, fan)``,
+    made as it is read.  One bulk draw fills every request.
     """
     ids = []
     for parents, children, fan in requests:
@@ -224,15 +223,12 @@ def _prefetch(base_seed: int, requests: Sequence[tuple[np.ndarray, int, int]]) -
             sub = _combine_array(sub[:, :, None], np.arange(fan, dtype=_U64))
         ids.append(sub.ravel())
     normals = _bulk_normals(base_seed, np.concatenate(ids))
-    entries, at = _table.entries, 0
+    out, at = [], 0
     for (parents, children, fan), sub in zip(requests, ids):
-        block = normals[at:at + sub.size].reshape(len(parents), children * fan).tolist()
+        rows = normals[at:at + sub.size].reshape(len(parents), children * fan).tolist()
         at += sub.size
-        entries.update(zip(((base_seed, p, children, fan) for p in parents.tolist()), block))
-
-
-def _clear_table() -> None:
-    _table.entries.clear()
+        out.append(map(_DrawnStream, repeat(base_seed), parents.tolist(), repeat(children), repeat(fan), rows))
+    return out
 
 
 def gaussian(stream: RandomStream, mean: float, variance: float, size: int | None = None):

@@ -31,9 +31,7 @@ from .core import (
 )
 from .dp_ci import MECHANISMS, mechanism, release
 from .estimators import exact_stratum_variance, non_private_ci
-from .randomness import (
-    RandomStream, _clear_table, _combine_array, _prefetch, derive_stream, hypergeometric_counts,
-)
+from .randomness import RandomStream, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
 # numpy's hypergeometric draw needs ngood and nbad below 10**9.
@@ -46,7 +44,7 @@ MAX_REPETITIONS = 1_000_000
 MAX_STRATA = 10_000
 # run_experiment draws the noise of a block of repetitions ahead, about this
 # many normals at a time: enough to amortise the bulk kernel's fixed cost of
-# some 300 numpy calls, few enough to keep the table near a megabyte.
+# some 300 numpy calls, few enough to keep a block's draws near a megabyte.
 _NOISE_BLOCK_DRAWS = 1 << 14
 
 
@@ -123,14 +121,16 @@ class ExperimentConfig:
         if isinstance(self.rho, str):
             if self.rho != RHO_ONE_OVER_MAX_N:
                 raise ValidationError(f"rho must be a number or {RHO_ONE_OVER_MAX_N!r}, got {self.rho!r}")
-        elif not isinstance(self.rho, (int, float)) or not self.rho > 0.0:
-            raise ValidationError(f"rho must be a positive number, got {self.rho!r}")
+        elif not isinstance(self.rho, (int, float)) or not 0.0 < self.rho < math.inf:
+            raise ValidationError(f"rho must be a finite positive number, got {self.rho!r}")
         if not (0.0 < self.split < 1.0):
             raise ValidationError(f"split must lie in (0, 1), got {self.split}")
         size = self.stratum_size
         low, high = (size.low, size.high) if isinstance(size, Uniform) else (size, size)
         if not (1 <= low and high <= MAX_STRATUM_SIZE):
             raise ValidationError(f"stratum_size values must lie in [1, {MAX_STRATUM_SIZE}], got {size}")
+        if not (float(low).is_integer() and float(high).is_integer()):
+            raise ValidationError(f"stratum_size values must be whole numbers, got {size}")
         for name, spec, interval in (
             ("rate", self.rate, "(0.0, 1.0]"),
             ("proportion", self.proportion, "[0.0, 1.0]"),
@@ -283,48 +283,43 @@ def run_experiment(
 
     R = config.repetitions
     tags = config.algorithms
-    # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
-    children = [None if tag is AlgorithmTag.NON_PRIVATE else 1 + mechanism(tag).slot for tag in tags]
     # (lower, upper, point) columns per algorithm, indexed by repetition; the
     # last row holds the non-private baseline that width ratios divide by.
     columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in range(len(tags) + 1)]
-    rows = tuple(zip(columns, (*tags, None), (*children, None)))
+    baselines = [columns[-1], *(cols for cols, tag in zip(columns, tags) if tag is AlgorithmTag.NON_PRIVATE)]
+    # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
+    private = [
+        (cols, tag, np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
+        for cols, tag in zip(columns, tags) if tag is not AlgorithmTag.NON_PRIVATE
+    ]
     order = range(R) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(R)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
-    # Each block of repetitions draws every mechanism's noise in one bulk
-    # pass; the releases then read it from the per-thread table.
-    shapes = [(child, mechanism(tag).noise_shape(len(design))) for tag, child in zip(tags, children) if child is not None]
-    block = max(1, _NOISE_BLOCK_DRAWS // max(1, sum(c * f for _, (c, f) in shapes)))
-    prefix = np.uint64(derive_stream(config.base_seed, [] if grid_index is None else [grid_index]).stream_id)
-    try:
-        for start in range(0, R, block):
-            chunk = order[start:start + block]
-            if shapes:
-                rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
-                _prefetch(config.base_seed, [
-                    (_combine_array(rep_ids, np.uint64(child)), c, f) for child, (c, f) in shapes
-                ])
-            for r in chunk:
-                rep_stream = derive_stream(config.base_seed, [r] if grid_index is None else [grid_index, r])
-                counts = StratumCounts(hypergeometric_counts(
-                    rep_stream.child(0), population.stratum_sizes, population.positive_counts, sample_sizes
-                ))
-                baseline = non_private_ci(design, counts, config.alpha)
-                if config.clip_interval:
-                    baseline = baseline.clip_to_unit_interval()
-                for (lower, upper, point), tag, child in rows:
-                    if child is None:
-                        ci = baseline
-                    else:
-                        ci, _ = release(
-                            tag, rep_stream.child(child), design, counts, budget,
-                            config.alpha, clip_proportions=config.clip_proportions,
-                            clip_interval=config.clip_interval,
-                        )
-                    lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
-    finally:
-        _clear_table()
+    # Each block of repetitions draws every mechanism's noise in one bulk pass.
+    block = max(1, _NOISE_BLOCK_DRAWS // max(1, sum(c * f for *_, (c, f) in private)))
+    seed = config.base_seed
+    prefix = np.uint64(derive_stream(seed, [] if grid_index is None else [grid_index]).stream_id)
+    for start in range(0, R, block):
+        chunk = order[start:start + block]
+        rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
+        requests = [(_combine_array(rep_ids, child), *shape) for *_, child, shape in private]
+        streams = _drawn_streams(seed, requests) if requests else []
+        for r, sample_id, *drawn in zip(chunk, _combine_array(rep_ids, np.uint64(0)).tolist(), *streams):
+            counts = StratumCounts(hypergeometric_counts(
+                RandomStream(seed, sample_id), population.stratum_sizes, population.positive_counts, sample_sizes
+            ))
+            ci = non_private_ci(design, counts, config.alpha)
+            if config.clip_interval:
+                ci = ci.clip_to_unit_interval()
+            for lower, upper, point in baselines:
+                lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
+            for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
+                ci, _ = release(
+                    tag, stream, design, counts, budget, config.alpha,
+                    clip_proportions=config.clip_proportions, clip_interval=config.clip_interval,
+                )
+                lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
+        del streams  # the block's draws are freed before the next block's are made
 
     bounds = np.array(columns)
     lower, upper = bounds[:, 0], bounds[:, 1]
@@ -399,10 +394,8 @@ def rho_sweep(
     """
     if not rho_grid:
         raise ValidationError("rho grid must be nonempty")
-    out = []
-    for g, rho in enumerate(rho_grid):
-        cfg = replace(config, rho=float(rho))
-        out.append(
-            (float(rho), run_experiment(cfg, keep_records=keep_records, grid_index=g))
-        )
-    return tuple(out)
+    # Every grid value is checked before the first grid point runs.
+    configs = [replace(config, rho=float(rho)) for rho in rho_grid]
+    return tuple(
+        (cfg.rho, run_experiment(cfg, keep_records=keep_records, grid_index=g)) for g, cfg in enumerate(configs)
+    )

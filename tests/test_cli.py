@@ -732,6 +732,27 @@ class TestInputBoundary:
         assert code == 2
         assert "stratum_size" in err and "[1, 999999999]" in err
 
+    @pytest.mark.parametrize("size", ["uniform(1999.9, 2000.9)", "uniform(1500, 2000.5)", "2000.5"])
+    def test_stratum_size_not_whole(self, capsys, tmp_path, size):
+        # A fractional bound used to be truncated: uniform(1999.9, 2000.9) drew N_h = 1999.
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text(SMOKE_CFG.replace("stratum_size = 2000", f"stratum_size = {size}"))
+        code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert (code, out) == (2, "")
+        assert "stratum_size" in err
+
+    @pytest.mark.parametrize("grid", ["0.01, 0.02, -1", "0.01, 0", "0.01, inf", "0.01, nan"])
+    def test_bad_grid_value_fails_before_any_repetition(self, capsys, tmp_path, monkeypatch, grid):
+        ran = []
+        monkeypatch.setattr(simharness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SMOKE_CFG.replace("rho = 0.01", f"rho_grid = {grid}"))
+        out_dir = tmp_path / "o"
+        code, out, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert "rho must be a finite positive number" in err
+        assert ran == [] and not out_dir.exists()
+
     def test_largest_stratum_size(self, capsys, tmp_path):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(

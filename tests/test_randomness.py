@@ -11,11 +11,9 @@ from stratci.randomness import (
     _KI,
     RandomStream,
     _bulk_normals,
-    _clear_table,
+    _drawn_streams,
     _philox_first_words,
-    _prefetch,
     _scratch,
-    _table,
     child_normals,
     gaussian,
     hypergeometric_counts,
@@ -238,31 +236,53 @@ class TestBulkNormals:
             ]
             assert _philox_first_words(base_seed, ids).tolist() == expected
 
-    @pytest.mark.parametrize("children, fan", [(1, 1), (3, 1), (20, 1), (2, 1), (1, 2), (20, 2)])
-    def test_child_normals_scalar_and_prefetched(self, children, fan):
-        parents = [derive_stream(11, [r, 2]) for r in range(5)]
-        expected = []
-        for stream in parents:
-            kids = [
-                stream.child(i) if fan == 1 else stream.child(i, j)
-                for i in range(children) for j in range(fan)
-            ]
-            expected.append(standard_normals(11, [k.stream_id for k in kids]))
-        assert not _table.entries
-        assert [child_normals(s, children, fan) for s in parents] == expected
-        ids = np.array([s.stream_id for s in parents], dtype=np.uint64)
-        _prefetch(11, [(ids, children, fan)])
-        try:
-            assert len(_table.entries) == len(parents)
-            assert [child_normals(s, children, fan) for s in parents] == expected
-            assert not _table.entries  # each entry is read once
-        finally:
-            _clear_table()
+    # Each example asks one block for up to three (parents, children, fan)
+    # requests; every parent's carried normals must be the draws of its
+    # child streams, as scalar child_normals makes them.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_seed=st.one_of(
+            st.integers(-(2**80), -1), st.integers(0, _MASK64), st.integers(2**64, 2**80)
+        ),
+        requests=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, _MASK64), min_size=1, max_size=5),
+                st.integers(1, 50),
+                st.integers(1, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_drawn_streams_carry_scalar_child_normals(self, base_seed, requests):
+        block = _drawn_streams(
+            base_seed, [(np.array(parents, dtype=np.uint64), children, fan) for parents, children, fan in requests]
+        )
+        assert len(block) == len(requests)
+        for (parents, children, fan), streams in zip(requests, block):
+            streams = list(streams)
+            assert [(s.base_seed, s.stream_id) for s in streams] == [(base_seed, p) for p in parents]
+            for drawn in streams:
+                stream = RandomStream(base_seed, drawn.stream_id)
+                kids = [
+                    stream.child(i) if fan == 1 else stream.child(i, j)
+                    for i in range(children) for j in range(fan)
+                ]
+                expected = standard_normals(base_seed, [k.stream_id for k in kids])
+                assert child_normals(stream, children, fan) == expected
+                assert child_normals(drawn, children, fan) is drawn.normals
+                assert drawn.normals == expected
 
-    def test_prefetched_entry_is_shape_specific(self):
+    def test_drawn_stream_of_another_shape_draws_scalar(self):
         stream = derive_stream(4, [9])
-        _prefetch(4, [(np.array([stream.stream_id], dtype=np.uint64), 3, 1)])
-        try:
-            assert child_normals(stream, 2) == child_normals(stream, 3)[:2]
-        finally:
-            _clear_table()
+        ((drawn,),) = _drawn_streams(4, [(np.array([stream.stream_id], dtype=np.uint64), 3, 1)])
+        normals = drawn.normals
+        assert child_normals(drawn, 3) is normals
+        for children, fan in [(2, 1), (4, 1), (3, 2), (1, 2)]:
+            other = child_normals(drawn, children, fan)
+            assert other is not normals
+            assert other == child_normals(stream, children, fan)
+        assert child_normals(drawn, 2) == normals[:2]
+        # Its children and its generator are those of the plain stream.
+        assert drawn.child(1, 0) == stream.child(1, 0)
+        assert drawn.generator().standard_normal() == stream.generator().standard_normal()

@@ -223,6 +223,14 @@ class TestRhoSweep:
         with pytest.raises(ValidationError):
             rho_sweep(_config(), ())
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_bad_last_grid_value_fails_before_any_repetition(self, monkeypatch, bad):
+        ran = []
+        monkeypatch.setattr(simharness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValidationError, match="rho must be a finite positive number"):
+            rho_sweep(_config(), (0.01, 0.02, bad))
+        assert ran == []
+
 
 class TestQqData:
     def test_minimal_grid_is_median(self):
@@ -287,6 +295,16 @@ class TestConfigValidation:
             _config(rate=Uniform(0.5, 1.5))
         with pytest.raises(ValidationError, match=r"proportion values must lie in \[0\.0, 1\.0\]"):
             _config(proportion=-0.1)
+
+    @pytest.mark.parametrize("rho", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_rho_finite_positive(self, rho):
+        with pytest.raises(ValidationError, match="rho must be a finite positive number"):
+            _config(rho=rho)
+
+    @pytest.mark.parametrize("size", [Uniform(1999.9, 2000.9), Uniform(1500, 2000.5), 2000.5])
+    def test_stratum_size_whole_numbers(self, size):
+        with pytest.raises(ValidationError, match="stratum_size values must be whole numbers"):
+            _config(stratum_size=size)
 
     def test_config_is_frozen(self):
         cfg = _config()
@@ -357,11 +375,11 @@ def _draws_per_repetition(H):
 
 
 class TestBlockedNoise:
-    """run_experiment draws each block's noise ahead; the releases must not see it."""
+    """run_experiment draws each block's noise in bulk; the releases must equal direct ones."""
 
     @staticmethod
     def _direct(config, grid_index=None):
-        """Each repetition's (lower, upper, point) per algorithm from direct calls, table empty."""
+        """Each repetition's (lower, upper, point) per algorithm, from direct calls on plain streams."""
         population, design, rho = simharness._set_up(config)
         budget = simharness.PrivacyBudget.total(rho, config.split)
         sizes = tuple(s.sample_size for s in design)
@@ -373,7 +391,6 @@ class TestBlockedNoise:
             ))
             row = []
             for tag in config.algorithms:
-                assert not randomness._table.entries
                 if tag is AlgorithmTag.NON_PRIVATE:
                     ci = non_private_ci(design, counts, config.alpha)
                 else:
@@ -391,19 +408,13 @@ class TestBlockedNoise:
         # Blocks of one repetition, or of three over R = 7 (3 + 3 + 1).
         block_draws = 1 if blocks == "one" else 3 * _draws_per_repetition(H)
         monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", block_draws)
-        prefetched, left = [], []
-        real_prefetch, real_clear = simharness._prefetch, simharness._clear_table
+        drawn, real_drawn_streams = [], simharness._drawn_streams
 
-        def prefetch(base_seed, requests):
-            prefetched.append(sum(len(parents) for parents, _, _ in requests))
-            real_prefetch(base_seed, requests)
+        def drawn_streams(base_seed, requests):
+            drawn.append(sum(len(parents) for parents, _, _ in requests))
+            return real_drawn_streams(base_seed, requests)
 
-        def clear():
-            left.append(len(randomness._table.entries))
-            real_clear()
-
-        monkeypatch.setattr(simharness, "_prefetch", prefetch)
-        monkeypatch.setattr(simharness, "_clear_table", clear)
+        monkeypatch.setattr(simharness, "_drawn_streams", drawn_streams)
         config = _config(
             strata=H, stratum_size=Uniform(300, 900), rate=Uniform(0.02, 0.1),
             proportion=Uniform(0.02, 0.6), repetitions=7, base_seed=2**64 - 3,
@@ -411,8 +422,7 @@ class TestBlockedNoise:
         order = list(range(7))
         random.Random(H).shuffle(order)
         summary = run_experiment(config, rep_order=order, keep_records=True)
-        assert prefetched == ([3] * 7 if blocks == "one" else [9, 9, 3])
-        assert left == [0]  # every prefetched draw was read
+        assert drawn == ([3] * 7 if blocks == "one" else [9, 9, 3])
         direct = self._direct(config)
         for i, (lower, upper, point) in enumerate(summary.records):
             assert list(zip(lower, upper, point)) == [row[i] for row in direct]
@@ -424,40 +434,16 @@ class TestBlockedNoise:
         for i, (lower, upper, point) in enumerate(summary.records):
             assert list(zip(lower, upper, point)) == [row[i] for row in direct]
 
-    def test_table_empty_after_run(self):
-        run_experiment(_config(strata=5, repetitions=30))
-        assert not randomness._table.entries
-
-    def test_table_empty_after_run_that_raises(self, monkeypatch):
-        seen = []
-
-        def failing_release(*args, **kwargs):
-            seen.append(len(randomness._table.entries))
-            raise ValidationError("stop")
-
-        monkeypatch.setattr(simharness, "release", failing_release)
-        with pytest.raises(ValidationError, match="stop"):
-            run_experiment(_config(strata=5, repetitions=30))
-        assert seen == [3 * 30]  # the first block was prefetched when the release raised
-        assert not randomness._table.entries
-
     def test_threads_match_sequential(self, monkeypatch):
         # Four threads on small blocks, switching often, so that each thread's
-        # prefetch and clear fall between another's releases.
+        # bulk draws fall between another's releases.
         monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", 200)
-        left, real_clear = [], simharness._clear_table
-
-        def clear():
-            left.append(len(randomness._table.entries))
-            real_clear()
-
         configs = [
             _config(strata=20, stratum_size=Uniform(1500, 2000), repetitions=100, base_seed=seed)
             for seed in range(8)
         ]
         sequential = [run_experiment(c, keep_records=True) for c in configs]
         interval = sys.getswitchinterval()
-        monkeypatch.setattr(simharness, "_clear_table", clear)
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
@@ -466,4 +452,3 @@ class TestBlockedNoise:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == sequential
-        assert left == [0] * 8  # no thread saw another's draws
