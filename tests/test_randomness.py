@@ -236,6 +236,24 @@ class TestBulkNormals:
             ]
             assert _philox_first_words(base_seed, ids).tolist() == expected
 
+    @pytest.mark.parametrize("children, fan", [(1, 1), (3, 1), (20, 1), (2, 1), (1, 2), (20, 2)])
+    def test_child_normals_scalar_and_prefetched(self, children, fan):
+        parents = [derive_stream(11, [r, 2]) for r in range(5)]
+        expected = []
+        for stream in parents:
+            kids = [
+                stream.child(i) if fan == 1 else stream.child(i, j)
+                for i in range(children) for j in range(fan)
+            ]
+            expected.append(standard_normals(11, [k.stream_id for k in kids]))
+        assert [child_normals(s, children, fan) for s in parents] == expected
+        ids = np.array([s.stream_id for s in parents], dtype=np.uint64)
+        ((*drawn,),) = _drawn_streams(11, [(ids, children, fan)])
+        assert len(drawn) == len(parents)
+        assert [child_normals(s, children, fan) for s in drawn] == expected
+        # Reading a drawn stream's normals again gives the same draws.
+        assert [child_normals(s, children, fan) for s in drawn] == expected
+
     # Each example asks one block for up to three (parents, children, fan)
     # requests; every parent's carried normals must be the draws of its
     # child streams, as scalar child_normals makes them.
