@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .simharness import (
     RHO_ONE_OVER_MAX_N,
     ExperimentConfig,
     Uniform,
+    _grid_configs,
     qq_data,
     rho_sweep,
     run_experiment,
@@ -300,8 +300,8 @@ def _parse_config_file(path: str) -> tuple[ExperimentConfig, tuple[float, ...] |
     rho_grid = values.pop("rho_grid", None)
     emit_reps = values.pop("emit_reps", False)
     config = ExperimentConfig(**values)
-    for rho in rho_grid or ():
-        replace(config, rho=rho)  # a bad grid value fails before --out is made
+    if rho_grid is not None:
+        _grid_configs(config, rho_grid)  # a bad grid value fails before --out is made
     return config, rho_grid, emit_reps
 
 

@@ -392,10 +392,14 @@ def rho_sweep(
     Grid point g uses repetition streams (base_seed, g, r), independent of
     every other grid point.
     """
+    return tuple(
+        (cfg.rho, run_experiment(cfg, keep_records=keep_records, grid_index=g))
+        for g, cfg in enumerate(_grid_configs(config, rho_grid))
+    )
+
+
+def _grid_configs(config: ExperimentConfig, rho_grid: Sequence[float]) -> list[ExperimentConfig]:
+    """One config per grid value, every value checked before any grid point runs."""
     if not rho_grid:
         raise ValidationError("rho grid must be nonempty")
-    # Every grid value is checked before the first grid point runs.
-    configs = [replace(config, rho=float(rho)) for rho in rho_grid]
-    return tuple(
-        (cfg.rho, run_experiment(cfg, keep_records=keep_records, grid_index=g)) for g, cfg in enumerate(configs)
-    )
+    return [replace(config, rho=float(rho)) for rho in rho_grid]
