@@ -321,11 +321,6 @@ def _summary_payload(summary) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, rho_grid, emit_reps = _parse_config_file(args.config)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliParseError(f"cannot create output directory {args.out!r}: {exc}") from exc
     if rho_grid is None:
         summary = run_experiment(config, keep_records=emit_reps)
         results = ((summary.rho, summary),)
@@ -345,6 +340,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for rho, summary in results
         ],
     }
+    # Made only now, so that a run that fails leaves no directory behind.
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliParseError(f"cannot create output directory {args.out!r}: {exc}") from exc
     _write_text(out_dir / "summary.json", json.dumps(payload, indent=2) + "\n")
     if emit_reps:
         sweep = rho_grid is not None

@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -86,7 +85,16 @@ class StratumDesign:
         return self.population_size / self.sample_size
 
 
-def build_design(sizes: Sequence[tuple[int, int]]) -> tuple[StratumDesign, ...]:
+class Design(tuple):
+    """A stratified design: a tuple of :class:`StratumDesign`, one per stratum.
+
+    It indexes, iterates, slices and compares as the plain tuple of its
+    strata.  Being immutable, it also keeps the facts :func:`memoised`
+    computes from it, in its own ``__dict__``, for as long as it lives.
+    """
+
+
+def build_design(sizes: Sequence[tuple[int, int]]) -> Design:
     """Build a stratified design from (population_size, sample_size) pairs.
 
     Weights are computed exactly as N_h / sum(N_k).
@@ -97,12 +105,12 @@ def build_design(sizes: Sequence[tuple[int, int]]) -> tuple[StratumDesign, ...]:
     if smallest < 1:  # so that 0 < N_h / total <= 1
         raise ValidationError(f"population_size must be positive, got {smallest}")
     total = sum(N for N, _ in sizes)
-    return tuple(StratumDesign(N, n, N / total) for N, n in sizes)
+    return Design(StratumDesign(N, n, N / total) for N, n in sizes)
 
 
 def build_design_with_weights(
     sizes: Sequence[tuple[int, int]], weights: Sequence[float]
-) -> tuple[StratumDesign, ...]:
+) -> Design:
     """Build a design from explicit weights.
 
     The weights must sum to 1 within ``WEIGHT_SUM_TOL``; inconsistent weights
@@ -113,7 +121,27 @@ def build_design_with_weights(
     total = ordered_sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
-    return tuple(StratumDesign(N, n, w) for (N, n), w in zip(sizes, weights))
+    return Design(StratumDesign(N, n, w) for (N, n), w in zip(sizes, weights))
+
+
+_T = TypeVar("_T")
+
+
+def memoised(compute: Callable[[Sequence[StratumDesign]], _T], design: Sequence[StratumDesign]) -> _T:
+    """``compute(design)``, kept on a :class:`Design` for its life.
+
+    Any other sequence, such as a hand-built tuple or a list, is computed
+    afresh on each call, so mutating a list between calls is safe.  A
+    computation that raises keeps nothing, so it raises again next time.
+    """
+    if type(design) is not Design:
+        return compute(design)
+    facts = design.__dict__
+    try:
+        return facts[compute]
+    except KeyError:
+        # Two threads may both compute; each returns the value stored first.
+        return facts.setdefault(compute, compute(design))
 
 
 @dataclass(frozen=True)
@@ -133,12 +161,9 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None
     """Validate that counts pair with a coherent design.
 
     Requires equal length, 0 <= c_h <= n_h, and stratum weights summing to 1
-    within ``WEIGHT_SUM_TOL``.  A pair already validated is not checked again.
+    within ``WEIGHT_SUM_TOL``.  The weight sum is checked once per
+    :class:`Design`; the counts are checked on every call.
     """
-    memoised(_check_paired, design, counts)
-
-
-def _check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None:
     if len(design) != len(counts.counts):
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
@@ -155,62 +180,6 @@ def _check_weights(design: Sequence[StratumDesign]) -> None:
     total_weight = ordered_sum(s.weight for s in design)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
-
-
-class _Memo(threading.local):
-    """Per-thread facts of the last design seen, and of its last sample.
-
-    Only a tuple of :class:`StratumDesign` and a :class:`StratumCounts` are
-    remembered: both are immutable, so a fact computed from one holds for as
-    long as the object lives, and the memo keeps a reference to it, so the
-    identity it is keyed on cannot pass to another object.
-    """
-
-    def __init__(self) -> None:
-        self.design: tuple[StratumDesign, ...] | None = None
-        self.design_facts: dict = {}
-        self.counts: StratumCounts | None = None
-        self.sample_facts: dict = {}
-
-    def facts(self, design: Sequence[StratumDesign], counts: StratumCounts | None) -> dict | None:
-        """The facts of ``design``, or of the sample (design, counts); None if not remembered."""
-        if design is not self.design:
-            if type(design) is not tuple or not all(type(s) is StratumDesign for s in design):
-                return None
-            self.design, self.design_facts, self.counts, self.sample_facts = design, {}, None, {}
-        if counts is None:
-            return self.design_facts
-        if counts is not self.counts:
-            if type(counts) is not StratumCounts:
-                return None
-            self.counts, self.sample_facts = counts, {}
-        return self.sample_facts
-
-
-_memo = _Memo()
-
-_T = TypeVar("_T")
-
-
-def memoised(
-    compute: Callable[..., _T], design: Sequence[StratumDesign], counts: StratumCounts | None = None
-) -> _T:
-    """``compute(design)``, or ``compute(design, counts)``, computed once per design or sample.
-
-    The result is kept, under ``compute``, until this thread meets another
-    immutable design (or, with ``counts``, another sample of it).  A list
-    design, or counts of another type, is computed afresh each time, and a
-    computation that raises keeps nothing, so it raises again next time.
-    """
-    args = (design,) if counts is None else (design, counts)
-    facts = _memo.facts(design, counts)
-    if facts is None:
-        return compute(*args)
-    try:
-        return facts[compute]
-    except KeyError:
-        value = facts[compute] = compute(*args)
-        return value
 
 
 @dataclass(frozen=True)

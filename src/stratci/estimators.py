@@ -15,7 +15,6 @@ from .core import (
     StratumDesign,
     ValidationError,
     check_paired,
-    memoised,
     normal_quantile,
     ordered_sum,
 )
@@ -71,17 +70,7 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
 def non_private_estimate(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> NonPrivateEstimate:
-    """Full non-private estimate: proportions plus variance estimates.
-
-    Computed once per sample: another call on the same design and counts
-    objects returns the same estimate.
-    """
-    return memoised(_non_private_estimate, design, counts)
-
-
-def _non_private_estimate(
-    design: Sequence[StratumDesign], counts: StratumCounts
-) -> NonPrivateEstimate:
+    """Full non-private estimate: proportions plus variance estimates."""
     overall, per_stratum = sample_proportions(design, counts)
     stratum_vars = tuple(
         stratum_variance_estimate(s, p) for s, p in zip(design, per_stratum)

@@ -76,7 +76,8 @@ def sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
 
     Substituting one record within stratum h moves p_hat by at most w_h/n_h,
     and moves the variance estimate by at most (C_h/n_h)(1 - 1/n_h) where
-    C_h scales the p_hat_h(1-p_hat_h) term.  Computed once per design.
+    C_h scales the p_hat_h(1-p_hat_h) term.  A :class:`~stratci.core.Design`
+    keeps its report, so every call on it returns the same object.
     """
     return memoised(_sensitivities, design)
 

@@ -1,0 +1,56 @@
+"""tools/bench_pairs.py reports and fails on incorrect runs and on extra failed operations."""
+
+import importlib.util
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "change_run, exit_code",
+    [
+        ({"correct": True, "failed": 1}, 0),
+        ({"correct": False, "failed": 1}, 1),
+        ({"correct": True, "failed": 2}, 1),
+        ({"correct": True, "failed": 0}, 0),
+    ],
+    ids=["same", "incorrect", "more-failures", "fewer-failures"],
+)
+def test_exit_code_and_report(tmp_path, monkeypatch, capsys, change_run, exit_code):
+    bench_pairs = _load()
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    change.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_once(root, workload, seed, seconds):
+        run = {"correct": True, "failed": 1} if root == base else change_run
+        return {**run, "attempted": 100, "metrics": {n: {"value": 1.0, "unit": "u"} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "record.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--base", str(base), "--change", str(change), "--pairs", "2",
+        "--workload", "w", "--out", str(out),
+    ])
+    assert bench_pairs.main() == exit_code
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert set(record) == {"correct", "failed", "attempted", "metrics"}
+    assert record["failed"] == {"base": 2, "change": 2 * change_run["failed"]}
+    assert record["attempted"] == {"base": 200, "change": 200}
+    printed = capsys.readouterr().out
+    assert f"correct {change_run['correct']}" in printed
+    assert f"failed/attempted base 2/200  change {2 * change_run['failed']}/200" in printed

@@ -294,6 +294,26 @@ class TestCmdSimulate:
         code, _, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "edits, exit_code",
+        [
+            ({"rate = 0.05": "rate = 0.0001"}, 3),
+            ({"algorithms = nonprivate, str-pub": "algorithms = str-priv", "rho = 0.01": "rho = 1e-300"}, 2),
+        ],
+        ids=["infeasible", "release-fails"],
+    )
+    def test_failed_run_leaves_no_out(self, capsys, tmp_path, edits, exit_code):
+        text = (ROOT / "configs" / "smoke.cfg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "failing.cfg"
+        cfg.write_text(text)
+        out_dir = tmp_path / "o"
+        code, out, _ = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert (code, out) == (exit_code, "")
+        assert not out_dir.exists()
+
     def test_shipped_smoke_config(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["simulate", "--config", "configs/smoke.cfg", "--out", str(tmp_path / "o")])
         assert code == 0

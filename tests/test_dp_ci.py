@@ -17,6 +17,7 @@ from stratci import (
     StratumDesign,
     ValidationError,
     build_design,
+    build_design_with_weights,
     derive_stream,
     difference_ci,
     exact_stratum_variance,
@@ -31,6 +32,7 @@ from stratci import (
     wald_interval,
 )
 from stratci import dp_ci
+from stratci.core import memoised
 from stratci.randomness import gaussian
 from test_cli import _release_repr
 
@@ -463,8 +465,8 @@ class TestReleaseProperties:
 
 
 class TestDesignFacts:
-    """Design facts and the sample's estimate are computed once per design or sample,
-    and reusing them moves no bit."""
+    """Design facts are computed once per :class:`Design` and kept on it; any
+    other sequence is computed afresh, and reusing a fact moves no bit."""
 
     DESIGN = [(1500, 60), (2500, 100), (800, 40)]
     COUNTS = StratumCounts((20, 45, 0))
@@ -548,7 +550,7 @@ class TestDesignFacts:
             out = self._release(tag, design, counts, budget, seed, **clips)
             return repr(out) if isinstance(out, Exception) else _release_repr(*out)
 
-        non_private_ci(design, counts, 0.1)  # leaves the sample's estimate behind
+        non_private_ci(design, counts, 0.1)  # leaves the design's weight check behind
         first, hit = parts(design, counts), parts(design, counts)
         miss = parts(tuple(design), StratumCounts(counts.counts))
         assert first == hit == miss
@@ -568,24 +570,49 @@ class TestDesignFacts:
             with pytest.raises(ValidationError, match="at least one stratum"):
                 sensitivities(())
 
-    def test_facts_kept_for_tuples_only(self):
-        design = build_design(self.DESIGN)
-        assert sensitivities(design) is sensitivities(design)
-        assert non_private_estimate(design, self.COUNTS) is non_private_estimate(design, self.COUNTS)
-        other = StratumCounts((21, 45, 0))
-        assert non_private_estimate(design, other) == non_private_estimate(list(design), other)
-        assert non_private_estimate(design, other) != non_private_estimate(design, self.COUNTS)
-        as_list = list(design)
-        assert sensitivities(as_list) is not sensitivities(as_list)
-        assert sensitivities(as_list) == sensitivities(design)
+    # Every per-design fact the package keeps, computed from a design.
+    FACTS = (
+        sensitivities,
+        lambda design: memoised(dp_ci._weights, design),
+        lambda design: memoised(dp_ci._public_sizes_facts, design),
+        lambda design: memoised(dp_ci._private_sizes_facts, design),
+    )
 
-    def test_facts_kept_per_thread(self):
+    def test_design_keeps_each_fact_for_every_thread(self):
+        # Four threads race to compute each fact of fresh designs first; every
+        # one of them must get the object the design keeps.
+        designs = [build_design(self.DESIGN) for _ in range(1000)]
+        got = [[] for _ in range(4)]
+        start = threading.Barrier(len(got), timeout=60)
+
+        def work(k):
+            start.wait()
+            got[k] = [fact(design) for design in designs for fact in self.FACTS]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(got))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        kept = [fact(design) for design in designs for fact in self.FACTS]
+        assert all(len(mine) == len(kept) and all(a is b for a, b in zip(mine, kept)) for mine in got)
+
+    def test_other_sequences_recompute(self):
         design = build_design(self.DESIGN)
-        mine = sensitivities(design)
-        theirs = []
-        thread = threading.Thread(target=lambda: theirs.extend([sensitivities(design), sensitivities(design)]))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert theirs[0] is theirs[1] and theirs[0] is not mine
-        assert theirs[0] == mine
+        for other in (tuple(design), list(design)):
+            for fact in self.FACTS:
+                assert fact(other) is not fact(other)
+                assert fact(other) == fact(design)
+
+    def test_build_design_is_its_strata_tuple(self):
+        for design in (build_design(self.DESIGN), build_design_with_weights(self.DESIGN, (0.5, 0.25, 0.25))):
+            strata = tuple(design)
+            assert isinstance(design, tuple)
+            assert design == strata and hash(design) == hash(strata) and repr(design) == repr(strata)
+            assert design[1:] == strata[1:] and type(design[1:]) is tuple

@@ -11,6 +11,9 @@ The record is written as JSON, by default to ``BENCH_<change sha>.json`` in
 the current directory: each side's git sha, the machine, and per workload and
 end-to-end metric the per-run values, median, quartiles and the pairs the
 change won.  A metric's direction comes from the change's ``BENCHMARK.json``.
+It prints each workload's correctness and each side's failed/attempted
+operations beside the medians, and exits 1 if any run reported incorrect
+results or the change failed a larger share of its operations than the base.
 The standard library is all it needs.
 """
 
@@ -80,6 +83,10 @@ def describe(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def failed_share(failed: int, attempted: int) -> float:
+    return failed / attempted if attempted else 0.0
+
+
 def compare(base: list[dict], change: list[dict], better: dict) -> dict:
     """Per metric: each side's runs, and the pairs in which the change did better."""
     out = {}
@@ -141,12 +148,22 @@ def main() -> int:
     }
     out = args.out or Path(f"BENCH_{(sides['change']['sha'] or 'unknown')[:7]}.json")
     out.write_text(json.dumps(record, indent=2) + "\n")
+    faults = []
     for workload, result in results.items():
+        failed, attempted = result["failed"], result["attempted"]
+        print(f"{workload:20s} correct {result['correct']}  failed/attempted base "
+              f"{failed['base']}/{attempted['base']}  change {failed['change']}/{attempted['change']}")
         for name, m in result["metrics"].items():
             print(f"{workload:20s} {name:16s} base {m['base']['median']:>12.6g}  change "
                   f"{m['change']['median']:>12.6g}  {m['median_change']:+7.1%}  wins {m['wins']}/{m['pairs']}")
+        if not result["correct"]:
+            faults.append(f"{workload}: a run reported incorrect results")
+        if failed_share(failed["change"], attempted["change"]) > failed_share(failed["base"], attempted["base"]):
+            faults.append(f"{workload}: the change failed a larger share of operations than the base")
     print(f"wrote {out}")
-    return 0
+    for fault in faults:
+        print(f"FAIL {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
