@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul, truediv
 from typing import Sequence
 
 from .core import (
@@ -15,6 +16,7 @@ from .core import (
     StratumDesign,
     ValidationError,
     check_paired,
+    memoised,
     normal_quantile,
     ordered_sum,
 )
@@ -38,10 +40,8 @@ def sample_proportions(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> tuple[float, tuple[float, ...]]:
     """Return (p_hat, per-stratum p_hat_h) with p_hat_h = c_h / n_h."""
-    check_paired(design, counts)
-    per_stratum = tuple(c / s.sample_size for s, c in zip(design, counts.counts))
-    overall = ordered_sum(s.weight * p for s, p in zip(design, per_stratum))
-    return overall, per_stratum
+    est = non_private_estimate(design, counts)
+    return est.proportion, est.stratum_proportions
 
 
 def stratum_variance_estimate(stratum: StratumDesign, p_hat_h: float) -> float:
@@ -67,16 +67,34 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     return ((N - n) / (N - 1)) * p_h * (1.0 - p_h) / n
 
 
+def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
+    """Per stratum n_h, w_h, w_h**2 and (N_h - n_h)/N_h."""
+    return (
+        tuple(s.sample_size for s in design),
+        tuple(s.weight for s in design),
+        tuple(s.weight**2 for s in design),
+        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
+    )
+
+
 def non_private_estimate(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> NonPrivateEstimate:
-    """Full non-private estimate: proportions plus variance estimates."""
-    overall, per_stratum = sample_proportions(design, counts)
-    stratum_vars = tuple(
-        stratum_variance_estimate(s, p) for s, p in zip(design, per_stratum)
+    """Full non-private estimate: proportions plus variance estimates.
+
+    Each stratum variance equals :func:`stratum_variance_estimate` at p_hat_h,
+    bit for bit.
+    """
+    check_paired(design, counts)
+    sizes, weights, squared_weights, fpcs = memoised(_estimate_facts, design)
+    per_stratum = tuple(map(truediv, counts.counts, sizes))
+    stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(fpcs, per_stratum, sizes)])
+    return NonPrivateEstimate(
+        ordered_sum(map(mul, weights, per_stratum)),
+        per_stratum,
+        ordered_sum(map(mul, squared_weights, stratum_vars)),
+        stratum_vars,
     )
-    variance = ordered_sum(s.weight**2 * v for s, v in zip(design, stratum_vars))
-    return NonPrivateEstimate(overall, per_stratum, variance, stratum_vars)
 
 
 def wald_interval(

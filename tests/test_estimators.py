@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratci import (
     StratumCounts,
@@ -53,6 +55,26 @@ class TestProportions:
         assert est.variance == ordered_sum(
             s.weight**2 * v for s, v in zip(design, est.stratum_variances)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(
+        st.integers(2, 10**6).flatmap(lambda N: st.tuples(st.just(N), st.integers(2, min(N, 5000)), st.floats(0.0, 1.0))),
+        min_size=1, max_size=50,
+    ))
+    def test_matches_per_stratum_functions(self, rows):
+        # The estimate reads its per-stratum factors from the design; it must
+        # give the bits of c_h / n_h and stratum_variance_estimate, the same
+        # on a Design as on a plain list, and the same on the second call.
+        design = build_design([(N, n) for N, n, _ in rows])
+        counts = StratumCounts(tuple(round(u * n) for _, n, u in rows))
+        per_stratum = tuple(c / s.sample_size for s, c in zip(design, counts.counts))
+        variances = tuple(stratum_variance_estimate(s, p) for s, p in zip(design, per_stratum))
+        for est in (non_private_estimate(design, counts), non_private_estimate(design, counts),
+                    non_private_estimate(list(design), counts)):
+            assert repr(est.stratum_proportions) == repr(per_stratum)
+            assert repr(est.stratum_variances) == repr(variances)
+            assert repr(est.proportion) == repr(ordered_sum(s.weight * p for s, p in zip(design, per_stratum)))
+        assert repr(sample_proportions(design, counts)) == repr((est.proportion, per_stratum))
 
 
 class TestStratumVariance:
