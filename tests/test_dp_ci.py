@@ -31,7 +31,7 @@ from stratci import (
     stratum_noise_public_sizes,
     wald_interval,
 )
-from stratci import dp_ci
+from stratci import dp_ci, estimators
 from stratci.core import memoised
 from stratci.randomness import gaussian
 from test_cli import _release_repr
@@ -576,6 +576,7 @@ class TestDesignFacts:
         lambda design: memoised(dp_ci._weights, design),
         lambda design: memoised(dp_ci._public_sizes_facts, design),
         lambda design: memoised(dp_ci._private_sizes_facts, design),
+        lambda design: memoised(estimators._estimate_facts, design),
     )
 
     def test_design_keeps_each_fact_for_every_thread(self):
