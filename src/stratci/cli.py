@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -321,6 +322,11 @@ def _summary_payload(summary) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config, rho_grid, emit_reps = _parse_config_file(args.config)
+    out_dir = Path(args.out)
+    # A file at --out, or at its nearest existing ancestor, fails now rather than after the run.
+    existing = next(p for p in (out_dir.absolute(), *out_dir.absolute().parents) if os.path.exists(p))
+    if not os.path.isdir(existing):
+        raise CliParseError(f"cannot create output directory {args.out!r}: {str(existing)!r} is not a directory")
     if rho_grid is None:
         summary = run_experiment(config, keep_records=emit_reps)
         results = ((summary.rho, summary),)
@@ -341,7 +347,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ],
     }
     # Made only now, so that a run that fails leaves no directory behind.
-    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from operator import mul, truediv
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     AlgorithmTag,
     CiResult,
@@ -77,6 +79,28 @@ def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
     )
 
 
+def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: float, clip_interval: bool):
+    """The bits of :func:`non_private_ci`, clipped if ``clip_interval``, per column of an (H x R) count block.
+
+    Returns (lower, upper, point) arrays, or None where ``wald_interval``
+    would raise for some column.  Strata add row by row from zeros, as
+    :func:`ordered_sum` adds for every R.  Counts are not checked against n_h.
+    """
+    z = _wald_quantile(alpha)
+    point, variance = np.zeros(counts.shape[1]), np.zeros(counts.shape[1])
+    for c, n, w, w2, fpc in zip(counts, *memoised(_estimate_facts, design)):
+        p = c / n
+        point += w * p
+        variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
+    if not (np.isfinite(point) & np.isfinite(variance) & (variance >= 0.0)).all():
+        return None
+    half_width = np.array([z * v**0.5 for v in variance.tolist()])
+    lower, upper = point - half_width, point + half_width
+    if clip_interval:
+        return tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (lower, upper, point))
+    return lower, upper, point
+
+
 def non_private_estimate(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> NonPrivateEstimate:
@@ -97,6 +121,18 @@ def non_private_estimate(
     )
 
 
+def _wald_quantile(alpha: float) -> float:
+    """z_{1-alpha/2}, once alpha lies in (0, 1) and 1 - alpha/2 is below 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    q = 1.0 - alpha / 2.0
+    if not q < 1.0:
+        raise ValidationError(
+            f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1 when alpha is at most about 1.1e-16"
+        )
+    return normal_quantile(q)
+
+
 def wald_interval(
     estimate: float,
     variance: float,
@@ -108,20 +144,14 @@ def wald_interval(
     noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    q = 1.0 - alpha / 2.0
-    if not q < 1.0:
-        raise ValidationError(
-            f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1 when alpha is at most about 1.1e-16"
-        )
+    z = _wald_quantile(alpha)
     if not (math.isfinite(estimate) and math.isfinite(variance)):
         raise ValidationError(
             "the point or variance estimate is not finite; the privacy budget rho may be too small"
         )
     if variance < 0.0:
         raise ValidationError(f"variance must be nonnegative, got {variance}")
-    half_width = normal_quantile(q) * variance**0.5
+    half_width = z * variance**0.5
     return CiResult(
         point_estimate=estimate,
         variance_estimate=variance,

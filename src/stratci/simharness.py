@@ -30,7 +30,7 @@ from .core import (
     ordered_sum,
 )
 from .dp_ci import MECHANISMS, mechanism, release
-from .estimators import exact_stratum_variance, non_private_ci
+from .estimators import _wald_block, exact_stratum_variance, non_private_ci
 from .randomness import RandomStream, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
@@ -45,6 +45,7 @@ MAX_STRATA = 10_000
 # run_experiment draws the noise of a block of repetitions ahead, about this
 # many normals at a time: enough to amortise the bulk kernel's fixed cost of
 # some 300 numpy calls, few enough to keep a block's draws near a megabyte.
+# A block also holds at most this many counts, for its baseline.
 _NOISE_BLOCK_DRAWS = 1 << 14
 
 
@@ -272,7 +273,9 @@ def run_experiment(
     The population and the design (with the realized sampling rates) come
     from stream (base_seed, -1); repetition r draws its counts and releases
     from stream (base_seed, r), or (base_seed, grid_index, r) inside a
-    sweep.  ``rep_order`` only permutes execution; results are keyed by
+    sweep.  A block of repetitions gets its non-private baselines in one
+    array pass; the private releases run one repetition per call.
+    ``rep_order`` only permutes execution; results are keyed by
     repetition index and reduced in index order, so the summary is
     order-invariant.
     """
@@ -287,6 +290,7 @@ def run_experiment(
     # last row holds the non-private baseline that width ratios divide by.
     columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in range(len(tags) + 1)]
     baselines = [columns[-1], *(cols for cols, tag in zip(columns, tags) if tag is AlgorithmTag.NON_PRIVATE)]
+    baselines = [[np.frombuffer(column) for column in cols] for cols in baselines]  # written a block at once
     # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
     private = [
         (cols, tag, np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
@@ -296,23 +300,29 @@ def run_experiment(
     if rep_order is not None and sorted(rep_order) != list(range(R)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
     # Each block of repetitions draws every mechanism's noise in one bulk pass.
-    block = max(1, _NOISE_BLOCK_DRAWS // max(1, sum(c * f for *_, (c, f) in private)))
+    block = max(1, _NOISE_BLOCK_DRAWS // max(len(design), sum(c * f for *_, (c, f) in private)))
     seed = config.base_seed
+    strata = (population.stratum_sizes, population.positive_counts, sample_sizes)
     prefix = np.uint64(derive_stream(seed, [] if grid_index is None else [grid_index]).stream_id)
     for start in range(0, R, block):
         chunk = order[start:start + block]
         rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
         requests = [(_combine_array(rep_ids, child), *shape) for *_, child, shape in private]
         streams = _drawn_streams(seed, requests) if requests else []
-        for r, sample_id, *drawn in zip(chunk, _combine_array(rep_ids, np.uint64(0)).tolist(), *streams):
-            counts = StratumCounts(hypergeometric_counts(
-                RandomStream(seed, sample_id), population.stratum_sizes, population.positive_counts, sample_sizes
-            ))
-            ci = non_private_ci(design, counts, config.alpha)
-            if config.clip_interval:
-                ci = ci.clip_to_unit_interval()
+        sample_ids = _combine_array(rep_ids, np.uint64(0)).tolist()
+        drawn_counts = [hypergeometric_counts(RandomStream(seed, i), *strata) for i in sample_ids]
+        # The block's baseline in one pass; per repetition instead if some repetition's would raise.
+        block_ci = _wald_block(design, np.array(drawn_counts).T.copy(), config.alpha, config.clip_interval)
+        if block_ci is not None:
             for lower, upper, point in baselines:
-                lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
+                lower[chunk], upper[chunk], point[chunk] = block_ci
+        for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts), *streams):
+            if block_ci is None:
+                ci = non_private_ci(design, counts, config.alpha)
+                if config.clip_interval:
+                    ci = ci.clip_to_unit_interval()
+                for lower, upper, point in baselines:
+                    lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
             for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
                 ci, _ = release(
                     tag, stream, design, counts, budget, config.alpha,

@@ -19,6 +19,7 @@ from stratci import (
     wald_interval,
 )
 from stratci.core import ordered_sum
+from stratci.estimators import _wald_block
 
 
 class TestProportions:
@@ -75,6 +76,53 @@ class TestProportions:
             assert repr(est.stratum_variances) == repr(variances)
             assert repr(est.proportion) == repr(ordered_sum(s.weight * p for s, p in zip(design, per_stratum)))
         assert repr(sample_proportions(design, counts)) == repr((est.proportion, per_stratum))
+
+
+class TestBlockBaseline:
+    """The block baseline must give non_private_ci's bits, column by column."""
+
+    # (N_h, n_h): census strata (n_h = N_h, fpc 0) among sampled ones.
+    _STRATUM = st.one_of(
+        st.integers(2, 5000).map(lambda N: (N, N)),
+        st.integers(2, 10**6).flatmap(lambda N: st.tuples(st.just(N), st.integers(2, min(N, 5000)))),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(_STRATUM, min_size=1, max_size=50),
+        width=st.one_of(st.just(1), st.integers(1, 300)),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(1e-12, 0.999, exclude_min=True, exclude_max=True),
+        clip=st.booleans(),
+    )
+    def test_matches_scalar_ci(self, sizes, width, seed, alpha, clip):
+        design = build_design(sizes)
+        n = np.array([[s.sample_size] for s in design])
+        # Counts of 0 and of n_h are each about a quarter of the draws.
+        rng = np.random.default_rng(seed)
+        counts = np.where(rng.random((len(design), width)) < 0.5, n * rng.integers(0, 2, (len(design), width)),
+                          rng.integers(0, n + 1, (len(design), width)))
+        lower, upper, point = _wald_block(design, np.ascontiguousarray(counts, dtype=np.int64), alpha, clip)
+        expected = []
+        for column in counts.T.tolist():
+            ci = non_private_ci(design, StratumCounts(tuple(column)), alpha)
+            ci = ci.clip_to_unit_interval() if clip else ci
+            expected.append((ci.lower, ci.upper, ci.point_estimate))
+        assert repr(list(zip(lower.tolist(), upper.tolist(), point.tolist()))) == repr(expected)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-17])
+    def test_rejected_alpha_keeps_scalar_message(self, alpha):
+        design = build_design([(2000, 100), (500, 500)])
+        with pytest.raises(ValidationError) as scalar:
+            non_private_ci(design, StratumCounts((50, 7)), alpha)
+        with pytest.raises(ValidationError) as block:
+            _wald_block(design, np.array([[50], [7]]), alpha, False)
+        assert str(block.value) == str(scalar.value)
+
+    def test_negative_variance_left_to_scalar_path(self):
+        # A count above n_h, which no drawn count is, gives a negative variance; the block declines it.
+        design = build_design([(2000, 100)])
+        assert _wald_block(design, np.array([[50, 101]]), 0.1, False) is None
 
 
 class TestStratumVariance:

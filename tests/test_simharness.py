@@ -393,18 +393,24 @@ class TestBlockedNoise:
             for tag in config.algorithms:
                 if tag is AlgorithmTag.NON_PRIVATE:
                     ci = non_private_ci(design, counts, config.alpha)
+                    if config.clip_interval:
+                        ci = ci.clip_to_unit_interval()
                 else:
                     ci, _ = release(
                         tag, stream.child(1 + MECHANISMS[tag].slot), design, counts, budget,
                         config.alpha, clip_proportions=config.clip_proportions,
+                        clip_interval=config.clip_interval,
                     )
                 row.append((ci.lower, ci.upper, ci.point_estimate))
             out.append(row)
         return out
 
-    @pytest.mark.parametrize("H", [1, 20])
-    @pytest.mark.parametrize("blocks", ["one", "uneven"])
-    def test_records_equal_direct_releases(self, monkeypatch, H, blocks):
+    @pytest.mark.parametrize(
+        "blocks, H, clip",
+        [("one", 1, False), ("one", 20, False), ("uneven", 1, False), ("uneven", 20, False), ("uneven", 1, True)],
+        ids=["one-1", "one-20", "uneven-1", "uneven-20", "uneven-1-clip"],
+    )
+    def test_records_equal_direct_releases(self, monkeypatch, blocks, H, clip):
         # Blocks of one repetition, or of three over R = 7 (3 + 3 + 1).
         block_draws = 1 if blocks == "one" else 3 * _draws_per_repetition(H)
         monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", block_draws)
@@ -417,12 +423,23 @@ class TestBlockedNoise:
         monkeypatch.setattr(simharness, "_drawn_streams", drawn_streams)
         config = _config(
             strata=H, stratum_size=Uniform(300, 900), rate=Uniform(0.02, 0.1),
-            proportion=Uniform(0.02, 0.6), repetitions=7, base_seed=2**64 - 3,
+            proportion=Uniform(0.02, 0.6), repetitions=7, base_seed=2**64 - 3, clip_interval=clip,
         )
         order = list(range(7))
         random.Random(H).shuffle(order)
         summary = run_experiment(config, rep_order=order, keep_records=True)
         assert drawn == ([3] * 7 if blocks == "one" else [9, 9, 3])
+        if clip:  # the clip binds for every algorithm, the baseline included
+            assert all(min(lower) == 0.0 for lower, _, _ in summary.records)
+        direct = self._direct(config)
+        for i, (lower, upper, point) in enumerate(summary.records):
+            assert list(zip(lower, upper, point)) == [row[i] for row in direct]
+
+    def test_per_repetition_baseline_matches(self, monkeypatch):
+        # A block whose baseline would raise goes through the scalar baseline, one repetition at a time.
+        monkeypatch.setattr(simharness, "_wald_block", lambda *args: None)
+        config = _config(strata=3, repetitions=5, base_seed=9, clip_interval=True)
+        summary = run_experiment(config, keep_records=True)
         direct = self._direct(config)
         for i, (lower, upper, point) in enumerate(summary.records):
             assert list(zip(lower, upper, point)) == [row[i] for row in direct]
