@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -324,8 +323,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config, rho_grid, emit_reps = _parse_config_file(args.config)
     out_dir = Path(args.out)
     # A file at --out, or at its nearest existing ancestor, fails now rather than after the run.
-    existing = next(p for p in (out_dir.absolute(), *out_dir.absolute().parents) if os.path.exists(p))
-    if not os.path.isdir(existing):
+    existing = next(p for p in (out_dir.absolute(), *out_dir.absolute().parents) if p.is_symlink() or p.exists())
+    if not existing.is_dir():
         raise CliParseError(f"cannot create output directory {args.out!r}: {str(existing)!r} is not a directory")
     if rho_grid is None:
         summary = run_experiment(config, keep_records=emit_reps)

@@ -82,18 +82,18 @@ def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
 def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: float, clip_interval: bool):
     """The bits of :func:`non_private_ci`, clipped if ``clip_interval``, per column of an (H x R) count block.
 
-    Returns (lower, upper, point) arrays, or None where ``wald_interval``
-    would raise for some column.  Strata add row by row from zeros, as
-    :func:`ordered_sum` adds for every R.  Counts are not checked against n_h.
+    Returns (lower, upper, point) arrays.  Strata add row by row from
+    zeros, as :func:`ordered_sum` adds for every R.
     """
     z = _wald_quantile(alpha)
+    facts = memoised(_estimate_facts, design)
+    if ((counts < 0) | (counts > np.array(facts[0])[:, None])).any():
+        raise ValidationError("each count must lie in [0, n_h]")
     point, variance = np.zeros(counts.shape[1]), np.zeros(counts.shape[1])
-    for c, n, w, w2, fpc in zip(counts, *memoised(_estimate_facts, design)):
+    for c, n, w, w2, fpc in zip(counts, *facts):
         p = c / n
         point += w * p
         variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
-    if not (np.isfinite(point) & np.isfinite(variance) & (variance >= 0.0)).all():
-        return None
     half_width = np.array([z * v**0.5 for v in variance.tolist()])
     lower, upper = point - half_width, point + half_width
     if clip_interval:

@@ -30,7 +30,7 @@ from .core import (
     ordered_sum,
 )
 from .dp_ci import MECHANISMS, mechanism, release
-from .estimators import _wald_block, exact_stratum_variance, non_private_ci
+from .estimators import _wald_block, exact_stratum_variance
 from .randomness import RandomStream, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
@@ -311,18 +311,11 @@ def run_experiment(
         streams = _drawn_streams(seed, requests) if requests else []
         sample_ids = _combine_array(rep_ids, np.uint64(0)).tolist()
         drawn_counts = [hypergeometric_counts(RandomStream(seed, i), *strata) for i in sample_ids]
-        # The block's baseline in one pass; per repetition instead if some repetition's would raise.
+        # The block's baseline in one pass; the releases run one repetition at a time.
         block_ci = _wald_block(design, np.array(drawn_counts).T.copy(), config.alpha, config.clip_interval)
-        if block_ci is not None:
-            for lower, upper, point in baselines:
-                lower[chunk], upper[chunk], point[chunk] = block_ci
+        for lower, upper, point in baselines:
+            lower[chunk], upper[chunk], point[chunk] = block_ci
         for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts), *streams):
-            if block_ci is None:
-                ci = non_private_ci(design, counts, config.alpha)
-                if config.clip_interval:
-                    ci = ci.clip_to_unit_interval()
-                for lower, upper, point in baselines:
-                    lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
             for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
                 ci, _ = release(
                     tag, stream, design, counts, budget, config.alpha,

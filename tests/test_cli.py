@@ -934,21 +934,25 @@ class TestInputBoundary:
             assert "algorithms must not repeat" in err and "str-pub" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("under", [False, True], ids=["out-is-file", "out-under-file"])
-    def test_out_blocked_by_file_fails_before_run(self, capsys, tmp_path, monkeypatch, under):
+    @pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "out-under-dangling-link"])
+    def test_out_blocked_by_file_fails_before_run(self, capsys, tmp_path, monkeypatch, case):
         def run_experiment(*args, **kwargs):
             pytest.fail("a repetition ran although --out cannot be made")
 
         monkeypatch.setattr("stratci.cli.run_experiment", run_experiment)
         blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        out = blocker / "o" / "p" if under else blocker
+        if case == "out-under-dangling-link":
+            blocker.symlink_to(tmp_path / "missing")
+        else:
+            blocker.write_text("")
+        out = blocker if case == "out-is-file" else blocker / "o" / "p"
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(SMOKE_CFG)
         code, stdout, err = _run(capsys, ["simulate", "--config", str(cfg), "--out", str(out)])
         assert (code, stdout) == (1, "")
         assert err.startswith("error: cannot create output directory") and str(out) in err
-        assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker, cfg]
+        assert sorted(tmp_path.iterdir()) == [blocker, cfg]
+        assert blocker.is_symlink() or blocker.read_text() == ""
 
     @pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "summary-is-dir", "reps-is-dir"])
     def test_unwritable_out(self, tmp_path, case):

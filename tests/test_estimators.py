@@ -119,10 +119,12 @@ class TestBlockBaseline:
             _wald_block(design, np.array([[50], [7]]), alpha, False)
         assert str(block.value) == str(scalar.value)
 
-    def test_negative_variance_left_to_scalar_path(self):
-        # A count above n_h, which no drawn count is, gives a negative variance; the block declines it.
-        design = build_design([(2000, 100)])
-        assert _wald_block(design, np.array([[50, 101]]), 0.1, False) is None
+    @pytest.mark.parametrize("count", [-1, 101])
+    def test_count_outside_sample_rejected(self, count):
+        # No drawn count is; a census stratum (fpc 0) would otherwise hide it in the variance.
+        design = build_design([(2000, 100), (500, 500)])
+        with pytest.raises(ValidationError, match=r"each count must lie in \[0, n_h\]"):
+            _wald_block(design, np.array([[50, count], [7, 7]]), 0.1, False)
 
 
 class TestStratumVariance:

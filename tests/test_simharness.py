@@ -435,15 +435,6 @@ class TestBlockedNoise:
         for i, (lower, upper, point) in enumerate(summary.records):
             assert list(zip(lower, upper, point)) == [row[i] for row in direct]
 
-    def test_per_repetition_baseline_matches(self, monkeypatch):
-        # A block whose baseline would raise goes through the scalar baseline, one repetition at a time.
-        monkeypatch.setattr(simharness, "_wald_block", lambda *args: None)
-        config = _config(strata=3, repetitions=5, base_seed=9, clip_interval=True)
-        summary = run_experiment(config, keep_records=True)
-        direct = self._direct(config)
-        for i, (lower, upper, point) in enumerate(summary.records):
-            assert list(zip(lower, upper, point)) == [row[i] for row in direct]
-
     def test_sweep_grid_point_streams(self):
         config = _config(strata=3, repetitions=5, base_seed=9)
         ((_, summary),) = rho_sweep(config, [0.01], keep_records=True)
