@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from operator import mul
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
@@ -43,8 +43,8 @@ from .core import (
     memoised,
     ordered_sum,
 )
-from .estimators import non_private_estimate, wald_interval
-from .mechanisms import gaussian_releases, sensitivities
+from .estimators import _design_facts, non_private_estimate, wald_interval
+from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
 NOISY_SIZE_FLOOR = 2.0
@@ -77,6 +77,11 @@ class PrivateStratumRelease(NamedTuple):
     fpc_floored: bool = False
 
 
+# A release from a tuple of all eleven fields: the constructor's argument
+# handling costs more than the rest of a stratum's arithmetic.
+_release = partial(tuple.__new__, PrivateStratumRelease)
+
+
 def denominator_cv(sample_size: int, rho2: float) -> float:
     """Coefficient of variation of the noisy size n + N(0, 1/(2 rho2)).
 
@@ -86,16 +91,10 @@ def denominator_cv(sample_size: int, rho2: float) -> float:
     return math.sqrt(1.0 / (2.0 * rho2)) / sample_size
 
 
-def _clip_unit(x: float) -> tuple[float, bool]:
-    if x < 0.0:
-        return 0.0, True
-    if x > 1.0:
-        return 1.0, True
-    return x, False
-
-
-def _floor_zero(v: float) -> tuple[float, bool]:
-    return (0.0, True) if v < 0.0 else (v, False)
+@lru_cache(maxsize=64)
+def _labels(strata: int, *names: str) -> tuple[str, ...]:
+    """The noise labels ``f"{name}[{h}]"``, stratum by stratum and name by name within a stratum."""
+    return tuple(f"{name}[{h}]" for h in range(strata) for name in names)
 
 
 def _interval(
@@ -108,39 +107,6 @@ def _interval(
         noise_variances=noise_variances,
     )
     return ci.clip_to_unit_interval() if clip_interval else ci
-
-
-def _weights(design: Sequence[StratumDesign]) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per stratum w_h and w_h**2."""
-    return tuple(s.weight for s in design), tuple(s.weight**2 for s in design)
-
-
-def _stratum_interval(
-    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
-    design: Sequence[StratumDesign], releases: list[PrivateStratumRelease],
-    noise_variances: tuple[tuple[str, float], ...],
-) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
-    """The interval of the weighted per-stratum releases; a flag is set if any stratum set it."""
-    proportion, variance, *_, proportion_clipped, variance_floored, noisy_size_floored, _ = zip(*releases)
-    weights, squared_weights = memoised(_weights, design)
-    ci = _interval(
-        algorithm, budget, alpha, clip_interval,
-        ordered_sum(map(mul, weights, proportion)),
-        ordered_sum(map(mul, squared_weights, variance)),
-        ClipFlags(any(proportion_clipped), False, any(variance_floored), any(noisy_size_floored)),
-        noise_variances,
-    )
-    return ci, tuple(releases)
-
-
-def _public_sizes_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
-    """Per stratum: n_h, the proportion's sensitivity 1/n_h, (N_h - n_h)/N_h and the noise label."""
-    return (
-        tuple(s.sample_size for s in design),
-        tuple(1.0 / s.sample_size for s in design),
-        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
-        tuple(f"stratum_proportion[{h}]" for h in range(len(design))),
-    )
 
 
 def stratum_noise_public_sizes(
@@ -166,24 +132,41 @@ def stratum_noise_public_sizes(
     Spends the full (unsplit) budget.
     """
     check_paired(design, counts)
-    sizes, deltas, fpcs, labels = memoised(_public_sizes_facts, design)
+    facts = memoised(_design_facts, design)
+    row, rho = MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES], budget.rho
     # Stratum h draws its noise from stream child(h).
-    noisy, variances = gaussian_releases(
-        child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(sizes))),
-        [c / n for c, n in zip(counts.counts, sizes)],
-        deltas,
-        [budget.rho] * len(sizes),
-    )
-    releases = []
-    for n, fpc, value, s2 in zip(sizes, fpcs, noisy, variances):
-        p_tilde, was_clipped = _clip_unit(value) if clip_proportions else (value, False)
-        v_raw = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
-        v_tilde, floored = _floor_zero(v_raw)
-        releases.append(PrivateStratumRelease(p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored))
-    return _stratum_interval(
+    normals = child_normals(stream, *row.noise_shape(len(facts.sizes)))
+    releases, noise_variances = [], []
+    point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
+    any_clipped = any_floored = False
+    for c, n, delta, fpc, w, w2, z in zip(
+        counts.counts, facts.sizes, facts.deltas, facts.fpcs, facts.weights, facts.squared_weights, normals
+    ):
+        s2, sd = _noise_scale(delta, rho)
+        value = c / n if s2 == 0.0 else c / n + sd * z
+        if not math.isfinite(value):
+            raise _not_finite(rho)
+        was_clipped = not 0.0 <= value <= 1.0 if clip_proportions else False
+        p_tilde = (0.0 if value < 0.0 else 1.0) if was_clipped else value
+        v_tilde = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
+        floored = v_tilde < 0.0
+        if floored:
+            v_tilde = 0.0
+        any_clipped |= was_clipped
+        any_floored |= floored
+        releases.append(_release((
+            p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored, False, False,
+        )))
+        noise_variances.append(s2)
+        point += w * p_tilde
+        variance += w2 * v_tilde
+    ci = _interval(
         AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
-        design, releases, tuple(zip(labels, variances)),
+        point, variance,
+        ClipFlags(any_clipped, False, any_floored, False),
+        tuple(zip(_labels(len(releases), "stratum_proportion"), noise_variances)),
     )
+    return ci, tuple(releases)
 
 
 def population_noise_public_sizes(
@@ -211,36 +194,24 @@ def population_noise_public_sizes(
     sens = sensitivities(design)
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *row.noise_shape(len(design)))
-    (p_noisy,), (p_noise_variance,) = gaussian_releases(
-        (z_p,), (est.proportion,), (sens.proportion,), (budget.rho1,)
-    )
-    p_tilde, was_clipped = _clip_unit(p_noisy) if clip_proportions else (p_noisy, False)
+    (p_noisy,), p_noise_variance = gaussian_releases((z_p,), (est.proportion,), sens.proportion, budget.rho1)
+    was_clipped = not 0.0 <= p_noisy <= 1.0 if clip_proportions else False
+    p_tilde = (0.0 if p_noisy < 0.0 else 1.0) if was_clipped else p_noisy
     variance = est.variance + p_noise_variance
     if sens.variance == 0.0:
         # Every stratum is a census: the variance estimate is 0 whatever the
         # data, a sensitivity-0 query that is 0-zCDP, so it is released exactly.
         v_noisy, v_noise_variance = variance, 0.0
     else:
-        (v_noisy,), (v_noise_variance,) = gaussian_releases(
-            (z_v,), (variance,), (sens.variance,), (budget.rho2,)
-        )
-    v_tilde, floored = _floor_zero(v_noisy)
+        (v_noisy,), v_noise_variance = gaussian_releases((z_v,), (variance,), sens.variance, budget.rho2)
+    floored = v_noisy < 0.0
+    v_tilde = 0.0 if floored else v_noisy
     ci = _interval(
         AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
         ClipFlags(proportion_clipped=was_clipped, variance_floored=floored),
         (("population_proportion", p_noise_variance), ("variance_estimate", v_noise_variance)),
     )
     return ci, None
-
-
-def _private_sizes_facts(design: Sequence[StratumDesign]) -> tuple:
-    """The smallest n_h; per stratum float(n_h), (N_h, N_h - 1), and the count and size noise labels."""
-    return (
-        min(s.sample_size for s in design),
-        tuple(float(s.sample_size) for s in design),
-        tuple((s.population_size, s.population_size - 1) for s in design),
-        tuple(label for h in range(len(design)) for label in (f"stratum_count[{h}]", f"stratum_size[{h}]")),
-    )
 
 
 def stratum_noise_private_sizes(
@@ -268,8 +239,8 @@ def stratum_noise_private_sizes(
     """
     check_paired(design, counts)
     row = mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
-    smallest, sizes, populations, labels = memoised(_private_sizes_facts, design)
-    worst_cv = denominator_cv(smallest, budget.rho2)
+    facts = memoised(_design_facts, design)
+    worst_cv = denominator_cv(min(facts.sizes), budget.rho2)
     if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
         warnings.warn(
             f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
@@ -279,37 +250,56 @@ def stratum_noise_private_sizes(
             stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
         )
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
-    true_values = []
-    for c, n in zip(counts.counts, sizes):
-        true_values += (float(c), n)
-    noisy, variances = gaussian_releases(
-        child_normals(stream, *row.noise_shape(len(sizes))), true_values, [1.0] * len(true_values),
-        [budget.rho1, budget.rho2] * len(sizes),
+    normals = child_normals(stream, *row.noise_shape(len(facts.sizes)))
+    # A release is not finite only when its noise variance overflowed, which
+    # makes every release of that variance non-finite: checking every count
+    # before any size raises the error the stratum-by-stratum order would.
+    noisy_counts, count_variance = gaussian_releases(
+        normals[::2], list(map(float, counts.counts)), 1.0, budget.rho1
     )
+    noisy_sizes, size_variance = gaussian_releases(normals[1::2], facts.float_sizes, 1.0, budget.rho2)
     releases = []
-    for (N, N_less_1), c_noisy, n_noisy, count_variance, size_variance in zip(
-        populations, noisy[::2], noisy[1::2], variances[::2], variances[1::2]
+    point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
+    any_clipped = any_floored = any_size_floored = False
+    for (N, N_less_1), w, w2, c_noisy, n_noisy in zip(
+        facts.populations, facts.weights, facts.squared_weights, noisy_counts, noisy_sizes
     ):
         size_floored = n_noisy < NOISY_SIZE_FLOOR
         n_tilde = NOISY_SIZE_FLOOR if size_floored else n_noisy
         ratio = c_noisy / n_tilde
-        p_tilde, was_clipped = _clip_unit(ratio) if clip_proportions else (ratio, False)
-        fpc, fpc_floored = _floor_zero((N - n_tilde) / N_less_1)
+        was_clipped = not 0.0 <= ratio <= 1.0 if clip_proportions else False
+        p_tilde = (0.0 if ratio < 0.0 else 1.0) if was_clipped else ratio
+        fpc = (N - n_tilde) / N_less_1
+        fpc_floored = fpc < 0.0
+        if fpc_floored:
+            fpc = 0.0
         nsq = n_tilde * n_tilde
-        v_raw = (
+        v_tilde = (
             fpc * p_tilde * (1.0 - p_tilde) / n_tilde
             + count_variance / nsq
             + p_tilde * p_tilde * size_variance / nsq
         )
-        v_tilde, floored = _floor_zero(v_raw)
-        releases.append(PrivateStratumRelease(
+        floored = v_tilde < 0.0
+        if floored:
+            v_tilde = 0.0
+        any_clipped |= was_clipped
+        any_floored |= floored
+        any_size_floored |= size_floored
+        releases.append(_release((
             p_tilde, v_tilde, None, c_noisy, n_tilde, count_variance, size_variance,
             was_clipped, floored, size_floored, fpc_floored,
-        ))
-    return _stratum_interval(
+        )))
+        point += w * p_tilde
+        variance += w2 * v_tilde
+    ci = _interval(
         AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
-        design, releases, tuple(zip(labels, variances)),
+        point, variance,
+        ClipFlags(any_clipped, False, any_floored, any_size_floored),
+        tuple(zip(
+            _labels(len(releases), "stratum_count", "stratum_size"), [count_variance, size_variance] * len(releases)
+        )),
     )
+    return ci, tuple(releases)
 
 
 def _wn2(design: Sequence[StratumDesign]) -> list[float]:

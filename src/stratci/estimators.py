@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul, truediv
-from typing import Sequence
+from operator import attrgetter, mul, truediv
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,14 +69,24 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     return ((N - n) / (N - 1)) * p_h * (1.0 - p_h) / n
 
 
-def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
-    """Per stratum n_h, w_h, w_h**2 and (N_h - n_h)/N_h."""
-    return (
-        tuple(s.sample_size for s in design),
-        tuple(s.weight for s in design),
-        tuple(s.weight**2 for s in design),
-        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
-    )
+class _DesignFacts(NamedTuple):
+    """Per stratum, what the estimators and the private mechanisms read of a design."""
+
+    sizes: tuple[int, ...]                    # n_h
+    weights: tuple[float, ...]                # w_h
+    squared_weights: tuple[float, ...]        # w_h**2
+    fpcs: tuple[float, ...]                   # (N_h - n_h)/N_h
+    deltas: tuple[float, ...]                 # 1/n_h, the sensitivity of p_hat_h
+    float_sizes: tuple[float, ...]            # float(n_h)
+    populations: tuple[tuple[int, int], ...]  # (N_h, N_h - 1)
+
+
+def _design_facts(design: Sequence[StratumDesign]) -> _DesignFacts:
+    """The facts of every stratum, in one pass; keep them with ``memoised(_design_facts, design)``."""
+    return _DesignFacts(*zip(*[
+        (n, w, w**2, (N - n) / N, 1.0 / n, float(n), (N, N - 1))
+        for N, n, w in map(attrgetter("population_size", "sample_size", "weight"), design)
+    ]))
 
 
 def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: float, clip_interval: bool):
@@ -86,11 +96,11 @@ def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: floa
     zeros, as :func:`ordered_sum` adds for every R.
     """
     z = _wald_quantile(alpha)
-    facts = memoised(_estimate_facts, design)
-    if ((counts < 0) | (counts > np.array(facts[0])[:, None])).any():
+    facts = memoised(_design_facts, design)
+    if ((counts < 0) | (counts > np.array(facts.sizes)[:, None])).any():
         raise ValidationError("each count must lie in [0, n_h]")
     point, variance = np.zeros(counts.shape[1]), np.zeros(counts.shape[1])
-    for c, n, w, w2, fpc in zip(counts, *facts):
+    for c, n, w, w2, fpc in zip(counts, *facts[:4]):
         p = c / n
         point += w * p
         variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
@@ -110,7 +120,7 @@ def non_private_estimate(
     bit for bit.
     """
     check_paired(design, counts)
-    sizes, weights, squared_weights, fpcs = memoised(_estimate_facts, design)
+    sizes, weights, squared_weights, fpcs, *_ = memoised(_design_facts, design)
     per_stratum = tuple(map(truediv, counts.counts, sizes))
     stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(fpcs, per_stratum, sizes)])
     return NonPrivateEstimate(

@@ -17,42 +17,47 @@ class MechanismOutput(NamedTuple):
     noise_variance: float
 
 
+def _noise_scale(sensitivity: float, rho: float) -> tuple[float, float]:
+    """The noise variance sensitivity^2 / (2 rho) and its square root, once both inputs are checked."""
+    if not sensitivity > 0.0:
+        raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
+    if not rho > 0.0:
+        raise ValidationError(f"rho must be positive, got {rho}")
+    v = sensitivity * sensitivity / (2.0 * rho)
+    return v, v**0.5
+
+
+def _not_finite(rho: float) -> ValidationError:
+    """The error of a release whose noise variance overflowed."""
+    return ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
+
+
 def gaussian_releases(
-    normals: Sequence[float],
-    true_values: Sequence[float],
-    sensitivities: Sequence[float],
-    rhos: Sequence[float],
-) -> tuple[list[float], list[float]]:
-    """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, noise variances).
+    normals: Sequence[float], true_values: Sequence[float], sensitivity: float, rho: float
+) -> tuple[list[float], float]:
+    """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, the noise variance).
 
     Value i scales the standard normal ``normals[i]``, which must be a fresh
     draw of a stream no other release reads (the first draw of its own
-    stream, from ``randomness.standard_normals`` or ``child_normals``), and
-    has its own sensitivity and rho.  Each release satisfies rho-zCDP for a
-    sensitivity-``sensitivity`` query under the adjacency the sensitivity was
-    computed for.  A zero noise variance releases the true value exactly.
+    stream, from ``randomness.standard_normals`` or ``child_normals``).  All
+    values share one sensitivity and rho, so the scale is checked and computed
+    once.  Each release satisfies rho-zCDP for a sensitivity-``sensitivity``
+    query under the adjacency the sensitivity was computed for.  A zero noise
+    variance releases the true values exactly.
     """
-    values, noise_variances = [], []
-    for x, sensitivity, rho, z in zip(true_values, sensitivities, rhos, normals):
-        if not sensitivity > 0.0:
-            raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
-        if not rho > 0.0:
-            raise ValidationError(f"rho must be positive, got {rho}")
-        v = sensitivity * sensitivity / (2.0 * rho)
-        value = x if v == 0.0 else x + v**0.5 * z
-        if not math.isfinite(value):  # the variance overflowed
-            raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
-        values.append(value)
-        noise_variances.append(v)
-    return values, noise_variances
+    v, sd = _noise_scale(sensitivity, rho)
+    values = list(true_values) if v == 0.0 else [x + sd * z for x, z in zip(true_values, normals)]
+    if not all(map(math.isfinite, values)):  # the variance overflowed
+        raise _not_finite(rho)
+    return values, v
 
 
 def gaussian_mechanism(
     stream: RandomStream, true_value: float, sensitivity: float, rho: float
 ) -> MechanismOutput:
     """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
-    (value,), (noise_variance,) = gaussian_releases(
-        standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), (sensitivity,), (rho,)
+    (value,), noise_variance = gaussian_releases(
+        standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), sensitivity, rho
     )
     return MechanismOutput(value, noise_variance)
 

@@ -1,17 +1,47 @@
-"""Quadrature oracles for the analysis toolkit's series (needs scipy).
+"""Oracles the tests check the package against.
 
-The quadrature routines are the independent oracle the truncated
-reciprocal-moment series in ``stratci.analysis`` is checked against, built
-before the series and kept free of any series code.  They live with the
-tests because nothing at run time calls them, which keeps scipy a test-only
-dependency.
+The quadrature routines (they need scipy) are the independent oracle the
+truncated reciprocal-moment series in ``stratci.analysis`` is checked
+against, built before the series and kept free of any series code.  They
+live with the tests because nothing at run time calls them, which keeps
+scipy a test-only dependency.
+
+:func:`reference_release` is the release path as first written, before each
+private mechanism became one pass over its strata.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
+from operator import mul, truediv
+from typing import Sequence
 
-from stratci import ValidationError
+from stratci.core import (
+    AlgorithmTag,
+    CiResult,
+    ClipFlags,
+    PrivacyBudget,
+    StratumCounts,
+    StratumDesign,
+    ValidationError,
+    check_paired,
+    memoised,
+    ordered_sum,
+)
+from stratci.dp_ci import (
+    CV_NORMAL_APPROX_THRESHOLD,
+    MECHANISMS,
+    NOISY_SIZE_FLOOR,
+    PrivateStratumRelease,
+    RatioApproximationWarning,
+    denominator_cv,
+    mechanism,
+)
+from stratci.estimators import NonPrivateEstimate, wald_interval
+from stratci.mechanisms import sensitivities
+from stratci.randomness import RandomStream, child_normals
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -72,3 +102,316 @@ def truncated_even_moment(mu: float, sigma: float, half_width: float, order: int
         epsabs=0.0, epsrel=1e-13, limit=200,
     )
     return num / mass
+
+
+# --- The mechanisms as first written --------------------------------------
+#
+# The release bodies of ``stratci.dp_ci``, ``mechanisms.gaussian_releases``
+# and ``estimators.non_private_estimate`` as they stood before each mechanism
+# became one pass over its strata, copied verbatim with their fact helpers.
+# ``reference_release`` calls them as ``dp_ci.release`` calls the package's
+# own; a property test requires the same interval, releases, errors and
+# warnings from both, bit for bit.
+
+def gaussian_releases(
+    normals: Sequence[float],
+    true_values: Sequence[float],
+    sensitivities: Sequence[float],
+    rhos: Sequence[float],
+) -> tuple[list[float], list[float]]:
+    """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, noise variances).
+
+    Value i scales the standard normal ``normals[i]``, which must be a fresh
+    draw of a stream no other release reads (the first draw of its own
+    stream, from ``randomness.standard_normals`` or ``child_normals``), and
+    has its own sensitivity and rho.  Each release satisfies rho-zCDP for a
+    sensitivity-``sensitivity`` query under the adjacency the sensitivity was
+    computed for.  A zero noise variance releases the true value exactly.
+    """
+    values, noise_variances = [], []
+    for x, sensitivity, rho, z in zip(true_values, sensitivities, rhos, normals):
+        if not sensitivity > 0.0:
+            raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
+        if not rho > 0.0:
+            raise ValidationError(f"rho must be positive, got {rho}")
+        v = sensitivity * sensitivity / (2.0 * rho)
+        value = x if v == 0.0 else x + v**0.5 * z
+        if not math.isfinite(value):  # the variance overflowed
+            raise ValidationError(f"rho {rho!r} is too small: the noisy release is not finite")
+        values.append(value)
+        noise_variances.append(v)
+    return values, noise_variances
+
+
+def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
+    """Per stratum n_h, w_h, w_h**2 and (N_h - n_h)/N_h."""
+    return (
+        tuple(s.sample_size for s in design),
+        tuple(s.weight for s in design),
+        tuple(s.weight**2 for s in design),
+        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
+    )
+
+
+def non_private_estimate(
+    design: Sequence[StratumDesign], counts: StratumCounts
+) -> NonPrivateEstimate:
+    """Full non-private estimate: proportions plus variance estimates.
+
+    Each stratum variance equals :func:`stratum_variance_estimate` at p_hat_h,
+    bit for bit.
+    """
+    check_paired(design, counts)
+    sizes, weights, squared_weights, fpcs = memoised(_estimate_facts, design)
+    per_stratum = tuple(map(truediv, counts.counts, sizes))
+    stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(fpcs, per_stratum, sizes)])
+    return NonPrivateEstimate(
+        ordered_sum(map(mul, weights, per_stratum)),
+        per_stratum,
+        ordered_sum(map(mul, squared_weights, stratum_vars)),
+        stratum_vars,
+    )
+
+
+def _clip_unit(x: float) -> tuple[float, bool]:
+    if x < 0.0:
+        return 0.0, True
+    if x > 1.0:
+        return 1.0, True
+    return x, False
+
+
+def _floor_zero(v: float) -> tuple[float, bool]:
+    return (0.0, True) if v < 0.0 else (v, False)
+
+
+def _interval(
+    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
+    point: float, variance: float, flags: ClipFlags, noise_variances: tuple[tuple[str, float], ...],
+) -> CiResult:
+    """The Wald interval, clipped onto [0, 1] when ``clip_interval`` is set."""
+    ci = wald_interval(
+        point, variance, alpha, algorithm=algorithm, budget=budget, clipped=flags,
+        noise_variances=noise_variances,
+    )
+    return ci.clip_to_unit_interval() if clip_interval else ci
+
+
+def _weights(design: Sequence[StratumDesign]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per stratum w_h and w_h**2."""
+    return tuple(s.weight for s in design), tuple(s.weight**2 for s in design)
+
+
+def _stratum_interval(
+    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
+    design: Sequence[StratumDesign], releases: list[PrivateStratumRelease],
+    noise_variances: tuple[tuple[str, float], ...],
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    """The interval of the weighted per-stratum releases; a flag is set if any stratum set it."""
+    proportion, variance, *_, proportion_clipped, variance_floored, noisy_size_floored, _ = zip(*releases)
+    weights, squared_weights = memoised(_weights, design)
+    ci = _interval(
+        algorithm, budget, alpha, clip_interval,
+        ordered_sum(map(mul, weights, proportion)),
+        ordered_sum(map(mul, squared_weights, variance)),
+        ClipFlags(any(proportion_clipped), False, any(variance_floored), any(noisy_size_floored)),
+        noise_variances,
+    )
+    return ci, tuple(releases)
+
+
+def _public_sizes_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
+    """Per stratum: n_h, the proportion's sensitivity 1/n_h, (N_h - n_h)/N_h and the noise label."""
+    return (
+        tuple(s.sample_size for s in design),
+        tuple(1.0 / s.sample_size for s in design),
+        tuple((s.population_size - s.sample_size) / s.population_size for s in design),
+        tuple(f"stratum_proportion[{h}]" for h in range(len(design))),
+    )
+
+
+def stratum_noise_public_sizes(
+    stream: RandomStream,
+    design: Sequence[StratumDesign],
+    counts: StratumCounts,
+    budget: PrivacyBudget,
+    alpha: float,
+    *,
+    clip_proportions: bool = False,
+    clip_interval: bool = False,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    """Stratum-level noise with public sample sizes.
+
+    Per stratum: p_tilde_h = p_hat_h + N(0, 1/(2 rho n_h^2)), then the
+    bias-corrected variance estimate
+
+        V_tilde_h = ((N_h - n_h)/N_h) (p_tilde_h (1 - p_tilde_h) + s2) / (n_h - 1) + s2
+
+    with s2 the injected noise variance; adding s2 back inside undoes the
+    downward bias E[p_tilde(1-p_tilde)] = p_hat(1-p_hat) - s2.  Proportions
+    are clipped onto [0, 1] before the variance computation when requested.
+    Spends the full (unsplit) budget.
+    """
+    check_paired(design, counts)
+    sizes, deltas, fpcs, labels = memoised(_public_sizes_facts, design)
+    # Stratum h draws its noise from stream child(h).
+    noisy, variances = gaussian_releases(
+        child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(sizes))),
+        [c / n for c, n in zip(counts.counts, sizes)],
+        deltas,
+        [budget.rho] * len(sizes),
+    )
+    releases = []
+    for n, fpc, value, s2 in zip(sizes, fpcs, noisy, variances):
+        p_tilde, was_clipped = _clip_unit(value) if clip_proportions else (value, False)
+        v_raw = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
+        v_tilde, floored = _floor_zero(v_raw)
+        releases.append(PrivateStratumRelease(p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored))
+    return _stratum_interval(
+        AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
+        design, releases, tuple(zip(labels, variances)),
+    )
+
+
+def population_noise_public_sizes(
+    stream: RandomStream,
+    design: Sequence[StratumDesign],
+    counts: StratumCounts,
+    budget: PrivacyBudget,
+    alpha: float,
+    *,
+    clip_proportions: bool = False,
+    clip_interval: bool = False,
+) -> tuple[CiResult, None]:
+    """Population-level noise with public sample sizes.
+
+    p_tilde = p_hat + N(0, Dp^2/(2 rho1)); the variance estimate adds the
+    known extrinsic term Dp^2/(2 rho1) and is itself released through a
+    second Gaussian mechanism at sensitivity DV with budget rho2, or exactly
+    when every stratum is a census and DV is 0.  A noisy variance driven
+    negative is floored at zero (flagged), yielding a degenerate zero-width
+    interval rather than a failure.  No per-stratum quantity is released, so
+    the second element is always None.
+    """
+    est = non_private_estimate(design, counts)  # checks that counts pair with design
+    row = mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
+    sens = sensitivities(design)
+    # The proportion draws its noise from stream child(0), the variance from child(1).
+    z_p, z_v = child_normals(stream, *row.noise_shape(len(design)))
+    (p_noisy,), (p_noise_variance,) = gaussian_releases(
+        (z_p,), (est.proportion,), (sens.proportion,), (budget.rho1,)
+    )
+    p_tilde, was_clipped = _clip_unit(p_noisy) if clip_proportions else (p_noisy, False)
+    variance = est.variance + p_noise_variance
+    if sens.variance == 0.0:
+        # Every stratum is a census: the variance estimate is 0 whatever the
+        # data, a sensitivity-0 query that is 0-zCDP, so it is released exactly.
+        v_noisy, v_noise_variance = variance, 0.0
+    else:
+        (v_noisy,), (v_noise_variance,) = gaussian_releases(
+            (z_v,), (variance,), (sens.variance,), (budget.rho2,)
+        )
+    v_tilde, floored = _floor_zero(v_noisy)
+    ci = _interval(
+        AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
+        ClipFlags(proportion_clipped=was_clipped, variance_floored=floored),
+        (("population_proportion", p_noise_variance), ("variance_estimate", v_noise_variance)),
+    )
+    return ci, None
+
+
+def _private_sizes_facts(design: Sequence[StratumDesign]) -> tuple:
+    """The smallest n_h; per stratum float(n_h), (N_h, N_h - 1), and the count and size noise labels."""
+    return (
+        min(s.sample_size for s in design),
+        tuple(float(s.sample_size) for s in design),
+        tuple((s.population_size, s.population_size - 1) for s in design),
+        tuple(label for h in range(len(design)) for label in (f"stratum_count[{h}]", f"stratum_size[{h}]")),
+    )
+
+
+def stratum_noise_private_sizes(
+    stream: RandomStream,
+    design: Sequence[StratumDesign],
+    counts: StratumCounts,
+    budget: PrivacyBudget,
+    alpha: float,
+    *,
+    clip_proportions: bool = False,
+    clip_interval: bool = False,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    """Stratum-level noise protecting both counts and sample sizes.
+
+    Per stratum: c_tilde = c + N(0, 1/(2 rho1)); n_tilde = max(n + N(0,
+    1/(2 rho2)), 2); p_tilde = c_tilde / n_tilde, and
+
+        V_tilde_h = ((N_h - n_tilde)/(N_h - 1)) p_tilde (1-p_tilde) / n_tilde
+                    + 1/(2 rho1 n_tilde^2) + p_tilde^2 / (2 rho2 n_tilde^2),
+
+    the second-order moment expansion of the ratio-of-normals variance.  The
+    finite-population factor is floored at zero if the noisy size exceeds the
+    stratum population; the two additive noise terms are kept.  Warns when the
+    denominator's coefficient of variation strains the normal approximation.
+    """
+    check_paired(design, counts)
+    row = mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
+    smallest, sizes, populations, labels = memoised(_private_sizes_facts, design)
+    worst_cv = denominator_cv(smallest, budget.rho2)
+    if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
+        warnings.warn(
+            f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
+            f"{CV_NORMAL_APPROX_THRESHOLD}; the ratio's normal approximation may be poor",
+            RatioApproximationWarning,
+            # Name the line that called release, or this mechanism when called directly.
+            stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
+        )
+    # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
+    true_values = []
+    for c, n in zip(counts.counts, sizes):
+        true_values += (float(c), n)
+    noisy, variances = gaussian_releases(
+        child_normals(stream, *row.noise_shape(len(sizes))), true_values, [1.0] * len(true_values),
+        [budget.rho1, budget.rho2] * len(sizes),
+    )
+    releases = []
+    for (N, N_less_1), c_noisy, n_noisy, count_variance, size_variance in zip(
+        populations, noisy[::2], noisy[1::2], variances[::2], variances[1::2]
+    ):
+        size_floored = n_noisy < NOISY_SIZE_FLOOR
+        n_tilde = NOISY_SIZE_FLOOR if size_floored else n_noisy
+        ratio = c_noisy / n_tilde
+        p_tilde, was_clipped = _clip_unit(ratio) if clip_proportions else (ratio, False)
+        fpc, fpc_floored = _floor_zero((N - n_tilde) / N_less_1)
+        nsq = n_tilde * n_tilde
+        v_raw = (
+            fpc * p_tilde * (1.0 - p_tilde) / n_tilde
+            + count_variance / nsq
+            + p_tilde * p_tilde * size_variance / nsq
+        )
+        v_tilde, floored = _floor_zero(v_raw)
+        releases.append(PrivateStratumRelease(
+            p_tilde, v_tilde, None, c_noisy, n_tilde, count_variance, size_variance,
+            was_clipped, floored, size_floored, fpc_floored,
+        ))
+    return _stratum_interval(
+        AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
+        design, releases, tuple(zip(labels, variances)),
+    )
+
+
+def reference_release(
+    algorithm: AlgorithmTag,
+    stream: RandomStream,
+    design: Sequence[StratumDesign],
+    counts: StratumCounts,
+    budget: PrivacyBudget,
+    alpha: float,
+    *,
+    clip_proportions: bool = False,
+    clip_interval: bool = False,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
+    """What ``dp_ci.release`` returned, raised and warned before the one-pass mechanisms."""
+    return globals()[mechanism(algorithm).function](
+        stream, design, counts, budget, alpha,
+        clip_proportions=clip_proportions, clip_interval=clip_interval,
+    )

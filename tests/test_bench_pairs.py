@@ -54,3 +54,20 @@ def test_exit_code_and_report(tmp_path, monkeypatch, capsys, change_run, exit_co
     printed = capsys.readouterr().out
     assert f"correct {change_run['correct']}" in printed
     assert f"failed/attempted base 2/200  change {2 * change_run['failed']}/200" in printed
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_usage_error(tmp_path, monkeypatch, capsys, pairs):
+    bench_pairs = _load()
+
+    def run_once(*args):
+        pytest.fail("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", str(ROOT), "--change", str(ROOT), "--pairs", pairs])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main()
+    assert exit_info.value.code == 2
+    assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

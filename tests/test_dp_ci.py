@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 import warnings
@@ -35,6 +36,8 @@ from stratci import dp_ci, estimators
 from stratci.core import memoised
 from stratci.randomness import gaussian
 from test_cli import _release_repr
+
+import oracles
 
 DESIGN = build_design([(2000, 100)])
 COUNTS = StratumCounts((50,))
@@ -464,6 +467,105 @@ class TestReleaseProperties:
             assert abs((ci.upper - ci.lower) - width) <= rounding
 
 
+@st.composite
+def _reference_cases(draw):
+    """A release case for :class:`TestReferenceRelease`.
+
+    Up to 50 strata, drawn from a seeded generator (drawing each stratum
+    through Hypothesis made the test four times slower): census strata
+    (n_h = N_h, where the fpc floor fires on any upward size noise), strata a
+    few units larger than their sample, and large ones; sizes of 2-4 often,
+    where the noisy-size floor fires.  One design in four is all census.
+    Counts are 0 or n_h as often as in between.  The total rho is log-uniform
+    over 1e-310 to 1.7e308, or over 1e-4 to 10 where every floor and clip
+    fires, or one of those two ends: at the top 2 rho can overflow and the
+    releases are exact, at the bottom they overflow.  The split lies in
+    [0.01, 0.99].
+    """
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    census = draw(st.integers(0, 3)) == 0
+    rows = []
+    for _ in range(draw(st.integers(1, 50))):
+        n = rng.randint(2, 4) if rng.random() < 0.5 else rng.randint(2, 5000)
+        N = n + (0 if census else rng.choice((0, 0, 1, 3, 10**6)))
+        c = rng.choice((0, n)) if rng.random() < 0.5 else rng.randint(0, n)
+        rows.append((N, n, c))
+    design = build_design([(N, n) for N, n, _ in rows])
+    counts = StratumCounts(tuple(c for _, _, c in rows))
+    rho = draw(
+        st.floats(-310.0, math.log10(1.7e308)).map(lambda e: 10.0**e)
+        | st.floats(-4.0, 1.0).map(lambda e: 10.0**e)
+        | st.sampled_from((1e-310, 1.7e308))
+    )
+    rho1 = rho * draw(st.floats(0.01, 0.99))
+    return design, counts, PrivacyBudget(rho1, rho - rho1)
+
+
+def _outcome(mechanism, *args, **kwargs):
+    """(repr of the result or of the raised error, the warnings as (category, text, filename))."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(mechanism(*args, **kwargs))
+        except (ValidationError, InfeasibleError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return out, [(w.category, str(w.message), w.filename) for w in caught]
+
+
+class TestReferenceRelease:
+    """Each one-pass mechanism gives the bits, errors and warnings of the mechanisms as first written."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        case=_reference_cases(),
+        alpha=st.floats(1e-12, 0.999, exclude_min=True),
+        clip_proportions=st.booleans(),
+        clip_interval=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_release_matches_reference(self, case, alpha, clip_proportions, clip_interval, seed):
+        design, counts, budget = case
+        clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
+        for tag, direct in TestRelease.MECHANISMS.items():
+            args = (derive_stream(seed, [3]), design, counts, budget, alpha)
+            expected = _outcome(oracles.reference_release, tag, *args, **clips)
+            assert _outcome(release, tag, *args, **clips) == expected
+            direct_expected = _outcome(getattr(oracles, direct.__name__), *args, **clips)
+            assert _outcome(direct, *args, **clips) == direct_expected
+
+    def test_cases_reach_every_branch(self):
+        # Fixed cases in which every flag, the ratio warning, both overflow
+        # errors and the exact top-end release occur, so that the property
+        # above cannot pass on cases that miss them.
+        small = build_design([(2, 2), (3, 2), (4, 3), (2000, 4), (10, 10)] * 4)
+        counts = StratumCounts((0, 2, 3, 1, 10) * 4)
+        budgets = [PrivacyBudget(r / 2.0, r / 2.0) for r in (1e-310, 1e-3, 0.05, 1.0)]
+        budgets += [PrivacyBudget(1.6e308, 1e307), PrivacyBudget(1e307, 1.6e308)]  # 2 rho overflows
+        seen = set()
+        for budget, seed in [(b, k) for b in budgets for k in range(6)]:
+            for tag in TestRelease.MECHANISMS:
+                for clip_proportions in (False, True):
+                    args = (derive_stream(seed, [4]), small, counts, budget, 0.1)
+                    clips = {"clip_proportions": clip_proportions, "clip_interval": True}
+                    expected = _outcome(oracles.reference_release, tag, *args, **clips)
+                    assert _outcome(release, tag, *args, **clips) == expected
+                    out, caught = expected
+                    seen |= {category.__name__ for category, *_ in caught}
+                    if out.startswith("ValidationError"):
+                        seen.add(f"{tag.value}{out.split(':', 2)[1]}")
+                        continue
+                    ci, releases = oracles.reference_release(tag, *args, **clips)
+                    seen |= {f for f in vars(ci.clipped) if getattr(ci.clipped, f)}
+                    seen |= {f for r in releases or () for f in r._fields[7:] if getattr(r, f)}
+                    if any(v == 0.0 for _, v in ci.noise_variances):
+                        seen.add(f"{tag.value} exact")
+        assert seen >= {
+            "proportion_clipped", "interval_clipped", "variance_floored", "noisy_size_floored", "fpc_floored",
+            "RatioApproximationWarning", "str-pub rho 1.00000000000005e-310 is too small", "str-priv rho 5e-311 is too small",
+            "str-pub exact", "pop-pub exact", "str-priv exact",
+        }
+
+
 class TestDesignFacts:
     """Design facts are computed once per :class:`Design` and kept on it; any
     other sequence is computed afresh, and reusing a fact moves no bit."""
@@ -573,10 +675,7 @@ class TestDesignFacts:
     # Every per-design fact the package keeps, computed from a design.
     FACTS = (
         sensitivities,
-        lambda design: memoised(dp_ci._weights, design),
-        lambda design: memoised(dp_ci._public_sizes_facts, design),
-        lambda design: memoised(dp_ci._private_sizes_facts, design),
-        lambda design: memoised(estimators._estimate_facts, design),
+        lambda design: memoised(estimators._design_facts, design),
     )
 
     def test_design_keeps_each_fact_for_every_thread(self):

@@ -117,6 +117,8 @@ def main() -> int:
     parser.add_argument("--workload", action="append", help="workload to run (default: every one)")
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<change sha>.json)")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     base_root, change_root = args.base.resolve(), args.change.resolve()
     spec = json.loads((change_root / "BENCHMARK.json").read_text())

@@ -1,4 +1,4 @@
-"""Digest every output of the shipped configs, and compare two checkouts.
+"""Digest every output of the shipped configs and of ``stratci ci``, and compare two checkouts.
 
     python3 tools/output_digests.py ROOT [ROOT2]
 
@@ -9,8 +9,21 @@ subprocess.  One line is printed per config and output: the exit code of
 ``simulate`` and the SHA-256 of its ``summary.json`` and ``reps.csv``, and
 the SHA-256 of the stdout of ``qq`` with its exit code.  ``qq`` refuses a
 ``rho_grid`` config (exit 2), and that refusal is compared like any other
-output.  Given two roots, each line shows both sides, and the script exits 1
-if any of them differ.  The standard library is all it needs.
+output.
+
+Each checkout also runs ``stratci ci`` on a fixed 20-stratum input that this
+script writes (``CI_INPUT``: census strata, sample sizes of 2 and 3, counts
+of 0 and of n_h), once per private algorithm, output format, clip flag (none,
+``--clip-proportions``, ``--clip-interval``) and budget in ``CI_RHOS``.  At
+both budgets str-priv's proportion clip, noisy-size floor and fpc floor fire
+and its ratio warning is printed; at the smaller one every mechanism's
+proportion clip and interval clip fire.  One line is printed per run: its
+exit code and the SHA-256 of its stdout and stderr, with the checkout's root
+replaced in stderr.  This covers every per-stratum release the command
+prints, and the warning's text and the line it names.
+
+Given two roots, each line shows both sides, and the script exits 1 if any
+of them differ.  The standard library is all it needs.
 """
 
 from __future__ import annotations
@@ -34,6 +47,15 @@ def with_emit_reps(text: str) -> str:
     else:
         lines.append("emit_reps = true")
     return "\n".join(lines) + "\n"
+
+
+# (N_h, n_h, c_h) per stratum of the ``stratci ci`` input.
+CI_INPUT = [(40, 40, 0), (500, 2, 2), (800, 3, 0), (60, 60, 60)] + [
+    (1000 + 97 * h, 60 + 7 * h, (60 + 7 * h) * (3 + h) // 25) for h in range(16)
+]
+CI_RHOS = ("0.0001", "0.5")
+CI_ALGORITHMS = ("str-pub", "pop-pub", "str-priv")
+CI_CLIPS = ((), ("--clip-proportions",), ("--clip-interval",))
 
 
 def sha256(data: bytes) -> str:
@@ -62,6 +84,18 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
                 out[config.name, name] = sha256(path.read_bytes()) if path.is_file() else "missing"
             done = stratci(root, ["qq", "--config", str(cfg), "--grid", "99"], work)
             out[config.name, "qq --grid 99"] = f"exit {done.returncode} {sha256(done.stdout)}"
+        strata = work / "strata.csv"
+        strata.write_text("stratum_id,N_h,n_h,c_h\n" + "".join(f"{h},{N},{n},{c}\n" for h, (N, n, c) in enumerate(CI_INPUT)))
+        for rho in CI_RHOS:
+            for algorithm in CI_ALGORITHMS:
+                for fmt in ("json", "csv"):
+                    for clip in CI_CLIPS:
+                        argv = ["ci", "--input", str(strata), "--algorithm", algorithm, "--rho", rho, "--seed", "7",
+                                "--format", fmt, *clip]
+                        done = stratci(root, argv, work)
+                        stderr = done.stderr.replace(bytes(root), b"ROOT")
+                        name = " ".join((algorithm, fmt, *clip))
+                        out[f"ci --rho {rho}", name] = f"exit {done.returncode} {sha256(done.stdout + stderr)}"
     return out
 
 
@@ -81,7 +115,7 @@ def main() -> int:
         values = [side[key] for side in sides]
         mark = "" if len(set(values)) == 1 else "  DIFFERS"
         differ += bool(mark)
-        print(f"{key[0]:24s} {key[1]:14s} {'  '.join(values)}{mark}")
+        print(f"{key[0]:24s} {key[1]:34s} {'  '.join(values)}{mark}")
     if len(sides) == 2:
         print(f"{differ} of {len(sides[0])} outputs differ")
     return 1 if differ else 0
