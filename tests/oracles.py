@@ -113,6 +113,7 @@ def truncated_even_moment(mu: float, sigma: float, half_width: float, order: int
 # own; a property test requires the same interval, releases, errors and
 # warnings from both, bit for bit.
 
+
 def gaussian_releases(
     normals: Sequence[float],
     true_values: Sequence[float],
