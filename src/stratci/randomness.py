@@ -12,6 +12,12 @@ would.  A stream's draws are a pure function of its key, so the draws for a
 stream's children can travel with the stream value itself, which
 :func:`child_normals` then returns instead of drawing them again.
 
+Hypergeometric sample counts for many streams of one design are drawn
+lane-parallel by :class:`_CountSampler`, numpy's own ratio-of-uniforms
+sampler run over arrays of streams, again bit for bit.  Both bulk kernels
+are compared with numpy's scalar draws once per process, at the first bulk
+draw; on any difference, every draw is made stream by stream.
+
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for
 differentially private noise generation, out of scope here).
@@ -19,6 +25,9 @@ differentially private noise generation, out of scope here).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import threading
 from dataclasses import dataclass
 from itertools import repeat
@@ -191,7 +200,14 @@ def _philox_first_words(key0: int, key1: np.ndarray) -> np.ndarray:
 
 
 def _bulk_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
-    """:func:`standard_normals` over a uint64 array of stream ids, as float64.
+    """:func:`standard_normals` over a uint64 array of stream ids, as float64."""
+    if not _bulk_ok():
+        return np.array(standard_normals(base_seed, stream_ids.tolist()), dtype=np.float64)
+    return _ziggurat_normals(base_seed, stream_ids)
+
+
+def _ziggurat_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """The bulk kernel of :func:`_bulk_normals`.
 
     numpy's ziggurat (Marsaglia & Tsang 2000) reads one 64-bit word r:
     index r & 0xff, sign bit 8, and a 52-bit magnitude above it; the draw is
@@ -265,3 +281,215 @@ def hypergeometric_counts(
         int(gen.hypergeometric(K, N - K, n))
         for N, K, n in zip(population_sizes, positive_counts, sample_sizes)
     )
+
+
+_LOGFACT = np.frombuffer(_ziggurat.LOGFACT, dtype="<f8").tolist()
+_HALF_LN_2PI = 0.9189385332046728
+# Stadlober's hat constants 2 sqrt(2/e) and 3 - 2 sqrt(3/e), as numpy writes them.
+_D1, _D2 = 1.7155277699214135, 0.8989161620588988
+# A design whose g - gp tables would hold more entries than this falls back
+# to scalar draws; the twenty-stratum configs need about 3 000.
+_TABLE_CAP = 1 << 16
+# Blocks of fewer lanes draw stream by stream, which is then as fast.
+_MIN_LANES = 160
+# Vector tries per stratum before the lanes still rejecting finish one by one.
+_PASSES = 4
+
+
+def _logfactorial(k: int) -> float:
+    """numpy's ``logfactorial``: its table below 126, else Stirling's series to the 1/k**3 term."""
+    if k < 126:
+        return _LOGFACT[k]
+    return (k + 0.5) * math.log(k) - k + (_HALF_LN_2PI + (1.0 / k) * (1 / 12.0 - 1 / (360.0 * k * k)))
+
+
+class _Hrua:
+    """numpy's ``hypergeometric_hrua`` for one stratum (Stadlober 1989): its constants and ``g - gp`` table.
+
+    The draw is made on the smaller of (K, N - K) and of (n, N - n), then
+    mapped back.  ``table[k]`` holds T = g - gp(k) for k in [0, b), filled
+    as tries reach it, and ``table[b]`` holds -inf, so that a try outside
+    [0, b) fails both fast tests, as numpy's range test rejects it.
+    Every expression keeps the C code's operand order.
+    """
+
+    def __init__(self, N: int, K: int, n: int) -> None:
+        self.good, self.flip, self.complement = K, K > N - K, N - n < n
+        self.cs = cs = min(n, N - n)
+        self.lo = lo = min(K, N - K)
+        self.hi = hi = max(K, N - K)
+        p, q = lo / N, hi / N
+        self.a = cs * p + 0.5
+        c = math.sqrt(float(N - cs) * cs * p * q / (N - 1) + 0.5)
+        self.h = _D1 * c + _D2
+        m = math.floor(float(cs + 1) * (lo + 1) / (N + 2))
+        self.g = self._gp(m)
+        self.b = min(min(cs, lo) + 1, math.floor(self.a + 16 * c))
+        self.table = None  # made once the design's tables are known to fit
+
+    def _gp(self, k: int) -> float:
+        lf = _logfactorial
+        return lf(k) + lf(self.lo - k) + lf(self.cs - k) + lf(self.hi - self.cs + k)
+
+    def fill(self, ks: Iterable[int]) -> None:
+        """Compute the table entries at ``ks``."""
+        for k in ks:
+            self.table[k] = self.g - self._gp(k)
+
+    def finish(self, uniforms: Iterator[float]) -> tuple[int, int]:
+        """numpy's rejection loop on a lane's next doubles: (k, doubles read)."""
+        read = 0
+        while True:
+            u, v = next(uniforms), next(uniforms)
+            read += 2
+            if u == 0.0:  # X is infinite, which the range test rejects
+                continue
+            x = self.a + self.h * (v - 0.5) / u
+            if x < 0.0 or x >= self.b:
+                continue
+            k = math.floor(x)
+            if math.isnan(self.table[k]):
+                self.fill((k,))
+            t = float(self.table[k])
+            if u * (4.0 - u) - 3.0 <= t:
+                return k, read
+            if u * (u - t) >= 1:
+                continue
+            if 2.0 * math.log(u) <= t:
+                return k, read
+
+    def unmap(self, row: np.ndarray) -> None:
+        """numpy's map of the draws k back to counts, in place."""
+        if self.flip:
+            np.subtract(self.cs, row, out=row)
+        if self.complement:
+            np.subtract(self.good, row, out=row)
+
+
+def _doubles(key0: int, stream_id: int, word: int) -> Iterator[float]:
+    """The stream's ``next_double`` values from its word ``word`` on, from numpy's own Philox."""
+    bitgen = np.random.Philox(key=np.array([key0, stream_id], dtype=_U64), counter=word // 4)
+    bitgen.random_raw(word % 4)
+    while True:
+        yield (int(bitgen.random_raw()) >> 11) * 2.0**-53
+
+
+class _CountSampler:
+    """:func:`hypergeometric_counts` of one design, over lanes of streams at once.
+
+    ``counts(base_seed, ids)`` is the C-contiguous int64 (H x L) array whose
+    column i is ``hypergeometric_counts(RandomStream(base_seed, ids[i]), *design)``,
+    bit for bit.  It runs numpy's HRUA over the lanes: each lane reads its
+    stream's doubles, which numpy's Philox generator draws into a buffer,
+    two per try, from where its previous stratum stopped; after a few vector
+    passes the lanes still rejecting finish one at a time.  A census stratum
+    draws nothing.  A design with a stratum that numpy draws otherwise
+    (n < 10 or n > N - 10), or whose tables would pass ``_TABLE_CAP``, and a
+    block of fewer than ``_MIN_LANES`` lanes, draw stream by stream.
+    """
+
+    def __init__(self, population_sizes: Sequence[int], positive_counts: Sequence[int], sample_sizes: Sequence[int]):
+        self.design = tuple(population_sizes), tuple(positive_counts), tuple(sample_sizes)
+        # A census draws nothing: its count is K.  None marks a stratum outside HRUA.
+        strata = [K if n == N else _Hrua(N, K, n) if 10 <= n <= N - 10 else None for N, K, n in zip(*self.design)]
+        hrua = [s for s in strata if isinstance(s, _Hrua)]
+        self.strata = None
+        if None not in strata and sum(s.b + 1 for s in hrua) <= _TABLE_CAP:
+            self.strata = strata
+            for s in hrua:
+                s.table = np.full(s.b + 1, np.nan)
+                s.table[-1] = -math.inf
+        # Buffered doubles per lane: two per try, about 1.5 tries per stratum
+        # and some to spare; a lane that runs out reads on from numpy's Philox.
+        self.words = 2 * math.ceil((3 * len(hrua) + 6 * math.sqrt(len(hrua)) + 2 * _PASSES) / 2)
+
+    def counts(self, base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+        if self.strata is None or len(stream_ids) < _MIN_LANES or not _bulk_ok():
+            rows = [hypergeometric_counts(RandomStream(base_seed, i), *self.design) for i in stream_ids.tolist()]
+            return np.array(rows, dtype=np.int64).reshape(len(rows), len(self.design[0])).T.copy()
+        return self._lanes(base_seed, stream_ids)
+
+    # A try with U = 0 divides by zero, as in C; its X is infinite, and rejected.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _lanes(self, base_seed: int, ids: np.ndarray) -> np.ndarray:
+        L, W = len(ids), self.words
+        uniforms = np.empty((L, W))
+        scratch = _scratch
+        key, bitgen, template, draw = scratch.key, scratch.bitgen, scratch.template, scratch.gen.random
+        key[0] = base_seed & _MASK64
+        for row, sid in zip(uniforms, ids.tolist()):
+            key[1] = sid
+            bitgen.state = template
+            draw(out=row)
+        flat = uniforms.ravel()
+        pairs = uniforms.reshape(L * W // 2, 2)  # one (U, V) pair per try
+        cursor = np.arange(0, L * W // 2, W // 2)  # each lane's next pair
+        limit = cursor + (W // 2 - _PASSES)
+        out = np.empty((len(self.strata), L), dtype=np.int64)
+        for row, s in zip(out, self.strata):
+            if not isinstance(s, _Hrua):
+                row[:] = s
+                continue
+            fits = cursor <= limit
+            lanes, late = fits.nonzero()[0], (~fits).nonzero()[0]
+            at = cursor[lanes]
+            table = s.table
+            for _ in range(_PASSES):
+                uv = pairs[at]
+                at += 1
+                u, v = uv[:, 0], uv[:, 1]
+                x = s.a + s.h * (v - 0.5) / u
+                # k in [-1, b]; both ends read the -inf at table[b].
+                k = np.floor(np.minimum(np.maximum(x, -1.0, out=x), s.b, out=x), out=x).astype(np.intp)
+                t = table[k]
+                missing = np.isnan(t)
+                if missing.any():
+                    s.fill(set(k[missing].tolist()))
+                    t = table[k]
+                accept = u * (4.0 - u) - 3.0 <= t
+                # Neither fast test decides these; numpy's log test takes C's log.
+                close = (~accept & (u * (u - t) < 1)).nonzero()[0]
+                if close.size:
+                    logs = np.fromiter(map(math.log, u[close].tolist()), np.float64, close.size)
+                    accept[close] = 2.0 * logs <= t[close]
+                done = lanes[accept]
+                row[done], cursor[done] = k[accept], at[accept]
+                rest = ~accept
+                lanes, at = lanes[rest], at[rest]
+                if not lanes.size:
+                    break
+            cursor[lanes] = at
+            for lane in [*lanes.tolist(), *late.tolist()]:
+                word, stop = 2 * int(cursor[lane]), (lane + 1) * W
+                rest = itertools.chain(flat[word:stop].tolist(), _doubles(key[0], int(ids[lane]), max(W, word - lane * W)))
+                row[lane], read = s.finish(rest)
+                cursor[lane] += read // 2
+            s.unmap(row)
+        return out
+
+# The self-check's inputs: 256 stream ids per seed, nine in all on the
+# ziggurat's slow path, and designs whose lanes reach Stirling's branch of
+# logfactorial, the log test, both of numpy's maps back, K = 0 and a census.
+_CHECK_SEEDS = (0, 20240601)
+_CHECK_DESIGNS = (
+    ((5000, 2000, 40, 300), (3100, 700, 17, 0), (2600, 150, 40, 30)),
+    ((60, 1800, 200), (30, 1000, 150), (12, 1500, 100)),
+)
+
+
+@functools.cache
+def _bulk_ok() -> bool:
+    """Whether both bulk kernels draw numpy's own bits here, checked once per process at the first bulk draw.
+
+    The frozen tables and the kernels' constants were checked against numpy
+    2.4.6 only.  On a mismatch every later draw is made stream by stream.
+    """
+    ids = np.arange(256, dtype=_U64)
+    for seed in _CHECK_SEEDS:
+        if _ziggurat_normals(seed, ids).tolist() != standard_normals(seed, ids.tolist()):
+            return False
+        for design in _CHECK_DESIGNS:
+            expected = [list(hypergeometric_counts(RandomStream(seed, i), *design)) for i in ids.tolist()]
+            if _CountSampler(*design)._lanes(seed, ids).T.tolist() != expected:
+                return False
+    return True

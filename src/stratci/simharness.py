@@ -10,7 +10,9 @@ execution order never changes a summary bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,7 +33,7 @@ from .core import (
 )
 from .dp_ci import MECHANISMS, mechanism, release
 from .estimators import _wald_block, exact_stratum_variance
-from .randomness import RandomStream, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
+from .randomness import RandomStream, _CountSampler, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
 
 RHO_ONE_OVER_MAX_N = "1/max_n"
 # numpy's hypergeometric draw needs ngood and nbad below 10**9.
@@ -45,7 +47,7 @@ MAX_STRATA = 10_000
 # run_experiment draws the noise of a block of repetitions ahead, about this
 # many normals at a time: enough to amortise the bulk kernel's fixed cost of
 # some 300 numpy calls, few enough to keep a block's draws near a megabyte.
-# A block also holds at most this many counts, for its baseline.
+# A block of sample counts also holds at most this many counts.
 _NOISE_BLOCK_DRAWS = 1 << 14
 
 
@@ -73,6 +75,10 @@ class Population:
         object.__setattr__(self, "positive_counts", tuple(self.positive_counts))
         if len(self.stratum_sizes) != len(self.positive_counts):
             raise ValidationError("stratum sizes and positive counts must pair up")
+        for name, values in (("stratum_sizes", self.stratum_sizes), ("positive_counts", self.positive_counts)):
+            fractional = [v for v in values if not isinstance(v, numbers.Integral)]
+            if fractional:
+                raise ValidationError(f"{name} must be integers, got {fractional[0]!r}")
         for N, K in zip(self.stratum_sizes, self.positive_counts):
             if not 0 <= K <= N:
                 raise ValidationError(f"positive count {K} outside [0, {N}]")
@@ -113,6 +119,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        for name in ("strata", "repetitions", "min_sample_size"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) or (name == "min_sample_size" and value is None)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.strata <= MAX_STRATA:
             raise ValidationError(f"strata must lie in [1, {MAX_STRATA}], got {self.strata}")
         if not 1 <= self.repetitions <= MAX_REPETITIONS:
@@ -184,6 +194,8 @@ def _sample_sizes(
 ) -> tuple[int, ...]:
     sizes = []
     for h, (N, r) in enumerate(zip(population.stratum_sizes, rates)):
+        if not math.isfinite(r):
+            raise ValidationError(f"stratum {h}: rate must be a finite number, got {r}")
         n = _round_half_up(r * N)
         if min_sample_size is not None:
             n = max(n, min_sample_size)
@@ -261,6 +273,44 @@ def _set_up(config: ExperimentConfig) -> tuple[Population, tuple[StratumDesign, 
     return population, design, _resolve_rho(config, sample_sizes)
 
 
+class _SampleCounts:
+    """The sample counts of consecutive repetitions, drawn ahead a block of streams at a time.
+
+    ``runs`` lists, per run in turn, the stream-id prefix of its repetitions
+    and their order; a block may span runs, so that the grid points of a
+    sweep share blocks.  Repetition r of a run draws from stream
+    (base_seed, prefix r 0), as :func:`draw_sample` would from
+    ``derive_stream(base_seed, [..., r]).child(0)``.
+    """
+
+    def __init__(self, base_seed: int, population: Population, sample_sizes: Sequence[int], runs: list[tuple]):
+        self.base_seed = base_seed
+        self.sampler = _CountSampler(population.stratum_sizes, population.positive_counts, sample_sizes)
+        self.lanes = max(1, _NOISE_BLOCK_DRAWS // len(sample_sizes))
+        self.reps = ((prefix, rep) for prefix, order in runs for rep in order)
+        self.block = np.empty((len(sample_sizes), 0), dtype=np.int64)
+        self.at = 0
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` repetitions' counts, as an (H x n) array."""
+        parts = []
+        while n:
+            if self.at == self.block.shape[1]:
+                prefixes, reps = (np.array(v, dtype=np.uint64) for v in zip(*itertools.islice(self.reps, self.lanes)))
+                ids = _combine_array(_combine_array(prefixes, reps), np.uint64(0))
+                self.block, self.at = self.sampler.counts(self.base_seed, ids), 0
+            part = self.block[:, self.at:self.at + n]
+            parts.append(part)
+            self.at += part.shape[1]
+            n -= part.shape[1]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+
+def _prefix(base_seed: int, grid_index: int | None) -> int:
+    """The stream id that repetition indices extend: (base_seed) alone, or (base_seed, grid_index) in a sweep."""
+    return derive_stream(base_seed, [] if grid_index is None else [grid_index]).stream_id
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -273,13 +323,35 @@ def run_experiment(
     The population and the design (with the realized sampling rates) come
     from stream (base_seed, -1); repetition r draws its counts and releases
     from stream (base_seed, r), or (base_seed, grid_index, r) inside a
-    sweep.  A block of repetitions gets its non-private baselines in one
-    array pass; the private releases run one repetition per call.
-    ``rep_order`` only permutes execution; results are keyed by
-    repetition index and reduced in index order, so the summary is
-    order-invariant.
+    sweep.  The counts are drawn ahead in blocks of up to
+    ``_NOISE_BLOCK_DRAWS // H`` repetitions, lane-parallel by numpy's own
+    hypergeometric sampler (see ``randomness._CountSampler``).  A block of
+    repetitions draws every mechanism's noise in one bulk pass and gets its
+    non-private baselines in one array pass; the private releases run one
+    repetition per call.  ``rep_order`` only permutes execution; results
+    are keyed by repetition index and reduced in index order, so the
+    summary is order-invariant.
     """
-    population, design, rho = _set_up(config)
+    setup = population, design, _ = _set_up(config)
+    R = config.repetitions
+    order = range(R) if rep_order is None else rep_order
+    if rep_order is not None and sorted(rep_order) != list(range(R)):
+        raise ValidationError("rep_order must be a permutation of range(repetitions)")
+    sizes = tuple(s.sample_size for s in design)
+    counts = _SampleCounts(config.base_seed, population, sizes, [(_prefix(config.base_seed, grid_index), order)])
+    return _run(config, setup, order, counts, grid_index, keep_records)
+
+
+def _run(
+    config: ExperimentConfig,
+    setup: tuple[Population, tuple[StratumDesign, ...], float],
+    order: Sequence[int],
+    sample_counts: _SampleCounts,
+    grid_index: int | None,
+    keep_records: bool,
+) -> ExperimentSummary:
+    """:func:`run_experiment` on its set-up, taking each block's counts from ``sample_counts``."""
+    population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
     sample_sizes = tuple(s.sample_size for s in design)
@@ -296,26 +368,21 @@ def run_experiment(
         (cols, tag, np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
         for cols, tag in zip(columns, tags) if tag is not AlgorithmTag.NON_PRIVATE
     ]
-    order = range(R) if rep_order is None else rep_order
-    if rep_order is not None and sorted(rep_order) != list(range(R)):
-        raise ValidationError("rep_order must be a permutation of range(repetitions)")
     # Each block of repetitions draws every mechanism's noise in one bulk pass.
     block = max(1, _NOISE_BLOCK_DRAWS // max(len(design), sum(c * f for *_, (c, f) in private)))
     seed = config.base_seed
-    strata = (population.stratum_sizes, population.positive_counts, sample_sizes)
-    prefix = np.uint64(derive_stream(seed, [] if grid_index is None else [grid_index]).stream_id)
+    prefix = np.uint64(_prefix(seed, grid_index))
     for start in range(0, R, block):
         chunk = order[start:start + block]
         rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
         requests = [(_combine_array(rep_ids, child), *shape) for *_, child, shape in private]
         streams = _drawn_streams(seed, requests) if requests else []
-        sample_ids = _combine_array(rep_ids, np.uint64(0)).tolist()
-        drawn_counts = [hypergeometric_counts(RandomStream(seed, i), *strata) for i in sample_ids]
+        drawn_counts = sample_counts.take(len(chunk))
         # The block's baseline in one pass; the releases run one repetition at a time.
-        block_ci = _wald_block(design, np.array(drawn_counts).T.copy(), config.alpha, config.clip_interval)
+        block_ci = _wald_block(design, drawn_counts, config.alpha, config.clip_interval)
         for lower, upper, point in baselines:
             lower[chunk], upper[chunk], point[chunk] = block_ci
-        for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts), *streams):
+        for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts.T.tolist()), *streams):
             for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
                 ci, _ = release(
                     tag, stream, design, counts, budget, config.alpha,
@@ -393,11 +460,22 @@ def rho_sweep(
     """Re-run the experiment across a budget grid against the shared population.
 
     Grid point g uses repetition streams (base_seed, g, r), independent of
-    every other grid point.
+    every other grid point, and gives the summary that
+    ``run_experiment(..., grid_index=g)`` gives.  The grid points share
+    population, design and strata, so their sample counts are drawn
+    together: a block of counts runs on from one grid point's repetitions
+    into the next one's.
     """
+    configs = _grid_configs(config, rho_grid)
+    population, design, _ = _set_up(config)
+    sizes = tuple(s.sample_size for s in design)
+    order = range(config.repetitions)
+    counts = _SampleCounts(
+        config.base_seed, population, sizes, [(_prefix(config.base_seed, g), order) for g in range(len(configs))]
+    )
     return tuple(
-        (cfg.rho, run_experiment(cfg, keep_records=keep_records, grid_index=g))
-        for g, cfg in enumerate(_grid_configs(config, rho_grid))
+        (cfg.rho, _run(cfg, (population, design, _resolve_rho(cfg, sizes)), order, counts, g, keep_records))
+        for g, cfg in enumerate(configs)
     )
 
 

@@ -8,6 +8,11 @@ scipy a test-only dependency.
 
 :func:`reference_release` is the release path as first written, before each
 private mechanism became one pass over its strata.
+
+:func:`hypergeometric_trace` is numpy's ``random_hypergeometric`` for the
+strata the lane-parallel count kernel draws, transcribed line by line from
+numpy's C into scalar Python over numpy's own Philox words, recording which
+branches each draw reached, so that the tests can show what they covered.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+
+import numpy as np
 from operator import mul, truediv
 from typing import Sequence
 
+from stratci import _ziggurat
 from stratci.core import (
     AlgorithmTag,
     CiResult,
@@ -416,3 +424,81 @@ def reference_release(
         stream, design, counts, budget, alpha,
         clip_proportions=clip_proportions, clip_interval=clip_interval,
     )
+
+
+_LOGFACT = np.frombuffer(_ziggurat.LOGFACT, dtype="<f8").tolist()
+
+
+def hypergeometric_trace(
+    base_seed: int, stream_id: int, population_sizes, positive_counts, sample_sizes
+) -> tuple[tuple[int, ...], set[str]]:
+    """The counts ``hypergeometric_counts`` draws from stream (base_seed, stream_id), and the branches reached.
+
+    Every stratum must be a census (n = N, which draws nothing) or in
+    numpy's ratio-of-uniforms regime (10 <= n <= N - 10).  The branch names
+    are "census", "K in {0, N}", "range", "fast accept", "fast reject",
+    "log test", "stirling", "good > bad" and "cs < sample".
+    """
+    bitgen = np.random.Philox(key=np.array([base_seed & (2**64 - 1), stream_id], dtype=np.uint64))
+    reached = set()
+
+    def next_double() -> float:
+        return (int(bitgen.random_raw()) >> 11) * (1.0 / 9007199254740992.0)
+
+    def logfactorial(k: int) -> float:
+        if k < 126:
+            return _LOGFACT[k]
+        reached.add("stirling")
+        return (k + 0.5) * math.log(k) - k + (0.9189385332046728 + (1.0 / k) * (1 / 12.0 - 1 / (360.0 * k * k)))
+
+    counts = []
+    for popsize, good, sample in zip(population_sizes, positive_counts, sample_sizes):
+        if sample == popsize:
+            reached.add("census")
+            counts.append(good)
+            continue
+        assert 10 <= sample <= popsize - 10
+        bad = popsize - good
+        if good in (0, popsize):
+            reached.add("K in {0, N}")
+        computed_sample = min(sample, popsize - sample)
+        mingoodbad, maxgoodbad = min(good, bad), max(good, bad)
+        p = mingoodbad / popsize
+        q = maxgoodbad / popsize
+        mu = computed_sample * p
+        a = mu + 0.5
+        var = float(popsize - computed_sample) * computed_sample * p * q / (popsize - 1)
+        c = math.sqrt(var + 0.5)
+        h = 1.7155277699214135 * c + 0.8989161620588988
+        m = math.floor(float(computed_sample + 1) * (mingoodbad + 1) / (popsize + 2))
+        g = (logfactorial(m) + logfactorial(mingoodbad - m) + logfactorial(computed_sample - m)
+             + logfactorial(maxgoodbad - computed_sample + m))
+        b = min(min(computed_sample, mingoodbad) + 1, math.floor(a + 16 * c))
+        while True:
+            U = next_double()
+            V = next_double()
+            X = a + h * (V - 0.5) / U
+            if X < 0.0 or X >= b:
+                reached.add("range")
+                continue
+            K = math.floor(X)
+            gp = (logfactorial(K) + logfactorial(mingoodbad - K) + logfactorial(computed_sample - K)
+                  + logfactorial(maxgoodbad - computed_sample + K))
+            T = g - gp
+            if U * (4.0 - U) - 3.0 <= T:
+                reached.add("fast accept")
+                break
+            if U * (U - T) >= 1:
+                reached.add("fast reject")
+                continue
+            reached.add("log test")
+            if 2.0 * math.log(U) <= T:
+                break
+        if good > bad:
+            reached.add("good > bad")
+            K = computed_sample - K
+        if computed_sample < sample:
+            reached.add("cs < sample")
+            K = good - K
+        counts.append(K)
+    return tuple(counts), reached

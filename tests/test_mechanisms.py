@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratci import (
+    StratumCounts,
     ValidationError,
     build_design,
     build_design_with_weights,
@@ -13,6 +15,7 @@ from stratci import (
     gaussian_mechanism,
     sensitivities,
 )
+from stratci.estimators import non_private_estimate
 
 
 class TestGaussianMechanism:
@@ -92,3 +95,51 @@ class TestSensitivities:
         doubled = sensitivities(build_design([(2 * N, n) for N, n in sizes]))
         # weights are scale-free in N, so the proportion sensitivity is unchanged
         assert math.isclose(base.proportion, doubled.proportion, rel_tol=1e-12)
+
+
+# Each enumerated change is a difference of two rounded estimates, so a
+# change that equals a bound in exact arithmetic can come out a few ulps
+# above or below it (the least significant bits of a release are not exact;
+# Mironov, CCS 2012).  A relative slack of 1e-12 covers that rounding, some
+# thousand times over, and nothing a wrong bound would show.
+_SLACK = 1e-12
+
+
+@st.composite
+def _small_designs(draw):
+    """One to three strata with n_h <= 12; about a third of them censuses (n_h = N_h)."""
+    strata = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 12))
+        strata.append((draw(st.one_of(st.just(n), st.integers(n, 60))), n))
+    return build_design(strata)
+
+
+class TestSensitivityByEnumeration:
+    """Every count vector and every substitute-one neighbour of it, against sensitivities()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(design=_small_designs())
+    def test_bounds_hold_and_are_attained(self, design):
+        report = sensitivities(design)
+        estimates = {
+            counts: non_private_estimate(design, StratumCounts(counts))
+            for counts in itertools.product(*(range(s.sample_size + 1) for s in design))
+        }
+        # Substituting one record in stratum h moves c_h by one; the pair
+        # (c, c + e_h) stands for both directions.
+        largest_p = largest_v = 0.0
+        for counts, estimate in estimates.items():
+            for h, stratum in enumerate(design):
+                if counts[h] < stratum.sample_size:
+                    neighbour = estimates[counts[:h] + (counts[h] + 1,) + counts[h + 1:]]
+                    largest_p = max(largest_p, abs(neighbour.proportion - estimate.proportion))
+                    largest_v = max(largest_v, abs(neighbour.variance - estimate.variance))
+        assert report.proportion * (1 - _SLACK) <= largest_p <= report.proportion * (1 + _SLACK)
+        assert report.variance * (1 - _SLACK) <= largest_v <= report.variance * (1 + _SLACK)
+
+    def test_census_strata_add_no_variance_sensitivity(self):
+        design = build_design([(5, 5), (40, 12), (7, 7)])
+        report = sensitivities(design)
+        assert report.stratum_constants[0] == report.stratum_constants[2] == 0.0
+        assert report.variance == (report.stratum_constants[1] / 12) * (1 - 1 / 12)

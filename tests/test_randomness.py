@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratci import ValidationError, derive_stream
+import oracles
+from stratci import ValidationError, derive_stream, randomness
 from stratci.randomness import (
     _KI,
+    _MIN_LANES,
     RandomStream,
     _bulk_normals,
+    _CountSampler,
     _drawn_streams,
     _philox_first_words,
     _scratch,
@@ -304,3 +307,176 @@ class TestBulkNormals:
         # Its children and its generator are those of the plain stream.
         assert drawn.child(1, 0) == stream.child(1, 0)
         assert drawn.generator().standard_normal() == stream.generator().standard_normal()
+
+
+def _scalar_counts(base_seed, ids, design):
+    """The oracle: hypergeometric_counts stacked over the stream ids, as an (H x L) array."""
+    rows = [hypergeometric_counts(RandomStream(base_seed, i), *design) for i in ids.tolist()]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(design[0])).T
+
+
+@st.composite
+def _count_designs(draw):
+    """(N, K, n) lists of one to five strata.
+
+    Most strata are in numpy's ratio-of-uniforms regime, with N up to 5 * 10**4
+    so that logfactorial takes Stirling's branch; K = 0, K = N, K above N / 2
+    and n above N / 2 all occur, as do census strata and, now and then, a
+    stratum that numpy draws otherwise, which makes the design fall back.
+    """
+    strata = draw(st.lists(
+        st.tuples(
+            st.one_of(st.integers(20, 400), st.integers(400, 50_000)),
+            st.sampled_from(["any", "any", "none", "all"]),
+            st.sampled_from(["hrua"] * 8 + ["census", "small"]),
+            st.randoms(use_true_random=False),
+        ),
+        min_size=1, max_size=5,
+    ))
+    design = [], [], []
+    for N, positives, kind, rnd in strata:
+        K = {"any": rnd.randint(0, N), "none": 0, "all": N}[positives]
+        n = {"hrua": rnd.randint(10, N - 10), "census": N, "small": rnd.randint(2, 9)}[kind]
+        for column, value in zip(design, (N, K, n)):
+            column.append(value)
+    return design
+
+
+class TestCountKernel:
+    """The lane-parallel count kernel against scalar hypergeometric_counts, bit for bit."""
+
+    DRAWS_PER_EXAMPLE = 10_000
+
+    # 100 examples of at least 10 000 (stream, stratum) draws each compare
+    # 10**6 draws; each example also checks a block below the lane threshold
+    # and, when its design runs on lanes, a short block forced onto them.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_seed=st.one_of(st.integers(0, _MASK64), st.integers(2**64, 2**80)),
+        design=_count_designs(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_equals_scalar(self, base_seed, design, seed):
+        sampler = _CountSampler(*design)
+        H = len(design[0])
+        ids = np.random.default_rng(seed).integers(0, 2**64, size=-(-self.DRAWS_PER_EXAMPLE // H), dtype=np.uint64)
+        expected = _scalar_counts(base_seed, ids, design)
+        counts = sampler.counts(base_seed, ids)
+        assert counts.dtype == np.int64 and counts.flags.c_contiguous
+        assert np.array_equal(counts, expected)
+        small = ids[:_MIN_LANES - 1]
+        assert np.array_equal(sampler.counts(base_seed, small), expected[:, :small.size])
+        if sampler.strata is not None:
+            assert np.array_equal(sampler._lanes(base_seed, ids[:7]), expected[:, :7])
+
+    # Fixed designs whose draws, as the oracle traces them, reach every
+    # branch of numpy's sampler that the kernel reproduces.
+    BRANCH_DESIGNS = (
+        ((5000, 2000, 40, 300), (3100, 700, 17, 0), (2600, 150, 40, 30)),
+        ((60, 1800, 200, 300), (30, 1000, 150, 300), (12, 1500, 100, 40)),
+        ((100_000, 150_000), (49_000, 120_000), (60_000, 1_000)),
+    )
+
+    @pytest.mark.parametrize("design", BRANCH_DESIGNS, ids=["stirling-census", "small-N", "large-N"])
+    def test_kernel_reaches_every_branch(self, design):
+        ids = np.arange(600, dtype=np.uint64)
+        reached = set()
+        for i in ids.tolist():
+            counts, branches = oracles.hypergeometric_trace(11, i, *design)
+            assert counts == hypergeometric_counts(RandomStream(11, i), *design)
+            reached |= branches
+        assert _CountSampler(*design)._lanes(11, ids).T.tolist() == _scalar_counts(11, ids, design).T.tolist()
+        if design is self.BRANCH_DESIGNS[0]:
+            assert reached == {
+                "census", "K in {0, N}", "range", "fast accept", "fast reject", "log test", "stirling",
+                "good > bad", "cs < sample",
+            }
+
+    def test_lanes_past_the_buffer_read_on_from_numpy(self):
+        # With room for a few tries per lane, most lanes finish one by one and
+        # read past their buffered doubles.
+        design = ((1800, 1900, 1500, 2000), (900, 1200, 300, 1000), (140, 90, 60, 2000))
+        ids = np.random.default_rng(5).integers(0, 2**64, size=300, dtype=np.uint64)
+        sampler = _CountSampler(*design)
+        sampler.words = 2 * randomness._PASSES + 2
+        assert np.array_equal(sampler._lanes(3, ids), _scalar_counts(3, ids, design))
+
+    @pytest.mark.parametrize(
+        "design",
+        [((2000,), (1000,), (9,)), ((2000,), (1000,), (1991,)), ((2000, 30), (1000, 10), (100, 25)), ((10**6,), (5 * 10**5,), (4 * 10**5,))],
+        ids=["n-below-10", "n-above-N-minus-10", "small-stratum", "table-over-cap"],
+    )
+    def test_designs_outside_the_kernel_fall_back(self, design):
+        sampler = _CountSampler(*design)
+        assert sampler.strata is None
+        ids = np.arange(_MIN_LANES + 5, dtype=np.uint64)
+        assert np.array_equal(sampler.counts(2, ids), _scalar_counts(2, ids, design))
+
+    def test_all_census_draws_nothing(self):
+        design = ((50, 7), (20, 3), (50, 7))
+        ids = np.arange(_MIN_LANES, dtype=np.uint64)
+        assert _CountSampler(*design).counts(1, ids).tolist() == [[20] * _MIN_LANES, [3] * _MIN_LANES]
+
+
+@pytest.fixture
+def fresh_self_check():
+    """Run the bulk kernels' self-check again in this test, and again after it."""
+    check = randomness._bulk_ok
+    check.cache_clear()
+    yield check
+    check.cache_clear()
+
+
+class TestSelfCheck:
+    def test_check_ids_reach_the_ziggurat_slow_path(self):
+        ids = np.arange(256, dtype=np.uint64)
+        assert sum(int(_slow_path(seed, ids).sum()) for seed in randomness._CHECK_SEEDS) >= 5
+
+    def test_check_designs_reach_every_branch(self):
+        reached = set()
+        for seed in randomness._CHECK_SEEDS:
+            for design in randomness._CHECK_DESIGNS:
+                for i in range(256):
+                    reached |= oracles.hypergeometric_trace(seed, i, *design)[1]
+        assert {"log test", "stirling", "good > bad", "cs < sample", "census", "K in {0, N}"} <= reached
+
+    def test_kernels_agree_with_numpy_here(self, fresh_self_check):
+        assert randomness._bulk_ok() is True
+
+    def test_not_run_at_import(self):
+        import subprocess
+        import sys
+
+        code = "import stratci, stratci.randomness as r; print(r._bulk_ok.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("table", ["WI", "LOGFACT"])
+    def test_corrupt_table_falls_back_to_scalar(self, monkeypatch, fresh_self_check, table):
+        from stratci import ExperimentConfig, Uniform, run_experiment
+
+        config = ExperimentConfig(
+            strata=4, stratum_size=Uniform(100, 400), rate=Uniform(0.1, 0.4), proportion=Uniform(0.1, 0.9),
+            rho=0.05, repetitions=_MIN_LANES + 40, base_seed=3,
+        )
+        expected = run_experiment(config, keep_records=True)
+        if table == "WI":
+            # A tenth of a percent off, in the entry of a check id on the fast path.
+            r = int(_philox_first_words(0, np.array([0], dtype=np.uint64))[0])
+            assert not _slow_path(0, np.array([0], dtype=np.uint64))[0]
+            corrupt = randomness._WI.copy()
+            corrupt[r & 0xFF] *= 1.001
+        else:
+            # log(24!), which g of a check design and many tries here read.
+            corrupt = list(randomness._LOGFACT)
+            corrupt[24] += 1.0
+        monkeypatch.setattr(randomness, f"_{table}", corrupt)
+        # The corruption moves the kernels' bits ...
+        monkeypatch.setattr(randomness, "_bulk_ok", lambda: True)
+        assert run_experiment(config, keep_records=True) != expected
+        monkeypatch.undo()
+        monkeypatch.setattr(randomness, f"_{table}", corrupt)
+        fresh_self_check.cache_clear()
+        # ... the self-check sees it, and every draw is then made stream by stream.
+        assert run_experiment(config, keep_records=True) == expected
+        assert randomness._bulk_ok() is False

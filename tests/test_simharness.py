@@ -111,6 +111,21 @@ class TestDrawSample:
         with pytest.raises(InfeasibleError):  # n = 150 > N
             draw_sample(derive_stream(1, [0]), pop, (1.5,))
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        pop = Population((100, 200), (50, 60))
+        with pytest.raises(ValidationError, match=r"stratum 1: rate must be a finite number"):
+            draw_sample(derive_stream(1, [0]), pop, (0.2, rate))
+
+    @pytest.mark.parametrize(
+        "sizes, positives, field",
+        [((2000,), (1000.5,), "positive_counts"), ((2000.0,), (1000,), "stratum_sizes"), ((10, 20), (5, "6"), "positive_counts")],
+    )
+    def test_population_needs_integers(self, sizes, positives, field):
+        # numpy's draw used to truncate K = 1000.5 to 1000 without a word.
+        with pytest.raises(ValidationError, match=f"{field} must be integers"):
+            Population(sizes, positives)
+
     def test_unbiased_proportion_estimate(self):
         # E[p_hat] equals the true proportion across 1e5 redraws
         pop = Population((2000,), (700,))
@@ -306,6 +321,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="stratum_size values must be whole numbers"):
             _config(stratum_size=size)
 
+    @pytest.mark.parametrize("field", ["strata", "repetitions", "min_sample_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            _config(**{field: value})
+
     def test_config_is_frozen(self):
         cfg = _config()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -460,3 +481,61 @@ class TestBlockedNoise:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == sequential
+
+
+class TestCountBlocks:
+    """Sample counts are drawn a block of streams ahead; a sweep's grid points share blocks."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        lanes, real = [], randomness._CountSampler.counts
+
+        def counts(self, base_seed, stream_ids):
+            lanes.append(len(stream_ids))
+            return real(self, base_seed, stream_ids)
+
+        monkeypatch.setattr(randomness._CountSampler, "counts", counts)
+        return lanes
+
+    def test_sweep_blocks_span_grid_points(self, monkeypatch):
+        lanes = self._spy(monkeypatch)
+        config = _config(
+            strata=20, stratum_size=Uniform(1500, 2000), rate=Uniform(0.04, 0.08), repetitions=100, base_seed=5
+        )
+        grid = (0.001, 0.01, 0.1, 0.5, 1.0, 2.0)
+        sweep = rho_sweep(config, grid, keep_records=True)
+        assert lanes == [600]  # 16384 // 20 = 819 lanes hold all six grid points
+        # Each grid point is the run it would be alone, whose counts come in a block of its own.
+        for g, (rho, summary) in enumerate(sweep):
+            assert summary == run_experiment(dataclasses.replace(config, rho=rho), keep_records=True, grid_index=g)
+        assert lanes[1:] == [100] * 6
+
+    @pytest.mark.parametrize("H", [1, 3])
+    def test_uneven_blocks_equal_direct_releases(self, monkeypatch, H):
+        # Count blocks of 7 lanes over three grid points of 5 repetitions
+        # (5 + 2, 3 + 4, 1) straddle grid points and the smaller noise blocks.
+        monkeypatch.setattr(simharness, "_NOISE_BLOCK_DRAWS", 7 * H)
+        lanes = self._spy(monkeypatch)
+        config = _config(strata=H, stratum_size=Uniform(300, 900), repetitions=5, base_seed=9)
+        sweep = rho_sweep(config, (0.01, 0.02, 0.03), keep_records=True)
+        assert lanes == [7, 7, 1]
+        for g, (_, summary) in enumerate(sweep):
+            direct = TestBlockedNoise._direct(dataclasses.replace(config, rho=[0.01, 0.02, 0.03][g]), grid_index=g)
+            for i, (lower, upper, point) in enumerate(summary.records):
+                assert list(zip(lower, upper, point)) == [row[i] for row in direct]
+
+    def test_large_block_runs_on_lanes(self, monkeypatch):
+        ran = []
+        real = randomness._CountSampler._lanes
+
+        def spy(self, base_seed, ids):
+            ran.append(len(ids))
+            return real(self, base_seed, ids)
+
+        monkeypatch.setattr(randomness._CountSampler, "_lanes", spy)
+        config = _config(strata=2, stratum_size=Uniform(300, 900), repetitions=randomness._MIN_LANES, base_seed=4)
+        summary = run_experiment(config, keep_records=True)
+        assert ran == [randomness._MIN_LANES]
+        direct = TestBlockedNoise._direct(config)
+        for i, (lower, upper, point) in enumerate(summary.records):
+            assert list(zip(lower, upper, point)) == [row[i] for row in direct]

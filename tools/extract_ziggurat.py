@@ -1,15 +1,19 @@
-"""Freeze numpy's ziggurat tables for the standard normal into ``src/stratci/_ziggurat.py``.
+"""Freeze numpy's ziggurat and log-factorial tables into ``src/stratci/_ziggurat.py``.
 
     python3 tools/extract_ziggurat.py [--check]
 
 numpy's ``random_standard_normal`` (a Marsaglia & Tsang ziggurat) reads the
-tables ``ki_double`` (256 uint64) and ``wi_double`` (256 float64).  They are
-local symbols of ``src_distributions_distributions.c.o`` in the installed
-wheel's static library ``numpy/random/lib/libnpyrandom.a``.  This script
-parses the ``ar`` archive and the member's ELF64 symbol table and writes the
-two tables as hex literals, so that stratci's bulk normal kernel reproduces
-``Generator(Philox(key)).standard_normal()`` bit for bit without reading the
-wheel at import time.  With ``--check`` it writes nothing and exits 1 if the
+tables ``ki_double`` (256 uint64) and ``wi_double`` (256 float64), local
+symbols of ``src_distributions_distributions.c.o``; its ``logfactorial``,
+which ``random_hypergeometric`` calls, reads ``logfact`` (126 float64, log k!
+for k < 126), a local symbol of ``src_distributions_logfactorial.c.o``.
+Both members are in the installed wheel's static library
+``numpy/random/lib/libnpyrandom.a``.  This script parses the ``ar`` archive
+and each member's ELF64 symbol table and writes the three tables as hex
+literals, so that stratci's bulk kernels reproduce
+``Generator(Philox(key)).standard_normal()`` and ``.hypergeometric()`` bit
+for bit without reading the wheel at import time.  ``logfact`` cannot be
+recomputed: 58 of its entries differ from ``math.lgamma(k + 1)``.  With ``--check`` it writes nothing and exits 1 if the
 module differs from what it would write.  The standard library is all it
 needs; numpy is located, not imported.
 """
@@ -22,9 +26,11 @@ import struct
 import sys
 from pathlib import Path
 
-MEMBER = "src_distributions_distributions.c.o"
-SYMBOLS = ("ki_double", "wi_double")
-TABLE_SIZE = 256
+# Per archive member, its symbols in output order: (symbol, name in the module, entries, kind).
+TABLES = {
+    "src_distributions_distributions.c.o": (("ki_double", "KI", 256, "uint64"), ("wi_double", "WI", 256, "float64")),
+    "src_distributions_logfactorial.c.o": (("logfact", "LOGFACT", 126, "float64"),),
+}
 OUTPUT = Path(__file__).resolve().parent.parent / "src" / "stratci" / "_ziggurat.py"
 
 
@@ -85,20 +91,24 @@ def elf_symbols(obj: bytes, names: tuple[str, ...]) -> dict[str, bytes]:
 
 
 def module_text(tables: dict[str, bytes]) -> str:
+    specs = [spec for member in TABLES.values() for spec in member]
     lines = [
-        '"""numpy\'s ziggurat tables for the standard normal, as the bulk normal kernel reads them.',
+        '"""numpy\'s ziggurat and log-factorial tables, as the bulk kernels read them.',
         "",
         "Generated by ``tools/extract_ziggurat.py`` from the installed wheel's",
         "``numpy/random/lib/libnpyrandom.a``; do not edit.  Each literal holds",
-        f"{TABLE_SIZE} little-endian 8-byte entries: ``KI`` as uint64, ``WI`` as float64.",
+        "little-endian 8-byte entries: "
+        + ", ".join(f"``{name}`` {size} {kind}" for _, name, size, kind in specs) + ".",
+        "``KI`` and ``WI`` are the standard normal's ziggurat; ``LOGFACT[k]`` is",
+        "numpy's log(k!) for k < 126, which its hypergeometric sampler reads.",
         '"""',
         "",
     ]
-    for symbol in SYMBOLS:
+    for symbol, name, size, _ in specs:
         data = tables[symbol]
-        if len(data) != 8 * TABLE_SIZE:
-            raise SystemExit(f"{symbol} has {len(data)} bytes, expected {8 * TABLE_SIZE}")
-        lines.append(f"{symbol[:2].upper()} = bytes.fromhex(")
+        if len(data) != 8 * size:
+            raise SystemExit(f"{symbol} has {len(data)} bytes, expected {8 * size}")
+        lines.append(f"{name} = bytes.fromhex(")
         hexed = data.hex()
         lines += [f'    "{hexed[i:i + 64]}"' for i in range(0, len(hexed), 64)]
         lines.append(")")
@@ -109,8 +119,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--check", action="store_true", help="exit 1 if the module differs; write nothing")
     args = parser.parse_args()
-    member = ar_member(library_path().read_bytes(), MEMBER)
-    text = module_text(elf_symbols(member, SYMBOLS))
+    archive = library_path().read_bytes()
+    tables = {}
+    for member, specs in TABLES.items():
+        tables.update(elf_symbols(ar_member(archive, member), tuple(symbol for symbol, *_ in specs)))
+    text = module_text(tables)
     if args.check:
         current = OUTPUT.read_text() if OUTPUT.exists() else ""
         if current != text:
