@@ -327,6 +327,10 @@ class _Hrua:
         self.b = min(min(cs, lo) + 1, math.floor(self.a + 16 * c))
         self.table = None  # made once the design's tables are known to fit
 
+    def x(self, u, v):
+        """X = a + h (V - 0.5) / U of a try, over floats or arrays."""
+        return self.a + self.h * (v - 0.5) / u
+
     def _gp(self, k: int) -> float:
         lf = _logfactorial
         return lf(k) + lf(self.lo - k) + lf(self.cs - k) + lf(self.hi - self.cs + k)
@@ -344,7 +348,7 @@ class _Hrua:
             read += 2
             if u == 0.0:  # X is infinite, which the range test rejects
                 continue
-            x = self.a + self.h * (v - 0.5) / u
+            x = self.x(u, v)
             if x < 0.0 or x >= self.b:
                 continue
             k = math.floor(x)
@@ -438,7 +442,7 @@ class _CountSampler:
                 uv = pairs[at]
                 at += 1
                 u, v = uv[:, 0], uv[:, 1]
-                x = s.a + s.h * (v - 0.5) / u
+                x = s.x(u, v)
                 # k in [-1, b]; both ends read the -inf at table[b].
                 k = np.floor(np.minimum(np.maximum(x, -1.0, out=x), s.b, out=x), out=x).astype(np.intp)
                 t = table[k]

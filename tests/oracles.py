@@ -429,6 +429,41 @@ def reference_release(
 _LOGFACT = np.frombuffer(_ziggurat.LOGFACT, dtype="<f8").tolist()
 
 
+def logfactorial(k: int) -> float:
+    """numpy's ``logfactorial``, as written in C."""
+    const_halfln2pi = 0.9189385332046728
+    if k < len(_LOGFACT):
+        return _LOGFACT[k]
+    return (k + 0.5) * math.log(k) - k + (const_halfln2pi + (1.0 / k) * (1 / 12.0 - 1 / (360.0 * k * k)))
+
+
+def hrua_setup(good: int, bad: int, sample: int) -> dict:
+    """The variables ``hypergeometric_hrua`` sets before its loop, by their C names."""
+    popsize = good + bad
+    computed_sample = min(sample, popsize - sample)
+    mingoodbad = min(good, bad)
+    maxgoodbad = max(good, bad)
+    p = mingoodbad / popsize
+    q = maxgoodbad / popsize
+    mu = computed_sample * p
+    a = mu + 0.5
+    var = float(popsize - computed_sample) * computed_sample * p * q / (popsize - 1)
+    c = math.sqrt(var + 0.5)
+    h = 1.7155277699214135 * c + 0.8989161620588988
+    m = math.floor(float(computed_sample + 1) * (mingoodbad + 1) / (popsize + 2))
+    g = (logfactorial(m) + logfactorial(mingoodbad - m) + logfactorial(computed_sample - m)
+         + logfactorial(maxgoodbad - computed_sample + m))
+    b = min(min(computed_sample, mingoodbad) + 1, math.floor(a + 16 * c))
+    return dict(computed_sample=computed_sample, mingoodbad=mingoodbad, maxgoodbad=maxgoodbad, a=a, h=h, m=m, g=g, b=b)
+
+
+def hrua_t(setup: dict, K: int) -> float:
+    """T = g - gp of a try that landed on K."""
+    cs, lo, hi = setup["computed_sample"], setup["mingoodbad"], setup["maxgoodbad"]
+    gp = logfactorial(K) + logfactorial(lo - K) + logfactorial(cs - K) + logfactorial(hi - cs + K)
+    return setup["g"] - gp
+
+
 def hypergeometric_trace(
     base_seed: int, stream_id: int, population_sizes, positive_counts, sample_sizes
 ) -> tuple[tuple[int, ...], set[str]]:
@@ -445,12 +480,6 @@ def hypergeometric_trace(
     def next_double() -> float:
         return (int(bitgen.random_raw()) >> 11) * (1.0 / 9007199254740992.0)
 
-    def logfactorial(k: int) -> float:
-        if k < 126:
-            return _LOGFACT[k]
-        reached.add("stirling")
-        return (k + 0.5) * math.log(k) - k + (0.9189385332046728 + (1.0 / k) * (1 / 12.0 - 1 / (360.0 * k * k)))
-
     counts = []
     for popsize, good, sample in zip(population_sizes, positive_counts, sample_sizes):
         if sample == popsize:
@@ -461,19 +490,11 @@ def hypergeometric_trace(
         bad = popsize - good
         if good in (0, popsize):
             reached.add("K in {0, N}")
-        computed_sample = min(sample, popsize - sample)
-        mingoodbad, maxgoodbad = min(good, bad), max(good, bad)
-        p = mingoodbad / popsize
-        q = maxgoodbad / popsize
-        mu = computed_sample * p
-        a = mu + 0.5
-        var = float(popsize - computed_sample) * computed_sample * p * q / (popsize - 1)
-        c = math.sqrt(var + 0.5)
-        h = 1.7155277699214135 * c + 0.8989161620588988
-        m = math.floor(float(computed_sample + 1) * (mingoodbad + 1) / (popsize + 2))
-        g = (logfactorial(m) + logfactorial(mingoodbad - m) + logfactorial(computed_sample - m)
-             + logfactorial(maxgoodbad - computed_sample + m))
-        b = min(min(computed_sample, mingoodbad) + 1, math.floor(a + 16 * c))
+        setup = hrua_setup(good, bad, sample)
+        a, h, b, computed_sample = setup["a"], setup["h"], setup["b"], setup["computed_sample"]
+        m, lo, hi = setup["m"], setup["mingoodbad"], setup["maxgoodbad"]
+        if max(m, lo - m, computed_sample - m, hi - computed_sample + m) >= len(_LOGFACT):
+            reached.add("stirling")  # in g, which every draw reads
         while True:
             U = next_double()
             V = next_double()
@@ -482,9 +503,7 @@ def hypergeometric_trace(
                 reached.add("range")
                 continue
             K = math.floor(X)
-            gp = (logfactorial(K) + logfactorial(mingoodbad - K) + logfactorial(computed_sample - K)
-                  + logfactorial(maxgoodbad - computed_sample + K))
-            T = g - gp
+            T = hrua_t(setup, K)
             if U * (4.0 - U) - 3.0 <= T:
                 reached.add("fast accept")
                 break

@@ -392,14 +392,41 @@ class TestCountKernel:
                 "good > bad", "cs < sample",
             }
 
-    def test_lanes_past_the_buffer_read_on_from_numpy(self):
-        # With room for a few tries per lane, most lanes finish one by one and
-        # read past their buffered doubles.
+    @pytest.mark.parametrize("words", [2, 2 * randomness._PASSES + 2])
+    def test_lanes_past_the_buffer_read_on_from_numpy(self, words):
+        # With room for one try per lane, every lane finishes one by one and
+        # reads past its buffered doubles; with room for a few, many do.
         design = ((1800, 1900, 1500, 2000), (900, 1200, 300, 1000), (140, 90, 60, 2000))
         ids = np.random.default_rng(5).integers(0, 2**64, size=300, dtype=np.uint64)
         sampler = _CountSampler(*design)
-        sampler.words = 2 * randomness._PASSES + 2
+        sampler.words = words
         assert np.array_equal(sampler._lanes(3, ids), _scalar_counts(3, ids, design))
+
+    # A reordered expression moves the last bit of a constant, a table entry
+    # or a try's X far more often than it moves a count, so these are checked
+    # bit for bit against numpy's C, as tests/oracles.py transcribes it.
+    def test_logfactorial_is_numpys(self):
+        ks = range(200_000)
+        assert [randomness._logfactorial(k) for k in ks] == [oracles.logfactorial(k) for k in ks]
+
+    def test_constants_tables_and_tries_are_numpys(self):
+        rng = np.random.default_rng(8)
+        uv = rng.random((2, 2000))
+        # (N, K, n) = (90, 45, 25) and the like put (cs + 1)(lo + 1) / (N + 2)
+        # on a whole number, which another operand order floors to m - 1.
+        strata = [(90, 45, 25), (96, 48, 15), (108, 54, 27)]
+        for _ in range(300):
+            N = int(rng.choice([rng.integers(20, 400), rng.integers(400, 20_000)]))
+            strata.append((N, int(rng.integers(0, N + 1)), int(rng.integers(10, N - 9))))
+        for N, K, n in strata:
+            s = randomness._Hrua(N, K, n)
+            setup = oracles.hrua_setup(K, N - K, n)
+            assert (s.a, s.h, s.g, s.b) == (setup["a"], setup["h"], setup["g"], setup["b"])
+            s.table = np.full(s.b + 1, np.nan)
+            s.fill(range(s.b))
+            assert s.table[:-1].tolist() == [oracles.hrua_t(setup, k) for k in range(s.b)]
+            u, v = uv
+            assert s.x(u, v).tolist() == [setup["a"] + setup["h"] * (vi - 0.5) / ui for ui, vi in uv.T.tolist()]
 
     @pytest.mark.parametrize(
         "design",
