@@ -119,9 +119,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("strata", "repetitions", "min_sample_size"):
+        for name in ("strata", "repetitions", "min_sample_size", "base_seed"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) or (name == "min_sample_size" and value is None)):
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral or (name == "min_sample_size" and value is None)):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.strata <= MAX_STRATA:
             raise ValidationError(f"strata must lie in [1, {MAX_STRATA}], got {self.strata}")
@@ -132,7 +133,7 @@ class ExperimentConfig:
         if isinstance(self.rho, str):
             if self.rho != RHO_ONE_OVER_MAX_N:
                 raise ValidationError(f"rho must be a number or {RHO_ONE_OVER_MAX_N!r}, got {self.rho!r}")
-        elif not isinstance(self.rho, (int, float)) or not 0.0 < self.rho < math.inf:
+        elif isinstance(self.rho, bool) or not isinstance(self.rho, (int, float)) or not 0.0 < self.rho < math.inf:
             raise ValidationError(f"rho must be a finite positive number, got {self.rho!r}")
         if not (0.0 < self.split < 1.0):
             raise ValidationError(f"split must lie in (0, 1), got {self.split}")
@@ -276,11 +277,11 @@ def _set_up(config: ExperimentConfig) -> tuple[Population, tuple[StratumDesign, 
 class _SampleCounts:
     """The sample counts of consecutive repetitions, drawn ahead a block of streams at a time.
 
-    ``runs`` lists, per run in turn, the stream-id prefix of its repetitions
-    and their order; a block may span runs, so that the grid points of a
-    sweep share blocks.  Repetition r of a run draws from stream
-    (base_seed, prefix r 0), as :func:`draw_sample` would from
-    ``derive_stream(base_seed, [..., r]).child(0)``.
+    :func:`_run_all` builds one over every run: ``runs`` lists, per run in
+    turn, the stream-id prefix of its repetitions and their order.  A block
+    may span runs, so that the grid points of a sweep share blocks.
+    Repetition r of a run draws from stream (base_seed, prefix r 0), as
+    :func:`draw_sample` would from ``derive_stream(base_seed, [..., r]).child(0)``.
     """
 
     def __init__(self, base_seed: int, population: Population, sample_sizes: Sequence[int], runs: list[tuple]):
@@ -306,25 +307,18 @@ class _SampleCounts:
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _prefix(base_seed: int, grid_index: int | None) -> int:
-    """The stream id that repetition indices extend: (base_seed) alone, or (base_seed, grid_index) in a sweep."""
-    return derive_stream(base_seed, [] if grid_index is None else [grid_index]).stream_id
-
-
 def run_experiment(
     config: ExperimentConfig,
     *,
     rep_order: Sequence[int] | None = None,
     keep_records: bool = False,
-    grid_index: int | None = None,
 ) -> ExperimentSummary:
     """Run the configured repetitions against one fixed population.
 
     The population and the design (with the realized sampling rates) come
     from stream (base_seed, -1); repetition r draws its counts and releases
-    from stream (base_seed, r), or (base_seed, grid_index, r) inside a
-    sweep.  The counts are drawn ahead in blocks of up to
-    ``_NOISE_BLOCK_DRAWS // H`` repetitions, lane-parallel by numpy's own
+    from stream (base_seed, r).  The counts are drawn ahead in blocks of up
+    to ``_NOISE_BLOCK_DRAWS // H`` repetitions, lane-parallel by numpy's own
     hypergeometric sampler (see ``randomness._CountSampler``).  A block of
     repetitions draws every mechanism's noise in one bulk pass and gets its
     non-private baselines in one array pass; the private releases run one
@@ -332,14 +326,29 @@ def run_experiment(
     are keyed by repetition index and reduced in index order, so the
     summary is order-invariant.
     """
-    setup = population, design, _ = _set_up(config)
-    R = config.repetitions
-    order = range(R) if rep_order is None else rep_order
-    if rep_order is not None and sorted(rep_order) != list(range(R)):
+    order = range(config.repetitions) if rep_order is None else rep_order
+    if rep_order is not None and sorted(rep_order) != list(range(config.repetitions)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
+    return _run_all([(config, [], order)], keep_records)[0]
+
+
+def _run_all(runs: list[tuple], keep_records: bool) -> list[ExperimentSummary]:
+    """Each run's summary, from one set-up, one ``_SampleCounts`` and one prefix id per run.
+
+    A run is a config, a stream path and a repetition order; its repetition
+    r uses stream (base_seed, *path, r).  The configs differ in rho alone,
+    so the first one's population and design serve every run, and a block
+    of sample counts runs on from one run's repetitions into the next one's.
+    """
+    config = runs[0][0]
+    population, design, _ = _set_up(config)
     sizes = tuple(s.sample_size for s in design)
-    counts = _SampleCounts(config.base_seed, population, sizes, [(_prefix(config.base_seed, grid_index), order)])
-    return _run(config, setup, order, counts, grid_index, keep_records)
+    prefixes = [derive_stream(config.base_seed, path).stream_id for _, path, _ in runs]
+    counts = _SampleCounts(config.base_seed, population, sizes, [(p, order) for p, (*_, order) in zip(prefixes, runs)])
+    return [
+        _run(cfg, (population, design, _resolve_rho(cfg, sizes)), order, counts, prefix, keep_records)
+        for prefix, (cfg, _, order) in zip(prefixes, runs)
+    ]
 
 
 def _run(
@@ -347,10 +356,10 @@ def _run(
     setup: tuple[Population, tuple[StratumDesign, ...], float],
     order: Sequence[int],
     sample_counts: _SampleCounts,
-    grid_index: int | None,
+    prefix: int,
     keep_records: bool,
 ) -> ExperimentSummary:
-    """:func:`run_experiment` on its set-up, taking each block's counts from ``sample_counts``."""
+    """One run on its set-up: repetition r uses stream (base_seed, prefix r), its counts ``sample_counts``."""
     population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
@@ -358,30 +367,28 @@ def _run(
 
     R = config.repetitions
     tags = config.algorithms
-    # (lower, upper, point) columns per algorithm, indexed by repetition; the
-    # last row holds the non-private baseline that width ratios divide by.
-    columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in range(len(tags) + 1)]
-    baselines = [columns[-1], *(cols for cols, tag in zip(columns, tags) if tag is AlgorithmTag.NON_PRIVATE)]
-    baselines = [[np.frombuffer(column) for column in cols] for cols in baselines]  # written a block at once
+    # (lower, upper, point) columns per algorithm, indexed by repetition, and a
+    # last non-private row for width ratios to divide by if no algorithm is one.
+    row_tags = tags if AlgorithmTag.NON_PRIVATE in tags else (*tags, AlgorithmTag.NON_PRIVATE)
+    columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in row_tags]
+    base = row_tags.index(AlgorithmTag.NON_PRIVATE)
+    baseline = [np.frombuffer(column) for column in columns[base]]  # written a block at once
     # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
     private = [
         (cols, tag, np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
-        for cols, tag in zip(columns, tags) if tag is not AlgorithmTag.NON_PRIVATE
+        for cols, tag in zip(columns, row_tags) if tag is not AlgorithmTag.NON_PRIVATE
     ]
     # Each block of repetitions draws every mechanism's noise in one bulk pass.
     block = max(1, _NOISE_BLOCK_DRAWS // max(len(design), sum(c * f for *_, (c, f) in private)))
-    seed = config.base_seed
-    prefix = np.uint64(_prefix(seed, grid_index))
     for start in range(0, R, block):
         chunk = order[start:start + block]
-        rep_ids = _combine_array(prefix, np.array(chunk, dtype=np.uint64))
+        rep_ids = _combine_array(np.uint64(prefix), np.array(chunk, dtype=np.uint64))
         requests = [(_combine_array(rep_ids, child), *shape) for *_, child, shape in private]
-        streams = _drawn_streams(seed, requests) if requests else []
+        streams = _drawn_streams(config.base_seed, requests) if requests else []
         drawn_counts = sample_counts.take(len(chunk))
         # The block's baseline in one pass; the releases run one repetition at a time.
-        block_ci = _wald_block(design, drawn_counts, config.alpha, config.clip_interval)
-        for lower, upper, point in baselines:
-            lower[chunk], upper[chunk], point[chunk] = block_ci
+        for column, values in zip(baseline, _wald_block(design, drawn_counts, config.alpha, config.clip_interval)):
+            column[chunk] = values
         for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts.T.tolist()), *streams):
             for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
                 ci, _ = release(
@@ -402,7 +409,7 @@ def _run(
                 coverage=float(np.mean(covered[i])),
                 mean_width=float(np.mean(width[i])),
                 width_sd=float(np.std(width[i], ddof=1)) if R > 1 else 0.0,
-                mean_width_ratio=float(np.mean(width[i] / width[-1])) if width[-1].all() else None,
+                mean_width_ratio=float(np.mean(width[i] / width[base])) if width[base].all() else None,
                 mean_lower=float(np.mean(lower[i])),
                 mean_upper=float(np.mean(upper[i])),
             ),
@@ -411,7 +418,7 @@ def _run(
     )
     records = None
     if keep_records:
-        records = tuple(tuple(map(tuple, table)) for table in bounds[:-1].tolist())
+        records = tuple(tuple(map(tuple, table)) for table in bounds[:len(tags)].tolist())
     return ExperimentSummary(
         true_proportion=true_p,
         stratum_sizes=population.stratum_sizes,
@@ -460,27 +467,19 @@ def rho_sweep(
     """Re-run the experiment across a budget grid against the shared population.
 
     Grid point g uses repetition streams (base_seed, g, r), independent of
-    every other grid point, and gives the summary that
-    ``run_experiment(..., grid_index=g)`` gives.  The grid points share
-    population, design and strata, so their sample counts are drawn
-    together: a block of counts runs on from one grid point's repetitions
-    into the next one's.
+    every other grid point.  The grid points share population, design and
+    strata, so their sample counts are drawn together: a block of counts
+    runs on from one grid point's repetitions into the next one's.
     """
-    configs = _grid_configs(config, rho_grid)
-    population, design, _ = _set_up(config)
-    sizes = tuple(s.sample_size for s in design)
-    order = range(config.repetitions)
-    counts = _SampleCounts(
-        config.base_seed, population, sizes, [(_prefix(config.base_seed, g), order) for g in range(len(configs))]
-    )
-    return tuple(
-        (cfg.rho, _run(cfg, (population, design, _resolve_rho(cfg, sizes)), order, counts, g, keep_records))
-        for g, cfg in enumerate(configs)
-    )
+    runs = [(cfg, [g], range(config.repetitions)) for g, cfg in enumerate(_grid_configs(config, rho_grid))]
+    return tuple((summary.rho, summary) for summary in _run_all(runs, keep_records))
 
 
 def _grid_configs(config: ExperimentConfig, rho_grid: Sequence[float]) -> list[ExperimentConfig]:
     """One config per grid value, every value checked before any grid point runs."""
     if not rho_grid:
         raise ValidationError("rho grid must be nonempty")
+    for rho in rho_grid:
+        if isinstance(rho, bool) or not isinstance(rho, numbers.Real):
+            raise ValidationError(f"rho must be a finite positive number, got {rho!r}")
     return [replace(config, rho=float(rho)) for rho in rho_grid]

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py reports and fails on incorrect runs and on extra failed operations."""
+"""tools/bench_pairs.py reports and fails on incorrect runs, extra failed operations and metrics over their bound."""
 
 import importlib.util
 import json
@@ -54,6 +54,47 @@ def test_exit_code_and_report(tmp_path, monkeypatch, capsys, change_run, exit_co
     printed = capsys.readouterr().out
     assert f"correct {change_run['correct']}" in printed
     assert f"failed/attempted base 2/200  change {2 * change_run['failed']}/200" in printed
+
+
+@pytest.mark.parametrize(
+    "name, value, exit_code",
+    [
+        ("intervals_per_s", 0.7, 1),
+        ("intervals_per_s", 0.8, 0),
+        ("intervals_per_s", 1.3, 0),
+        ("peak_rss_mb", 1.06, 1),
+        ("peak_rss_mb", 1.04, 0),
+        ("peak_rss_mb", 0.9, 0),
+    ],
+    ids=["higher-over", "higher-within", "higher-better", "lower-over", "lower-within", "lower-better"],
+)
+def test_metric_over_its_bound_fails(tmp_path, monkeypatch, capsys, name, value, exit_code):
+    # The base reads 1.0 on every metric; the change differs on one.  The
+    # bounds in BENCHMARK.json are 25% for intervals_per_s and 5% for peak_rss_mb.
+    bench_pairs = _load()
+    base, change = tmp_path / "base", tmp_path / "change"
+    base.mkdir()
+    change.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_once(root, workload, seed, seconds):
+        values = {n: value if root == change and n == name else 1.0 for n in names}
+        return {"correct": True, "failed": 0, "attempted": 100,
+                "metrics": {n: {"value": v, "unit": "u"} for n, v in values.items()}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "record.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench_pairs.py", "--base", str(base), "--change", str(change), "--pairs", "2",
+        "--workload", "w", "--out", str(out),
+    ])
+    assert bench_pairs.main() == exit_code
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    assert [n for n, m in metrics.items() if m["over_bound"]] == ([name] if exit_code else [])
+    printed = capsys.readouterr()
+    assert printed.out.count("OVER BOUND") == exit_code
+    assert (f"FAIL w: {name} is worse than the base by more than its bound" in printed.err) == bool(exit_code)
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

@@ -764,7 +764,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("grid", ["0.01, 0.02, -1", "0.01, 0", "0.01, inf", "0.01, nan"])
     def test_bad_grid_value_fails_before_any_repetition(self, capsys, tmp_path, monkeypatch, grid):
         ran = []
-        monkeypatch.setattr(simharness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        monkeypatch.setattr(simharness, "_run", lambda *args, **kwargs: ran.append(args))
         cfg = tmp_path / "grid.cfg"
         cfg.write_text(SMOKE_CFG.replace("rho = 0.01", f"rho_grid = {grid}"))
         out_dir = tmp_path / "o"

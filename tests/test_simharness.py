@@ -169,6 +169,18 @@ class TestRunExperiment:
         rows = dict(summary.by_algorithm)
         assert rows[AlgorithmTag.NON_PRIVATE].mean_width_ratio == 1.0
 
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_width_ratios_without_nonprivate_match_with_it(self, clip):
+        # Without a configured nonprivate row, the ratios divide by a hidden baseline row.
+        private = ALL_TAGS[1:]
+        cfg = _config(strata=3, stratum_size=Uniform(300, 600), repetitions=60, clip_interval=clip, algorithms=private)
+        alone = run_experiment(cfg, keep_records=True)
+        with_baseline = dataclasses.replace(cfg, algorithms=(*private, AlgorithmTag.NON_PRIVATE))
+        both = run_experiment(with_baseline, keep_records=True)
+        assert all(row.mean_width_ratio is not None for _, row in alone.by_algorithm)
+        assert alone.by_algorithm == both.by_algorithm[:-1]
+        assert alone.records == both.records[:-1]
+
     def test_rho_rule_one_over_max_n(self):
         cfg = _config(
             strata=5,
@@ -238,10 +250,10 @@ class TestRhoSweep:
         with pytest.raises(ValidationError):
             rho_sweep(_config(), ())
 
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("inf"), float("nan"), "1/max_n", None, True])
     def test_bad_last_grid_value_fails_before_any_repetition(self, monkeypatch, bad):
         ran = []
-        monkeypatch.setattr(simharness, "run_experiment", lambda *args, **kwargs: ran.append(args))
+        monkeypatch.setattr(simharness, "_run", lambda *args, **kwargs: ran.append(args))
         with pytest.raises(ValidationError, match="rho must be a finite positive number"):
             rho_sweep(_config(), (0.01, 0.02, bad))
         assert ran == []
@@ -311,7 +323,7 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=r"proportion values must lie in \[0\.0, 1\.0\]"):
             _config(proportion=-0.1)
 
-    @pytest.mark.parametrize("rho", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("rho", [float("inf"), float("nan"), 0.0, -1.0, True])
     def test_rho_finite_positive(self, rho):
         with pytest.raises(ValidationError, match="rho must be a finite positive number"):
             _config(rho=rho)
@@ -321,8 +333,8 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="stratum_size values must be whole numbers"):
             _config(stratum_size=size)
 
-    @pytest.mark.parametrize("field", ["strata", "repetitions", "min_sample_size"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("field", ["strata", "repetitions", "min_sample_size", "base_seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             _config(**{field: value})
@@ -505,10 +517,10 @@ class TestCountBlocks:
         grid = (0.001, 0.01, 0.1, 0.5, 1.0, 2.0)
         sweep = rho_sweep(config, grid, keep_records=True)
         assert lanes == [600]  # 16384 // 20 = 819 lanes hold all six grid points
-        # Each grid point is the run it would be alone, whose counts come in a block of its own.
         for g, (rho, summary) in enumerate(sweep):
-            assert summary == run_experiment(dataclasses.replace(config, rho=rho), keep_records=True, grid_index=g)
-        assert lanes[1:] == [100] * 6
+            direct = TestBlockedNoise._direct(dataclasses.replace(config, rho=rho), grid_index=g)
+            for i, (lower, upper, point) in enumerate(summary.records):
+                assert list(zip(lower, upper, point)) == [row[i] for row in direct]
 
     @pytest.mark.parametrize("H", [1, 3])
     def test_uneven_blocks_equal_direct_releases(self, monkeypatch, H):

@@ -10,10 +10,12 @@ sides alike.  Each checkout runs its own ``bench/run.py`` from its own root.
 The record is written as JSON, by default to ``BENCH_<change sha>.json`` in
 the current directory: each side's git sha, the machine, and per workload and
 end-to-end metric the per-run values, median, quartiles and the pairs the
-change won.  A metric's direction comes from the change's ``BENCHMARK.json``.
-It prints each workload's correctness and each side's failed/attempted
-operations beside the medians, and exits 1 if any run reported incorrect
-results or the change failed a larger share of its operations than the base.
+change won.  A metric's direction and bound come from the change's
+``BENCHMARK.json``.  It prints each workload's correctness and each side's
+failed/attempted operations beside the medians, marks ``OVER BOUND`` each
+metric whose change median is worse than the base median by more than its
+bound, and exits 1 on such a metric, if any run reported incorrect results,
+or if the change failed a larger share of its operations than the base.
 The standard library is all it needs.
 """
 
@@ -87,14 +89,15 @@ def failed_share(failed: int, attempted: int) -> float:
     return failed / attempted if attempted else 0.0
 
 
-def compare(base: list[dict], change: list[dict], better: dict) -> dict:
-    """Per metric: each side's runs, and the pairs in which the change did better."""
+def compare(base: list[dict], change: list[dict], spec: dict) -> dict:
+    """Per metric: each side's runs, the pairs in which the change did better, and whether it is over its bound."""
     out = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in spec.items():
         b = [run["metrics"][name]["value"] for run in base]
         c = [run["metrics"][name]["value"] for run in change]
         sign = 1.0 if direction == "higher" else -1.0
         base_stats, change_stats = describe(b), describe(c)
+        median_change = change_stats["median"] / base_stats["median"] - 1.0
         out[name] = {
             "unit": base[0]["metrics"][name]["unit"],
             "better": direction,
@@ -102,8 +105,10 @@ def compare(base: list[dict], change: list[dict], better: dict) -> dict:
             "change": change_stats,
             "wins": sum(sign * (y - x) > 0.0 for x, y in zip(b, c)),
             "pairs": len(b),
-            "median_change": change_stats["median"] / base_stats["median"] - 1.0,
+            "median_change": median_change,
             "base_iqr": base_stats["q3"] - base_stats["q1"],
+            "bound": bound,
+            "over_bound": sign * median_change < -bound,
         }
     return out
 
@@ -122,7 +127,7 @@ def main() -> int:
 
     base_root, change_root = args.base.resolve(), args.change.resolve()
     spec = json.loads((change_root / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"base": git_state(base_root), "change": git_state(change_root)}
 
@@ -138,7 +143,7 @@ def main() -> int:
             "correct": all(run["correct"] for side in runs.values() for run in side),
             "failed": {side: sum(run["failed"] for run in side_runs) for side, side_runs in runs.items()},
             "attempted": {side: sum(run["attempted"] for run in side_runs) for side, side_runs in runs.items()},
-            "metrics": compare(runs["base"], runs["change"], better),
+            "metrics": compare(runs["base"], runs["change"], metrics),
         }
 
     record = {
@@ -157,7 +162,10 @@ def main() -> int:
               f"{failed['base']}/{attempted['base']}  change {failed['change']}/{attempted['change']}")
         for name, m in result["metrics"].items():
             print(f"{workload:20s} {name:16s} base {m['base']['median']:>12.6g}  change "
-                  f"{m['change']['median']:>12.6g}  {m['median_change']:+7.1%}  wins {m['wins']}/{m['pairs']}")
+                  f"{m['change']['median']:>12.6g}  {m['median_change']:+7.1%}  wins {m['wins']}/{m['pairs']}"
+                  + ("  OVER BOUND" if m["over_bound"] else ""))
+            if m["over_bound"]:
+                faults.append(f"{workload}: {name} is worse than the base by more than its bound {m['bound']:.0%}")
         if not result["correct"]:
             faults.append(f"{workload}: a run reported incorrect results")
         if failed_share(failed["change"], attempted["change"]) > failed_share(failed["base"], attempted["base"]):
