@@ -359,7 +359,7 @@ def _run(
     prefix: int,
     keep_records: bool,
 ) -> ExperimentSummary:
-    """One run on its set-up: repetition r uses stream (base_seed, prefix r), its counts ``sample_counts``."""
+    """One run on its set-up: repetition r uses stream (base_seed, prefix r) and counts from ``sample_counts``."""
     population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
