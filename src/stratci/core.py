@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -127,21 +128,31 @@ def build_design_with_weights(
 _T = TypeVar("_T")
 
 
-def memoised(compute: Callable[[Sequence[StratumDesign]], _T], design: Sequence[StratumDesign]) -> _T:
-    """``compute(design)``, kept on a :class:`Design` for its life.
+def memoised(compute: Callable[..., _T], design: Sequence[StratumDesign], budget: PrivacyBudget | None = None) -> _T:
+    """``compute(design)``, or ``compute(design, budget)``, kept on a :class:`Design`.
 
-    Any other sequence, such as a hand-built tuple or a list, is computed
-    afresh on each call, so mutating a list between calls is safe.  A
-    computation that raises keeps nothing, so it raises again next time.
+    A fact of the design alone is kept for the design's life.  A fact of a
+    budget too is kept for the budget's values (rho1, rho2) until a call with
+    other values replaces it: one (values, fact) pair per function, so the
+    facts a design keeps stay bounded, and a thread reads a whole pair or
+    none.  Any other sequence, such as a hand-built tuple or a list, is
+    computed afresh on each call, so mutating a list between calls is safe.
+    A computation that raises keeps nothing, so it raises again next time.
     """
     if type(design) is not Design:
-        return compute(design)
+        return compute(design) if budget is None else compute(design, budget)
     facts = design.__dict__
-    try:
-        return facts[compute]
-    except KeyError:
-        # Two threads may both compute; each returns the value stored first.
-        return facts.setdefault(compute, compute(design))
+    if budget is None:
+        try:
+            return facts[compute]
+        except KeyError:
+            # Two threads may both compute; each returns the value stored first.
+            return facts.setdefault(compute, compute(design))
+    key = (budget.rho1, budget.rho2)
+    kept = facts.get(compute)
+    if kept is None or kept[0] != key:
+        kept = facts[compute] = (key, compute(design, budget))
+    return kept[1]
 
 
 @dataclass(frozen=True)
@@ -168,18 +179,19 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
         )
-    memoised(_check_weights, design)
-    for h, (stratum, c) in enumerate(zip(design, counts.counts)):
-        if c > stratum.sample_size:
-            raise ValidationError(
-                f"count {c} exceeds sample size {stratum.sample_size} in stratum {h}"
-            )
+    sizes = memoised(_checked_sizes, design)
+    if any(map(operator.gt, counts.counts, sizes)):
+        for h, (c, n) in enumerate(zip(counts.counts, sizes)):
+            if c > n:
+                raise ValidationError(f"count {c} exceeds sample size {n} in stratum {h}")
 
 
-def _check_weights(design: Sequence[StratumDesign]) -> None:
+def _checked_sizes(design: Sequence[StratumDesign]) -> tuple[int, ...]:
+    """The sample sizes n_h, once the stratum weights are checked to sum to 1."""
     total_weight = ordered_sum(s.weight for s in design)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
+    return tuple(s.sample_size for s in design)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .core import (
     memoised,
     ordered_sum,
 )
-from .estimators import _design_facts, non_private_estimate, wald_interval
+from .estimators import _design_facts, wald_interval
 from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
@@ -132,20 +132,16 @@ def stratum_noise_public_sizes(
     Spends the full (unsplit) budget.
     """
     check_paired(design, counts)
-    facts = memoised(_design_facts, design)
-    row, rho = MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES], budget.rho
+    rows, noise_variances = memoised(_public_sizes_constants, design, budget)
     # Stratum h draws its noise from stream child(h).
-    normals = child_normals(stream, *row.noise_shape(len(facts.sizes)))
-    releases, noise_variances = [], []
+    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(rows)))
+    releases = []
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = False
-    for c, n, delta, fpc, w, w2, z in zip(
-        counts.counts, facts.sizes, facts.deltas, facts.fpcs, facts.weights, facts.squared_weights, normals
-    ):
-        s2, sd = _noise_scale(delta, rho)
+    for c, z, (n, s2, sd, fpc, w, w2) in zip(counts.counts, normals, rows):
         value = c / n if s2 == 0.0 else c / n + sd * z
         if not math.isfinite(value):
-            raise _not_finite(rho)
+            raise _not_finite(budget.rho)
         was_clipped = not 0.0 <= value <= 1.0 if clip_proportions else False
         p_tilde = (0.0 if value < 0.0 else 1.0) if was_clipped else value
         v_tilde = fpc * (p_tilde * (1.0 - p_tilde) + s2) / (n - 1) + s2
@@ -157,16 +153,21 @@ def stratum_noise_public_sizes(
         releases.append(_release((
             p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored, False, False,
         )))
-        noise_variances.append(s2)
         point += w * p_tilde
         variance += w2 * v_tilde
     ci = _interval(
         AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
-        point, variance,
-        ClipFlags(any_clipped, False, any_floored, False),
-        tuple(zip(_labels(len(releases), "stratum_proportion"), noise_variances)),
+        point, variance, ClipFlags(any_clipped, False, any_floored, False), noise_variances,
     )
     return ci, tuple(releases)
+
+
+def _public_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
+    """Per stratum (n_h, s2_h, sd_h, fpc_h, w_h, w_h**2), with s2_h = (1/n_h)^2/(2 rho), and the labelled s2_h."""
+    facts = memoised(_design_facts, design)
+    scales = [_noise_scale(delta, budget.rho) for delta in facts.deltas]
+    rows = tuple(zip(facts.sizes, *zip(*scales), facts.fpcs, facts.weights, facts.squared_weights))
+    return rows, tuple(zip(_labels(len(rows), "stratum_proportion"), [s2 for s2, _ in scales]))
 
 
 def population_noise_public_sizes(
@@ -189,29 +190,38 @@ def population_noise_public_sizes(
     interval rather than a failure.  No per-stratum quantity is released, so
     the second element is always None.
     """
-    est = non_private_estimate(design, counts)  # checks that counts pair with design
-    row = mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
-    sens = sensitivities(design)
+    check_paired(design, counts)
+    p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
+    facts = memoised(_design_facts, design)
+    point = variance = 0.0  # the non-private estimate, added stratum by stratum as ordered_sum adds
+    for c, n, w, w2, fpc in zip(counts.counts, *facts[:4]):
+        p = c / n
+        point += w * p
+        variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
     # The proportion draws its noise from stream child(0), the variance from child(1).
-    z_p, z_v = child_normals(stream, *row.noise_shape(len(design)))
-    (p_noisy,), p_noise_variance = gaussian_releases((z_p,), (est.proportion,), sens.proportion, budget.rho1)
+    z_p, z_v = child_normals(stream, *MECHANISMS[AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES].noise_shape(len(design)))
+    (p_noisy,) = gaussian_releases((z_p,), (point,), p_scale, budget.rho1)
     was_clipped = not 0.0 <= p_noisy <= 1.0 if clip_proportions else False
     p_tilde = (0.0 if p_noisy < 0.0 else 1.0) if was_clipped else p_noisy
-    variance = est.variance + p_noise_variance
-    if sens.variance == 0.0:
-        # Every stratum is a census: the variance estimate is 0 whatever the
-        # data, a sensitivity-0 query that is 0-zCDP, so it is released exactly.
-        v_noisy, v_noise_variance = variance, 0.0
-    else:
-        (v_noisy,), v_noise_variance = gaussian_releases((z_v,), (variance,), sens.variance, budget.rho2)
+    (v_noisy,) = gaussian_releases((z_v,), (variance + p_scale[0],), v_scale, budget.rho2)
     floored = v_noisy < 0.0
     v_tilde = 0.0 if floored else v_noisy
     ci = _interval(
         AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
-        ClipFlags(proportion_clipped=was_clipped, variance_floored=floored),
-        (("population_proportion", p_noise_variance), ("variance_estimate", v_noise_variance)),
+        ClipFlags(proportion_clipped=was_clipped, variance_floored=floored), noise_variances,
     )
     return ci, None
+
+
+def _population_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
+    """pop-pub's proportion and variance noise scales, and its labelled noise variances."""
+    mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
+    sens = sensitivities(design)
+    p_scale = _noise_scale(sens.proportion, budget.rho1)
+    # Every stratum a census makes the variance estimate 0 whatever the data:
+    # a sensitivity-0 query, 0-zCDP, released exactly.
+    v_scale = (0.0, 0.0) if sens.variance == 0.0 else _noise_scale(sens.variance, budget.rho2)
+    return p_scale, v_scale, (("population_proportion", p_scale[0]), ("variance_estimate", v_scale[0]))
 
 
 def stratum_noise_private_sizes(
@@ -238,26 +248,22 @@ def stratum_noise_private_sizes(
     denominator's coefficient of variation strains the normal approximation.
     """
     check_paired(design, counts)
-    row = mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
-    facts = memoised(_design_facts, design)
-    worst_cv = denominator_cv(min(facts.sizes), budget.rho2)
-    if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
+    warning, count_scale, size_scale, noise_variances = memoised(_private_sizes_constants, design, budget)
+    if warning:
         warnings.warn(
-            f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
-            f"{CV_NORMAL_APPROX_THRESHOLD}; the ratio's normal approximation may be poor",
-            RatioApproximationWarning,
+            warning, RatioApproximationWarning,
             # Name the line that called release, or this mechanism when called directly.
             stacklevel=3 if sys._getframe(1).f_globals is globals() else 2,
         )
+    facts = memoised(_design_facts, design)
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
-    normals = child_normals(stream, *row.noise_shape(len(facts.sizes)))
+    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES].noise_shape(len(facts.sizes)))
     # A release is not finite only when its noise variance overflowed, which
     # makes every release of that variance non-finite: checking every count
     # before any size raises the error the stratum-by-stratum order would.
-    noisy_counts, count_variance = gaussian_releases(
-        normals[::2], list(map(float, counts.counts)), 1.0, budget.rho1
-    )
-    noisy_sizes, size_variance = gaussian_releases(normals[1::2], facts.float_sizes, 1.0, budget.rho2)
+    noisy_counts = gaussian_releases(normals[::2], counts.counts, count_scale, budget.rho1)
+    noisy_sizes = gaussian_releases(normals[1::2], facts.float_sizes, size_scale, budget.rho2)
+    count_variance, size_variance = count_scale[0], size_scale[0]
     releases = []
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = any_size_floored = False
@@ -293,13 +299,25 @@ def stratum_noise_private_sizes(
         variance += w2 * v_tilde
     ci = _interval(
         AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
-        point, variance,
-        ClipFlags(any_clipped, False, any_floored, any_size_floored),
-        tuple(zip(
-            _labels(len(releases), "stratum_count", "stratum_size"), [count_variance, size_variance] * len(releases)
-        )),
+        point, variance, ClipFlags(any_clipped, False, any_floored, any_size_floored), noise_variances,
     )
     return ci, tuple(releases)
+
+
+def _private_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
+    """str-priv's ratio warning (None below the CV threshold), count and size noise scales and labelled variances."""
+    mechanism(AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget)  # checks the budget split
+    sizes = memoised(_design_facts, design).sizes
+    worst_cv = denominator_cv(min(sizes), budget.rho2)
+    warning = None
+    if worst_cv >= CV_NORMAL_APPROX_THRESHOLD:
+        warning = (
+            f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
+            f"{CV_NORMAL_APPROX_THRESHOLD}; the ratio's normal approximation may be poor"
+        )
+    count_scale, size_scale = _noise_scale(1.0, budget.rho1), _noise_scale(1.0, budget.rho2)
+    labels = _labels(len(sizes), "stratum_count", "stratum_size")
+    return warning, count_scale, size_scale, tuple(zip(labels, [count_scale[0], size_scale[0]] * len(sizes)))
 
 
 def _wn2(design: Sequence[StratumDesign]) -> list[float]:

@@ -33,33 +33,33 @@ def _not_finite(rho: float) -> ValidationError:
 
 
 def gaussian_releases(
-    normals: Sequence[float], true_values: Sequence[float], sensitivity: float, rho: float
-) -> tuple[list[float], float]:
-    """Release each true_value + N(0, sensitivity^2 / (2 rho)); returns (values, the noise variance).
+    normals: Sequence[float], true_values: Sequence[float], scale: tuple[float, float], rho: float
+) -> list[float]:
+    """Release each true_value + N(0, sensitivity^2 / (2 rho)), given ``scale = _noise_scale(sensitivity, rho)``.
 
     Value i scales the standard normal ``normals[i]``, which must be a fresh
     draw of a stream no other release reads (the first draw of its own
     stream, from ``randomness.standard_normals`` or ``child_normals``).  All
-    values share one sensitivity and rho, so the scale is checked and computed
-    once.  Each release satisfies rho-zCDP for a sensitivity-``sensitivity``
-    query under the adjacency the sensitivity was computed for.  A zero noise
-    variance releases the true values exactly.
+    values share one scale, which a caller releasing at a fixed design and
+    budget computes once.  Each release satisfies rho-zCDP for a
+    sensitivity-``sensitivity`` query under the adjacency the sensitivity
+    was computed for.  A zero noise variance releases the true values
+    exactly, as floats.
     """
-    v, sd = _noise_scale(sensitivity, rho)
-    values = list(true_values) if v == 0.0 else [x + sd * z for x, z in zip(true_values, normals)]
+    v, sd = scale
+    values = list(map(float, true_values)) if v == 0.0 else [x + sd * z for x, z in zip(true_values, normals)]
     if not all(map(math.isfinite, values)):  # the variance overflowed
         raise _not_finite(rho)
-    return values, v
+    return values
 
 
 def gaussian_mechanism(
     stream: RandomStream, true_value: float, sensitivity: float, rho: float
 ) -> MechanismOutput:
     """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
-    (value,), noise_variance = gaussian_releases(
-        standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), sensitivity, rho
-    )
-    return MechanismOutput(value, noise_variance)
+    scale = _noise_scale(sensitivity, rho)
+    (value,) = gaussian_releases(standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), scale, rho)
+    return MechanismOutput(value, scale[0])
 
 
 @dataclass(frozen=True)

@@ -329,19 +329,20 @@ def run_experiment(
     order = range(config.repetitions) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(config.repetitions)):
         raise ValidationError("rep_order must be a permutation of range(repetitions)")
-    return _run_all([(config, [], order)], keep_records)[0]
+    return _run_all(_set_up(config), [(config, [], order)], keep_records)[0]
 
 
-def _run_all(runs: list[tuple], keep_records: bool) -> list[ExperimentSummary]:
-    """Each run's summary, from one set-up, one ``_SampleCounts`` and one prefix id per run.
+def _run_all(setup: tuple, runs: list[tuple], keep_records: bool) -> list[ExperimentSummary]:
+    """Each run's summary, from the caller's set-up, one ``_SampleCounts`` and one prefix id per run.
 
     A run is a config, a stream path and a repetition order; its repetition
     r uses stream (base_seed, *path, r).  The configs differ in rho alone,
-    so the first one's population and design serve every run, and a block
-    of sample counts runs on from one run's repetitions into the next one's.
+    so the population and design of ``setup``, which is ``_set_up`` of the
+    first, serve every run, and a block of sample counts runs on from one
+    run's repetitions into the next one's.
     """
     config = runs[0][0]
-    population, design, _ = _set_up(config)
+    population, design, _ = setup
     sizes = tuple(s.sample_size for s in design)
     prefixes = [derive_stream(config.base_seed, path).stream_id for _, path, _ in runs]
     counts = _SampleCounts(config.base_seed, population, sizes, [(p, order) for p, (*_, order) in zip(prefixes, runs)])
@@ -442,9 +443,10 @@ def qq_data(
     # A grid finer than the largest run's repetitions adds no empirical information.
     if not 1 <= grid_size <= MAX_REPETITIONS:
         raise ValidationError(f"grid_size must lie in [1, {MAX_REPETITIONS}], got {grid_size}")
-    records = run_experiment(config, keep_records=True).records
+    setup = _set_up(config)
+    records = _run_all(setup, [(config, [], range(config.repetitions))], True)[0].records
     assert records is not None
-    population, design, rho = _set_up(config)
+    population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     p_h = population.stratum_proportions
     var_phat = ordered_sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
@@ -472,7 +474,7 @@ def rho_sweep(
     runs on from one grid point's repetitions into the next one's.
     """
     runs = [(cfg, [g], range(config.repetitions)) for g, cfg in enumerate(_grid_configs(config, rho_grid))]
-    return tuple((summary.rho, summary) for summary in _run_all(runs, keep_records))
+    return tuple((summary.rho, summary) for summary in _run_all(_set_up(runs[0][0]), runs, keep_records))
 
 
 def _grid_configs(config: ExperimentConfig, rho_grid: Sequence[float]) -> list[ExperimentConfig]:

@@ -920,7 +920,7 @@ class TestInputBoundary:
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(SMOKE_CFG)
         config, _, _ = _parse_config_file(str(cfg))
-        monkeypatch.setattr(simharness, "run_experiment", reached)
+        monkeypatch.setattr(simharness, "_set_up", reached)  # the first step after the grid check
         with pytest.raises(Reached):
             simharness.qq_data(config, MAX_REPETITIONS)
 

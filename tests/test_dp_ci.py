@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stratci import (
@@ -595,14 +595,19 @@ class TestDesignFacts:
 
     def test_threads_match_sequential(self):
         # The two designs share one counts object, so a fact of one sample
-        # filed under the other design would show.
+        # filed under the other design would show.  The threads release on
+        # both designs under two budgets in opposite turns, so each design's
+        # kept budget facts pass back and forth between the threads.
         designs = [build_design([(1500, 60), (2500, 100)]), build_design([(900, 45), (3000, 150)])]
+        budgets = [self.BUDGET, PrivacyBudget.total(self.BUDGET.rho, 0.6)]
         counts = StratumCounts((20, 45))
         tags = list(TestRelease.MECHANISMS)
 
         def releases(k):
             return [
-                repr(release(tags[i % 3], derive_stream(i, [1]), designs[k], counts, self.BUDGET, 0.1))
+                repr(release(
+                    tags[i % 3], derive_stream(i, [1]), designs[(i // 3 + k) % 2], counts, budgets[(i + k) % 2], 0.1
+                ))
                 for i in range(1000)
             ]
 
@@ -657,6 +662,37 @@ class TestDesignFacts:
         miss = parts(tuple(design), StratumCounts(counts.counts))
         assert first == hit == miss
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tag=st.sampled_from(list(TestRelease.MECHANISMS)),
+        design_counts=_designs(),
+        rho=st.floats(-8.0, 1.0).map(lambda e: 10.0**e),
+        splits=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2),
+        clip_proportions=st.booleans(),
+        clip_interval=st.booleans(),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_budget_constants_follow_the_budget(
+        self, tag, design_counts, rho, splits, clip_proportions, clip_interval, seed
+    ):
+        # Budget b has a's total rho at another split; a_again equals a in
+        # value but is a new object.  Released in turn on one design, each
+        # must give the bits of the same strata as a plain tuple.
+        design, counts = design_counts
+        try:
+            a, b = (PrivacyBudget.total(rho, split) for split in splits)
+        except ValidationError:
+            return
+        assume((a.rho1, a.rho2) != (b.rho1, b.rho2))
+        clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
+
+        def parts(design, budget):
+            out = self._release(tag, design, counts, budget, seed, **clips)
+            return repr(out) if isinstance(out, Exception) else _release_repr(*out)
+
+        for budget in (a, b, PrivacyBudget(a.rho1, a.rho2), a):
+            assert parts(design, budget) == parts(tuple(design), budget)
+
     @pytest.mark.parametrize("tag", list(TestRelease.MECHANISMS))
     def test_failure_is_not_kept(self, tag):
         design = build_design(self.DESIGN)
@@ -671,6 +707,52 @@ class TestDesignFacts:
         for _ in range(2):
             with pytest.raises(ValidationError, match="at least one stratum"):
                 sensitivities(())
+
+    def test_ratio_warning_on_every_call(self):
+        design, budget = build_design(self.DESIGN), PrivacyBudget(0.05, 1e-6)
+        tag = AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES
+        text = (
+            f"noisy-size coefficient of variation {dp_ci.denominator_cv(40, 1e-6):.3g} is at or above "
+            "0.1; the ratio's normal approximation may be poor"
+        )
+        lines = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for seed in range(3):
+                lines.append(sys._getframe().f_lineno + 1)
+                release(tag, derive_stream(seed, [1]), design, self.COUNTS, budget, 0.1)
+                lines.append(sys._getframe().f_lineno + 1)
+                stratum_noise_private_sizes(derive_stream(seed, [1]), design, self.COUNTS, budget, 0.1)
+        assert [w.category for w in caught] == [RatioApproximationWarning] * 6
+        assert [str(w.message) for w in caught] == [text] * 6
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line) for line in lines]
+
+    @pytest.mark.parametrize(
+        "tag", [AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES]
+    )
+    def test_split_error_on_every_call(self, tag):
+        design = build_design(self.DESIGN)
+        message = f"{tag.value} needs a budget split with rho1 > 0 and rho2 > 0, got rho1 = 1.0, rho2 = 0.0"
+        for _ in range(2):
+            with pytest.raises(ValidationError) as caught:
+                release(tag, derive_stream(0, [0]), design, self.COUNTS, PrivacyBudget(1.0, 0.0), 0.1)
+            assert str(caught.value) == message
+
+    def test_design_keeps_one_budget_per_fact(self):
+        design = build_design(self.DESIGN)
+        budgets = [PrivacyBudget.total(0.001 * (k + 1), 0.3) for k in range(1000)]
+        for budget in budgets[:1]:
+            for tag in TestRelease.MECHANISMS:
+                self._release(tag, design, self.COUNTS, budget)
+        kept = set(vars(design))
+        for budget in budgets[1:]:
+            for tag in TestRelease.MECHANISMS:
+                self._release(tag, design, self.COUNTS, budget)
+        assert set(vars(design)) == kept
+        # Three facts of a budget, each the one pair of the last budget's values.
+        last = (budgets[-1].rho1, budgets[-1].rho2)
+        pairs = [fact for fact in vars(design).values() if isinstance(fact, tuple) and fact[:1] == (last,)]
+        assert len(pairs) == len(TestRelease.MECHANISMS) and all(len(pair) == 2 for pair in pairs)
 
     # Every per-design fact the package keeps, computed from a design.
     FACTS = (

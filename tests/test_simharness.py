@@ -305,6 +305,17 @@ class TestQqData:
         with pytest.raises(ValidationError):
             qq_data(_config(repetitions=10), grid_size=0)
 
+    def test_population_is_built_once(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return generate_population(*args, **kwargs)
+
+        monkeypatch.setattr(simharness, "generate_population", spy)
+        qq_data(_config(repetitions=100), grid_size=9)
+        assert len(calls) == 1
+
 
 class TestConfigValidation:
     def test_bad_alpha(self):
