@@ -132,13 +132,16 @@ def stratum_noise_public_sizes(
     Spends the full (unsplit) budget.
     """
     check_paired(design, counts)
-    rows, noise_variances = memoised(_public_sizes_constants, design, budget)
+    facts = memoised(_design_facts, design)
+    scales, noise_variances = memoised(_public_sizes_constants, design, budget)
     # Stratum h draws its noise from stream child(h).
-    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(rows)))
+    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(scales)))
     releases = []
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = False
-    for c, z, (n, s2, sd, fpc, w, w2) in zip(counts.counts, normals, rows):
+    for c, n, (s2, sd), fpc, w, w2, z in zip(
+        counts.counts, facts.sizes, scales, facts.fpcs, facts.weights, facts.squared_weights, normals
+    ):
         value = c / n if s2 == 0.0 else c / n + sd * z
         if not math.isfinite(value):
             raise _not_finite(budget.rho)
@@ -163,11 +166,10 @@ def stratum_noise_public_sizes(
 
 
 def _public_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
-    """Per stratum (n_h, s2_h, sd_h, fpc_h, w_h, w_h**2), with s2_h = (1/n_h)^2/(2 rho), and the labelled s2_h."""
-    facts = memoised(_design_facts, design)
-    scales = [_noise_scale(delta, budget.rho) for delta in facts.deltas]
-    rows = tuple(zip(facts.sizes, *zip(*scales), facts.fpcs, facts.weights, facts.squared_weights))
-    return rows, tuple(zip(_labels(len(rows), "stratum_proportion"), [s2 for s2, _ in scales]))
+    """Per stratum the noise variance s2_h = (1/n_h)^2/(2 rho) and its square root, and the labelled s2_h."""
+    rho = budget.rho
+    scales = tuple([_noise_scale(delta, rho) for delta in memoised(_design_facts, design).deltas])
+    return scales, tuple(zip(_labels(len(scales), "stratum_proportion"), [s2 for s2, _ in scales]))
 
 
 def population_noise_public_sizes(

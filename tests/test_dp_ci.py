@@ -675,9 +675,9 @@ class TestDesignFacts:
     def test_budget_constants_follow_the_budget(
         self, tag, design_counts, rho, splits, clip_proportions, clip_interval, seed
     ):
-        # Budget b has a's total rho at another split; a_again equals a in
-        # value but is a new object.  Released in turn on one design, each
-        # must give the bits of the same strata as a plain tuple.
+        # Budget b has a's total rho at another split; the third budget equals
+        # a in value but is a new object.  Released in turn on one design,
+        # each must give the bits of the same strata as a plain tuple.
         design, counts = design_counts
         try:
             a, b = (PrivacyBudget.total(rho, split) for split in splits)
@@ -741,13 +741,15 @@ class TestDesignFacts:
     def test_design_keeps_one_budget_per_fact(self):
         design = build_design(self.DESIGN)
         budgets = [PrivacyBudget.total(0.001 * (k + 1), 0.3) for k in range(1000)]
-        for budget in budgets[:1]:
+
+        def release_all(budget):
             for tag in TestRelease.MECHANISMS:
                 self._release(tag, design, self.COUNTS, budget)
+
+        release_all(budgets[0])
         kept = set(vars(design))
         for budget in budgets[1:]:
-            for tag in TestRelease.MECHANISMS:
-                self._release(tag, design, self.COUNTS, budget)
+            release_all(budget)
         assert set(vars(design)) == kept
         # Three facts of a budget, each the one pair of the last budget's values.
         last = (budgets[-1].rho1, budgets[-1].rho2)

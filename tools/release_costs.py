@@ -66,10 +66,11 @@ def main(argv=None) -> None:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RatioApproximationWarning)
                 table[tag] += [per_call_us(tag, design, counts, streams, args.calls) for streams in (drawn, fresh)]
-    print("| mechanism | " + " | ".join(f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")) + " |")
-    print("|-----------|" + "-------------|" * 2 * len(STRATA))
+    heads = [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")]
+    print("| mechanism | " + " | ".join(heads) + " |")
+    print("|-----------|" + "|".join("-" * (len(head) + 2) for head in heads) + "|")
     for tag, cells in table.items():
-        print(f"| {tag.value:<9} | " + " | ".join(f"{us:<11.1f}" for us in cells) + " |")
+        print(f"| {tag.value:<9} | " + " | ".join(f"{us:<{len(head)}.1f}" for us, head in zip(cells, heads)) + " |")
 
 
 if __name__ == "__main__":
