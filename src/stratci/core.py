@@ -7,10 +7,11 @@ concurrent tasks.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -240,6 +241,17 @@ class ClipFlags:
     noisy_size_floored: bool = False
 
 
+# Every ClipFlags value, keyed by its four bools in field order: a release reads its flags here.
+_CLIP_FLAGS = {bits: ClipFlags(*bits) for bits in itertools.product((False, True), repeat=4)}
+
+
+def _clipped_to_unit(lower: float, upper: float, point: float) -> tuple[float, float, float] | None:
+    """(lower, upper, point) each clipped onto [0, 1], or None when none moves; lower <= point <= upper."""
+    if 0.0 <= lower and upper <= 1.0:
+        return None
+    return tuple([0.0 if x < 0.0 else min(x, 1.0) for x in (lower, upper, point)])
+
+
 @dataclass(frozen=True)
 class CiResult:
     """A confidence interval plus the provenance needed to audit it.
@@ -281,17 +293,15 @@ class CiResult:
         Data-independent, so the privacy guarantee and budget are unchanged.
         The flag is set only when a value actually moved.
         """
-        lower = min(max(self.lower, 0.0), 1.0)
-        upper = min(max(self.upper, 0.0), 1.0)
-        point = min(max(self.point_estimate, 0.0), 1.0)
-        if (lower, upper, point) == (self.lower, self.upper, self.point_estimate):
+        clipped = _clipped_to_unit(self.lower, self.upper, self.point_estimate)
+        if clipped is None:
             return self
-        return replace(
-            self,
-            lower=lower,
-            upper=upper,
-            point_estimate=point,
-            clipped=replace(self.clipped, interval_clipped=True),
+        lower, upper, point = clipped
+        flags = self.clipped
+        return CiResult(
+            point, self.variance_estimate, lower, upper, self.alpha, self.algorithm, self.budget_spent,
+            _CLIP_FLAGS[flags.proportion_clipped, True, flags.variance_floored, flags.noisy_size_floored],
+            self.noise_variances,
         )
 
 

@@ -32,18 +32,19 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
+    _CLIP_FLAGS,
     AlgorithmTag,
     CiResult,
-    ClipFlags,
     PrivacyBudget,
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _clipped_to_unit,
     check_paired,
     memoised,
     ordered_sum,
 )
-from .estimators import _design_facts, wald_interval
+from .estimators import _design_facts, _wald_bounds, wald_interval
 from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
@@ -98,15 +99,17 @@ def _labels(strata: int, *names: str) -> tuple[str, ...]:
 
 
 def _interval(
-    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
-    point: float, variance: float, flags: ClipFlags, noise_variances: tuple[tuple[str, float], ...],
+    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool, point: float,
+    variance: float, proportion_clipped: bool, variance_floored: bool, noisy_size_floored: bool,
+    noise_variances: tuple[tuple[str, float], ...],
 ) -> CiResult:
-    """The Wald interval, clipped onto [0, 1] when ``clip_interval`` is set."""
-    ci = wald_interval(
-        point, variance, alpha, algorithm=algorithm, budget=budget, clipped=flags,
-        noise_variances=noise_variances,
-    )
-    return ci.clip_to_unit_interval() if clip_interval else ci
+    """The bits and flags of ``wald_interval(...)``, then ``.clip_to_unit_interval()`` if asked, in one result."""
+    lower, upper = _wald_bounds(point, variance, alpha)
+    clipped = _clipped_to_unit(lower, upper, point) if clip_interval else None
+    if clipped is not None:
+        lower, upper, point = clipped
+    flags = _CLIP_FLAGS[proportion_clipped, clipped is not None, variance_floored, noisy_size_floored]
+    return CiResult(point, variance, lower, upper, alpha, algorithm, budget, flags, noise_variances)
 
 
 def stratum_noise_public_sizes(
@@ -135,7 +138,7 @@ def stratum_noise_public_sizes(
     facts = memoised(_design_facts, design)
     scales, noise_variances = memoised(_public_sizes_constants, design, budget)
     # Stratum h draws its noise from stream child(h).
-    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_shape(len(scales)))
+    normals = child_normals(stream, *_public_sizes_shape(len(scales)))
     releases = []
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = False
@@ -159,8 +162,7 @@ def stratum_noise_public_sizes(
         point += w * p_tilde
         variance += w2 * v_tilde
     ci = _interval(
-        AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval,
-        point, variance, ClipFlags(any_clipped, False, any_floored, False), noise_variances,
+        _PUBLIC_SIZES, budget, alpha, clip_interval, point, variance, any_clipped, any_floored, False, noise_variances,
     )
     return ci, tuple(releases)
 
@@ -201,7 +203,7 @@ def population_noise_public_sizes(
         point += w * p
         variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
     # The proportion draws its noise from stream child(0), the variance from child(1).
-    z_p, z_v = child_normals(stream, *MECHANISMS[AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES].noise_shape(len(design)))
+    z_p, z_v = child_normals(stream, *_population_shape(len(design)))
     (p_noisy,) = gaussian_releases((z_p,), (point,), p_scale, budget.rho1)
     was_clipped = not 0.0 <= p_noisy <= 1.0 if clip_proportions else False
     p_tilde = (0.0 if p_noisy < 0.0 else 1.0) if was_clipped else p_noisy
@@ -209,8 +211,7 @@ def population_noise_public_sizes(
     floored = v_noisy < 0.0
     v_tilde = 0.0 if floored else v_noisy
     ci = _interval(
-        AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget, alpha, clip_interval, p_tilde, v_tilde,
-        ClipFlags(proportion_clipped=was_clipped, variance_floored=floored), noise_variances,
+        _POPULATION, budget, alpha, clip_interval, p_tilde, v_tilde, was_clipped, floored, False, noise_variances,
     )
     return ci, None
 
@@ -259,7 +260,7 @@ def stratum_noise_private_sizes(
         )
     facts = memoised(_design_facts, design)
     # Stratum h releases its count from stream child(h, 0), its size from child(h, 1).
-    normals = child_normals(stream, *MECHANISMS[AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES].noise_shape(len(facts.sizes)))
+    normals = child_normals(stream, *_private_sizes_shape(len(facts.sizes)))
     # A release is not finite only when its noise variance overflowed, which
     # makes every release of that variance non-finite: checking every count
     # before any size raises the error the stratum-by-stratum order would.
@@ -300,8 +301,8 @@ def stratum_noise_private_sizes(
         point += w * p_tilde
         variance += w2 * v_tilde
     ci = _interval(
-        AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES, budget, alpha, clip_interval,
-        point, variance, ClipFlags(any_clipped, False, any_floored, any_size_floored), noise_variances,
+        _PRIVATE_SIZES, budget, alpha, clip_interval, point, variance, any_clipped, any_floored, any_size_floored,
+        noise_variances,
     )
     return ci, tuple(releases)
 
@@ -336,18 +337,19 @@ def _private_sizes_extrinsic(design, budget, p_h) -> float:
 class Mechanism(NamedTuple):
     """One private mechanism: how it is released, and its closed forms.
 
-    ``function`` names the release function, looked up at call time so that
-    a rebinding of that module-level name (a wrapper or a test double) also
-    reaches calls made through :func:`release`.  A repetition feeds it from
-    stream child ``1 + slot``, fixed per mechanism so that no config's choice
-    of algorithms shifts another's noise.  ``noise_shape(H)`` is the
-    (children, fan) of the ``randomness.child_normals`` call that draws its
-    noise at H strata.  ``splits_budget`` marks a need for rho1 > 0 and
-    rho2 > 0.  The closed forms are those of ``analysis``:
-    ``extrinsic_variance`` and ``mean_shift`` take (design, budget, per-stratum
-    proportions), read only if ``needs_proportions``; ``p_factor(p)``
-    multiplies 1/(p(1-p) n rho) in the one-stratum width ratio at the even
-    split, and ``bound_factor`` is its numerator minimized over p, fpc dropped.
+    ``function`` names the release function, looked up by ``_release_function``
+    on each :func:`release` call and once per harness run, so that a rebinding
+    of that module-level name (a wrapper or a test double) made before the call
+    or run reaches it.  A repetition feeds it from stream child ``1 + slot``,
+    fixed per mechanism so that no config's choice of algorithms shifts
+    another's noise.  ``noise_shape(H)`` is the (children, fan) of the
+    ``randomness.child_normals`` call that draws its noise at H strata.
+    ``splits_budget`` marks a need for rho1 > 0 and rho2 > 0.  The closed forms
+    are those of ``analysis``: ``extrinsic_variance`` and ``mean_shift`` take
+    (design, budget, per-stratum proportions), read only if
+    ``needs_proportions``; ``p_factor(p)`` multiplies 1/(p(1-p) n rho) in the
+    one-stratum width ratio at the even split, and ``bound_factor`` is its
+    numerator minimized over p, fpc dropped.
     """
 
     function: str
@@ -381,6 +383,11 @@ MECHANISMS = {
         lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
     ),
 }
+# Each body's tag and noise shape, bound from its row once: a release then reads no
+# member of AlgorithmTag, whose class attributes go through EnumType.__getattr__.
+(_PUBLIC_SIZES, _public_sizes_shape), (_POPULATION, _population_shape), (_PRIVATE_SIZES, _private_sizes_shape) = [
+    (tag, row.noise_shape) for tag, row in MECHANISMS.items()
+]
 
 
 def mechanism(algorithm: AlgorithmTag, budget: PrivacyBudget | None = None) -> Mechanism:
@@ -394,6 +401,11 @@ def mechanism(algorithm: AlgorithmTag, budget: PrivacyBudget | None = None) -> M
             f"got rho1 = {budget.rho1}, rho2 = {budget.rho2}"
         )
     return row
+
+
+def _release_function(algorithm: AlgorithmTag) -> Callable:
+    """The release function of ``algorithm``'s row, as this module binds its name now."""
+    return globals()[mechanism(algorithm).function]
 
 
 def release(
@@ -410,9 +422,9 @@ def release(
     """Release an interval through the private mechanism ``algorithm`` names.
 
     Returns what that mechanism returns: the interval, and its per-stratum
-    releases (None for the population-level mechanism).
+    releases (None for the population-level mechanism).  Looked up anew per call.
     """
-    return globals()[mechanism(algorithm).function](
+    return _release_function(algorithm)(
         stream, design, counts, budget, alpha,
         clip_proportions=clip_proportions, clip_interval=clip_interval,
     )

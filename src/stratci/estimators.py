@@ -143,6 +143,19 @@ def _wald_quantile(alpha: float) -> float:
     return normal_quantile(q)
 
 
+def _wald_bounds(estimate: float, variance: float, alpha: float) -> tuple[float, float]:
+    """estimate -/+ z_{1-alpha/2} sqrt(variance), checking alpha, then finiteness, then the variance's sign."""
+    z = _wald_quantile(alpha)
+    if not (math.isfinite(estimate) and math.isfinite(variance)):
+        raise ValidationError(
+            "the point or variance estimate is not finite; the privacy budget rho may be too small"
+        )
+    if variance < 0.0:
+        raise ValidationError(f"variance must be nonnegative, got {variance}")
+    half_width = z * variance**0.5
+    return estimate - half_width, estimate + half_width
+
+
 def wald_interval(
     estimate: float,
     variance: float,
@@ -154,25 +167,8 @@ def wald_interval(
     noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
-    z = _wald_quantile(alpha)
-    if not (math.isfinite(estimate) and math.isfinite(variance)):
-        raise ValidationError(
-            "the point or variance estimate is not finite; the privacy budget rho may be too small"
-        )
-    if variance < 0.0:
-        raise ValidationError(f"variance must be nonnegative, got {variance}")
-    half_width = z * variance**0.5
-    return CiResult(
-        point_estimate=estimate,
-        variance_estimate=variance,
-        lower=estimate - half_width,
-        upper=estimate + half_width,
-        alpha=alpha,
-        algorithm=algorithm,
-        budget_spent=budget,
-        clipped=clipped,
-        noise_variances=noise_variances,
-    )
+    lower, upper = _wald_bounds(estimate, variance, alpha)
+    return CiResult(estimate, variance, lower, upper, alpha, algorithm, budget, clipped, noise_variances)
 
 
 def non_private_ci(

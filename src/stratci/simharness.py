@@ -31,7 +31,7 @@ from .core import (
     normal_quantile,
     ordered_sum,
 )
-from .dp_ci import MECHANISMS, mechanism, release
+from .dp_ci import MECHANISMS, _release_function, mechanism
 from .estimators import _wald_block, exact_stratum_variance
 from .randomness import RandomStream, _CountSampler, _combine_array, _drawn_streams, derive_stream, hypergeometric_counts
 
@@ -374,9 +374,9 @@ def _run(
     columns = [[array("d", bytes(8 * R)) for _ in range(3)] for _ in row_tags]
     base = row_tags.index(AlgorithmTag.NON_PRIVATE)
     baseline = [np.frombuffer(column) for column in columns[base]]  # written a block at once
-    # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism.
+    # Repetition stream child 0 draws the sample; child 1 + slot feeds each mechanism, bound once per run.
     private = [
-        (cols, tag, np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
+        (cols, _release_function(tag), np.uint64(1 + mechanism(tag).slot), mechanism(tag).noise_shape(len(design)))
         for cols, tag in zip(columns, row_tags) if tag is not AlgorithmTag.NON_PRIVATE
     ]
     # Each block of repetitions draws every mechanism's noise in one bulk pass.
@@ -391,9 +391,9 @@ def _run(
         for column, values in zip(baseline, _wald_block(design, drawn_counts, config.alpha, config.clip_interval)):
             column[chunk] = values
         for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts.T.tolist()), *streams):
-            for ((lower, upper, point), tag, *_), stream in zip(private, drawn):
-                ci, _ = release(
-                    tag, stream, design, counts, budget, config.alpha,
+            for ((lower, upper, point), function, *_), stream in zip(private, drawn):
+                ci, _ = function(
+                    stream, design, counts, budget, config.alpha,
                     clip_proportions=config.clip_proportions, clip_interval=config.clip_interval,
                 )
                 lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate

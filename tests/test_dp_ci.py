@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from stratci import (
     AlgorithmTag,
+    ClipFlags,
     InfeasibleError,
     PrivacyBudget,
     RatioApproximationWarning,
@@ -33,7 +35,7 @@ from stratci import (
     wald_interval,
 )
 from stratci import dp_ci, estimators
-from stratci.core import memoised
+from stratci.core import _CLIP_FLAGS, memoised
 from stratci.randomness import gaussian
 from test_cli import _release_repr
 
@@ -565,6 +567,104 @@ class TestReferenceRelease:
             "str-pub rho 1.00000000000005e-310 is too small", "str-priv rho 5e-311 is too small",
         }
 
+
+_BAD_FLOATS = (math.nan, math.inf, -math.inf)
+
+
+def _finish_points():
+    """Points inside, below and above [0, 1], the edges and -0.0, and the non-finite ones."""
+    return (
+        st.floats(0.0, 1.0) | st.floats(-1e3, 0.0) | st.floats(1.0, 1e3) | st.floats(allow_nan=False)
+        | st.sampled_from((-0.0, 0.0, 1.0, -5e-324, 1.0 + 2**-52, -1.7e308, 1.7e308, *_BAD_FLOATS))
+    )
+
+
+def _finish_variances():
+    """Zero, small and huge variances up to the largest float, negative ones and the non-finite ones."""
+    return (
+        st.floats(0.0, 1e-2) | st.floats(0.0, allow_infinity=False) | st.floats(-1e3, 0.0)
+        | st.sampled_from((0.0, -0.0, 5e-324, 1e300, sys.float_info.max, -5e-324, *_BAD_FLOATS))
+    )
+
+
+def _finish_alphas():
+    """Valid alphas, and ones at or beyond 0 and 1, below about 1.1e-16, and NaN."""
+    return st.floats(1e-12, 0.999) | st.sampled_from((0.0, -0.1, 1.0, 1.5, 1e-17, 1.1e-16, 5e-324, math.nan))
+
+
+class TestFinish:
+    """A mechanism's one-step finish is ``wald_interval(...)``, then ``clip_to_unit_interval()`` if asked."""
+
+    def test_flags_table_holds_every_value(self):
+        assert _CLIP_FLAGS == {bits: ClipFlags(*bits) for bits in itertools.product((False, True), repeat=4)}
+        assert len(set(_CLIP_FLAGS.values())) == 16
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        tag=st.sampled_from(list(TestRelease.MECHANISMS)),
+        budget=st.floats(1e-6, 10.0).map(PrivacyBudget.total),
+        alpha=_finish_alphas(),
+        clip_interval=st.booleans(),
+        point=_finish_points(),
+        variance=_finish_variances(),
+        bits=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        noise_variances=st.lists(st.tuples(st.sampled_from(("a[0]", "b[1]")), st.floats(0.0)), max_size=3).map(tuple),
+    )
+    def test_finish_matches_wald_then_clip(
+        self, tag, budget, alpha, clip_interval, point, variance, bits, noise_variances
+    ):
+        # The repr of the result shows every float's bits, the flags, algorithm,
+        # budget and noise variances; an error shows its class and text.
+        proportion_clipped, variance_floored, noisy_size_floored = bits
+        args = (tag, budget, alpha, clip_interval, point, variance)
+        flags = ClipFlags(proportion_clipped, False, variance_floored, noisy_size_floored)
+        out = _outcome(dp_ci._interval, *args, *bits, noise_variances)
+        assert out == _outcome(oracles._interval, *args, flags, noise_variances)
+        if out[0].startswith("ValidationError"):
+            return
+        ci = dp_ci._interval(*args, *bits, noise_variances)
+        assert ci.clipped is _CLIP_FLAGS[tuple(vars(ci.clipped).values())]
+        # The clip as first written, min(max(x, 0), 1) on each value, against the unclipped bounds.
+        plain = wald_interval(point, variance, alpha)
+        old = tuple(min(max(x, 0.0), 1.0) for x in (plain.lower, plain.upper, plain.point_estimate))
+        moved = old != (plain.lower, plain.upper, plain.point_estimate)
+        want = old if clip_interval else (plain.lower, plain.upper, plain.point_estimate)
+        assert repr((ci.lower, ci.upper, ci.point_estimate)) == repr(want)
+        assert ci.clipped.interval_clipped is (clip_interval and moved)
+        assert repr(ci.variance_estimate) == repr(variance)
+
+
+    def test_fixed_cases_reach_every_branch(self):
+        # Cases in which each error (alpha before finiteness before the sign),
+        # each clip and an unmoved -0.0 occur, so that the property cannot pass
+        # on examples that miss them.
+        cases = [
+            (0.0, math.nan, -1.0), (1.0, 0.5, 0.1), (1e-17, 0.5, 0.1), (0.1, math.inf, -1.0),
+            (0.1, 0.5, math.nan), (0.1, 0.5, -1e-300), (0.1, 0.5, 1e-4), (0.1, 0.01, 0.01),
+            (0.1, 0.99, 0.01), (0.1, -0.2, 0.0), (0.1, 1.5, 0.0), (0.1, -0.0, 0.0),
+            (1e-12, 1.7e308, sys.float_info.max),
+        ]
+        seen = set()
+        for (alpha, point, variance), clip_interval in itertools.product(cases, (False, True)):
+            args = (AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, HUGE, alpha, clip_interval, point, variance)
+            out = _outcome(dp_ci._interval, *args, True, False, True, ())
+            assert out == _outcome(oracles._interval, *args, ClipFlags(True, False, False, True), ())
+            if out[0].startswith("ValidationError"):
+                seen.add(out[0])
+                continue
+            ci = dp_ci._interval(*args, True, False, True, ())
+            if ci.clipped.interval_clipped:
+                seen.add(f"clipped {'below' if point < 0.0 or ci.lower == 0.0 else 'above'}")
+            if math.copysign(1.0, ci.lower) < 0.0 and ci.lower == 0.0:
+                seen.add("-0.0 kept")
+        assert seen == {
+            "ValidationError: alpha must lie in (0, 1), got 0.0",
+            "ValidationError: alpha must lie in (0, 1), got 1.0",
+            "ValidationError: alpha 1e-17 is too small: 1 - alpha/2 rounds to 1 when alpha is at most about 1.1e-16",
+            "ValidationError: the point or variance estimate is not finite; the privacy budget rho may be too small",
+            "ValidationError: variance must be nonnegative, got -1e-300",
+            "clipped below", "clipped above", "-0.0 kept",
+        }
 
 class TestDesignFacts:
     """Design facts are computed once per :class:`Design` and kept on it; any

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import random
+from pathlib import Path
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,6 +17,7 @@ from stratci import (
     ExperimentConfig,
     InfeasibleError,
     Population,
+    RatioApproximationWarning,
     StratumCounts,
     Uniform,
     ValidationError,
@@ -25,8 +28,8 @@ from stratci import (
     rho_sweep,
     run_experiment,
 )
-from stratci import randomness, simharness
-from stratci.cli import _summary_payload
+from stratci import dp_ci, randomness, simharness
+from stratci.cli import _parse_config_file, _summary_payload
 from stratci.dp_ci import MECHANISMS, release
 from stratci.estimators import non_private_ci
 
@@ -36,6 +39,9 @@ ALL_TAGS = (
     AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES,
     AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -562,3 +568,49 @@ class TestCountBlocks:
         direct = TestBlockedNoise._direct(config)
         for i, (lower, upper, point) in enumerate(summary.records):
             assert list(zip(lower, upper, point)) == [row[i] for row in direct]
+
+
+class TestMechanismBinding:
+    """A run binds each mechanism's release function once, by its row's name in ``dp_ci``.
+
+    So a wrapper bound at that name before the run, as the benchmark's
+    tracer binds one, sees every release of the run.
+    """
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        calls = {}
+        for row in MECHANISMS.values():
+            calls[row.function] = 0
+
+            def wrapper(*args, _name=row.function, _original=getattr(dp_ci, row.function), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(dp_ci, row.function, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("tags", [ALL_TAGS, (AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,)], ids=["all", "str-priv"])
+    def test_wrapper_sees_every_release(self, monkeypatch, tags):
+        config = _config(strata=3, repetitions=7, algorithms=tags)
+        plain = run_experiment(config, keep_records=True)
+        calls = self._count(monkeypatch)
+        assert run_experiment(config, keep_records=True) == plain
+        assert calls == {row.function: 7 if tag in tags else 0 for tag, row in MECHANISMS.items()}
+
+    def test_wrapper_sees_every_grid_point(self, monkeypatch):
+        config = _config(strata=2, repetitions=5)
+        plain = rho_sweep(config, [0.01, 0.1, 1.0], keep_records=True)
+        calls = self._count(monkeypatch)
+        assert rho_sweep(config, [0.01, 0.1, 1.0], keep_records=True) == plain
+        assert calls == {row.function: 15 for row in MECHANISMS.values()}
+
+    def test_ratio_warning_names_the_harness(self):
+        # rho_sweep.cfg's smallest budget, 0.001, fires str-priv's ratio warning.
+        config, grid, _ = _parse_config_file(str(CONFIGS / "rho_sweep.cfg"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rho_sweep(dataclasses.replace(config, repetitions=3), grid)
+        ratio = [w for w in caught if w.category is RatioApproximationWarning]
+        assert ratio
+        assert {w.filename for w in ratio} == {simharness.__file__}

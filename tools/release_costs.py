@@ -4,12 +4,14 @@
 
 At each H it builds one design, N_h drawn from [1500, 2000] and n_h from
 [60, 160], and one sample of counts at proportion 0.3.  Each mechanism then
-releases ``--calls`` times per batch through ``dp_ci.release``, with
-``clip_proportions`` on, at rho = 1/160 split evenly, from a new stream on
-every call.  "drawn" streams carry their normals, as ``run_experiment``
-gives them; "fresh" streams draw theirs stream by stream, as ``stratci ci``
-and the library do.  One untimed release per mechanism comes first, so the
-figures are those of a design already in use.  A batch is timed by
+releases ``--calls`` times per batch, with ``clip_proportions`` on, at
+rho = 1/160 split evenly, from a new stream on every call, each column made
+the way its caller makes the call.  "drawn" streams carry their normals, and
+the release function is resolved once and then called directly, as
+``run_experiment`` does; "fresh" streams draw theirs stream by stream, and
+each call goes through ``dp_ci.release``, as ``stratci ci`` and the library
+do.  One untimed release per mechanism comes first, so the figures are those
+of a design already in use.  A batch is timed by
 ``time.thread_time``; each figure is the smallest time per call over the
 batches, in microseconds, printed as a Markdown table.  It needs numpy and
 stratci only.
@@ -19,27 +21,31 @@ from __future__ import annotations
 
 import argparse
 import time
+from functools import partial
 import warnings
 
 import numpy as np
 
 from stratci import PrivacyBudget, RatioApproximationWarning, StratumCounts, build_design, derive_stream
-from stratci.dp_ci import MECHANISMS, release
+from stratci.dp_ci import MECHANISMS, _release_function, release
 from stratci.randomness import _drawn_streams
 
 STRATA = (1, 20)
 BUDGET = PrivacyBudget.total(1.0 / 160.0)
 
 
-def per_call_us(tag, design, counts, streams, calls: int) -> float:
-    """The smallest time per call over batches of ``calls`` releases, one stream each, in microseconds."""
-    release(tag, streams[0], design, counts, BUDGET, 0.1, clip_proportions=True)
+def per_call_us(function, design, counts, streams, calls: int) -> float:
+    """The smallest time per call of ``function`` over batches of ``calls`` releases, one stream each.
+
+    In microseconds.
+    """
+    function(streams[0], design, counts, BUDGET, 0.1, clip_proportions=True)
     best = float("inf")
     for start in range(0, len(streams), calls):
         batch = streams[start:start + calls]
         began = time.thread_time()
         for stream in batch:
-            release(tag, stream, design, counts, BUDGET, 0.1, clip_proportions=True)
+            function(stream, design, counts, BUDGET, 0.1, clip_proportions=True)
         best = min(best, (time.thread_time() - began) / len(batch))
     return best * 1e6
 
@@ -65,7 +71,10 @@ def main(argv=None) -> None:
             fresh = [derive_stream(args.seed, [H, i]) for i in range(total)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RatioApproximationWarning)
-                table[tag] += [per_call_us(tag, design, counts, streams, args.calls) for streams in (drawn, fresh)]
+                table[tag] += [
+                    per_call_us(function, design, counts, streams, args.calls)
+                    for function, streams in ((_release_function(tag), drawn), (partial(release, tag), fresh))
+                ]
     heads = [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")]
     print("| mechanism | " + " | ".join(heads) + " |")
     print("|-----------|" + "|".join("-" * (len(head) + 2) for head in heads) + "|")
