@@ -2,10 +2,10 @@ import dataclasses
 import json
 import math
 import random
-from pathlib import Path
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
