@@ -360,12 +360,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             assert summary.records is not None
             prefix = f"{_fmt(rho)}," if sweep else ""
             true_p = summary.true_proportion
-            columns = [(name, lower, upper) for name, (lower, upper, _) in zip(names, summary.records)]
+            # One %-format per row: rep, covered as 0/1, then width, lower and upper as _fmt writes them.
+            columns = [
+                (f"{prefix}%d,{name},%d,%.17g,%.17g,%.17g", lower, upper)
+                for name, (lower, upper, _) in zip(names, summary.records)
+            ]
             for r in range(summary.repetitions):
-                for name, lower, upper in columns:
+                for row, lower, upper in columns:
                     lo, hi = lower[r], upper[r]
-                    covered = "1" if lo <= true_p <= hi else "0"
-                    lines.append(f"{prefix}{r},{name},{covered},{_fmt(hi - lo)},{_fmt(lo)},{_fmt(hi)}")
+                    lines.append(row % (r, lo <= true_p <= hi, hi - lo, lo, hi))
         _write_text(out_dir / "reps.csv", "\n".join(lines) + "\n")
     return 0
 

@@ -68,7 +68,7 @@ class StratumDesign:
 
     def __post_init__(self) -> None:
         n, N = self.sample_size, self.population_size
-        if not (isinstance(N, int) and isinstance(n, int)):
+        if not (isinstance(N, int) and isinstance(n, int)) or isinstance(N, bool) or isinstance(n, bool):
             raise ValidationError("stratum sizes must be integers")
         if N < 1:
             raise ValidationError(f"population_size must be positive, got {N}")
@@ -156,17 +156,19 @@ def memoised(compute: Callable[..., _T], design: Sequence[StratumDesign], budget
     return kept[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StratumCounts:
-    """Observed attribute-positive counts, one per stratum."""
+    """Observed attribute-positive counts, one per stratum; a bool is not a count."""
 
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        for h, c in enumerate(self.counts):
-            if not isinstance(c, int) or c < 0:
-                raise ValidationError(f"count for stratum {h} must be a nonnegative integer, got {c}")
+    def __init__(self, counts: Iterable[int]) -> None:
+        counts = tuple(counts)
+        for h, c in enumerate(counts):
+            # A plain int passes on its type alone; only other types pay for isinstance.
+            if type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0:
+                raise ValidationError(f"count for stratum {h} must be a nonnegative integer, got {c!r}")
+        self.__dict__.update(counts=counts)
 
 
 def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None:
@@ -252,7 +254,7 @@ def _clipped_to_unit(lower: float, upper: float, point: float) -> tuple[float, f
     return tuple([0.0 if x < 0.0 else min(x, 1.0) for x in (lower, upper, point)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CiResult:
     """A confidence interval plus the provenance needed to audit it.
 
@@ -260,6 +262,9 @@ class CiResult:
     variance used by the Gaussian mechanism; it is empty for non-private
     results.  Unless clipping intervened, the interval satisfies
     ``upper - lower == 2 * z_{1-alpha/2} * sqrt(variance_estimate)``.
+
+    Its fields are stored in one write to the instance dict, not by one
+    ``object.__setattr__`` per field, since one is built per release.
     """
 
     point_estimate: float
@@ -272,16 +277,25 @@ class CiResult:
     clipped: ClipFlags = field(default_factory=ClipFlags)
     noise_variances: tuple[tuple[str, float], ...] = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.variance_estimate < 0.0:
-            raise ValidationError(f"variance_estimate must be nonnegative, got {self.variance_estimate}")
-        if not (self.lower <= self.point_estimate <= self.upper):
+    def __init__(
+        self, point_estimate: float, variance_estimate: float, lower: float, upper: float, alpha: float,
+        algorithm: AlgorithmTag, budget_spent: PrivacyBudget | None = None, clipped: ClipFlags = ClipFlags(),
+        noise_variances: tuple[tuple[str, float], ...] = (),
+    ) -> None:
+        if not (0.0 < alpha < 1.0):
+            raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+        if not variance_estimate >= 0.0:
+            raise ValidationError(f"variance_estimate must be nonnegative, got {variance_estimate}")
+        if not (lower <= point_estimate <= upper):
             raise ValidationError(
-                f"interval [{self.lower}, {self.upper}] does not bracket point "
-                f"estimate {self.point_estimate}"
+                f"interval [{lower}, {upper}] does not bracket point "
+                f"estimate {point_estimate}"
             )
+        self.__dict__.update(
+            point_estimate=point_estimate, variance_estimate=variance_estimate, lower=lower, upper=upper,
+            alpha=alpha, algorithm=algorithm, budget_spent=budget_spent, clipped=clipped,
+            noise_variances=noise_variances,
+        )
 
     @property
     def width(self) -> float:

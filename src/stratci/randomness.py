@@ -50,12 +50,15 @@ def _combine(state: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RandomStream:
     """An immutable handle on one Philox stream."""
 
     base_seed: int
     stream_id: int
+
+    def __init__(self, base_seed: int, stream_id: int) -> None:
+        self.__dict__.update(base_seed=base_seed, stream_id=stream_id)
 
     def child(self, *indices: int) -> "RandomStream":
         """Derive a sub-stream by hash-combining further indices."""
@@ -82,13 +85,16 @@ def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
     return RandomStream(base_seed, sid)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _DrawnStream(RandomStream):
     """A stream with its :func:`child_normals` draws for one (children, fan) already made."""
 
     children: int
     fan: int
     normals: list[float]
+
+    def __init__(self, base_seed: int, stream_id: int, children: int, fan: int, normals: list[float]) -> None:
+        self.__dict__.update(base_seed=base_seed, stream_id=stream_id, children=children, fan=fan, normals=normals)
 
 
 class _Scratch(threading.local):

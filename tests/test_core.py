@@ -1,8 +1,12 @@
+import dataclasses
 import functools
+import inspect
 import math
 import operator
+import pickle
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +26,7 @@ from stratci import (
     wald_interval,
 )
 from stratci.core import ordered_sum
+from stratci.randomness import RandomStream, _DrawnStream
 
 mpmath.mp.dps = 40
 
@@ -147,6 +152,12 @@ class TestDesign:
             with pytest.raises(ValidationError, match="population_size"):
                 build_design(sizes)
 
+    def test_bool_sizes_rejected(self):
+        # bool is an int subclass; True as a size once reached the range checks.
+        for N, n in ((True, 2), (10, True), (False, False)):
+            with pytest.raises(ValidationError, match="^stratum sizes must be integers$"):
+                StratumDesign(population_size=N, sample_size=n, weight=1.0)
+
     def test_user_weights_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             build_design_with_weights([(100, 10), (100, 10)], [0.5, 0.6])
@@ -164,6 +175,24 @@ class TestDesign:
         with pytest.raises(ValidationError):
             check_paired(design, StratumCounts((5, 5)))
         check_paired(design, StratumCounts((10,)))
+
+    def test_bool_counts_rejected(self):
+        # Every mechanism would release True and False as the counts 1 and 0.
+        for counts in ((True, False), (3, False), [True]):
+            with pytest.raises(ValidationError, match="must be a nonnegative integer, got (True|False)$"):
+                StratumCounts(counts)
+
+    def test_count_message_shows_the_type(self):
+        with pytest.raises(ValidationError, match=r"^count for stratum 1 must be a nonnegative integer, got np\.int64\(3\)$"):
+            StratumCounts((2, np.int64(3)))
+        with pytest.raises(ValidationError, match=r"^count for stratum 0 must be a nonnegative integer, got '3'$"):
+            StratumCounts(("3",))
+        with pytest.raises(ValidationError, match=r"^count for stratum 0 must be a nonnegative integer, got -1$"):
+            StratumCounts((-1,))
+
+    def test_counts_taken_as_a_tuple(self):
+        assert StratumCounts(iter([4, 0, 7])).counts == (4, 0, 7)
+        assert StratumCounts([1, 2]) == StratumCounts((1, 2))
 
     def test_incoherent_weights_rejected_at_pairing(self):
         from stratci.core import check_paired
@@ -191,6 +220,23 @@ class TestCiResult:
                 alpha=0.1, algorithm=AlgorithmTag.NON_PRIVATE,
             )
 
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValidationError, match="^variance_estimate must be nonnegative, got nan$"):
+            CiResult(0.5, float("nan"), 0.4, 0.6, 0.1, AlgorithmTag.NON_PRIVATE)
+
+    def test_checks_run_in_order_with_their_texts(self):
+        # Alpha, then the variance, then the bracketing: each input fails every check after its own.
+        tag = AlgorithmTag.NON_PRIVATE
+        cases = (
+            ((0.9, -1.0, 0.1, 0.2, 1.0, tag), "alpha must lie in (0, 1), got 1.0"),
+            ((0.9, -1.0, 0.1, 0.2, 0.1, tag), "variance_estimate must be nonnegative, got -1.0"),
+            ((0.9, 0.0, 0.1, 0.2, 0.1, tag), "interval [0.1, 0.2] does not bracket point estimate 0.9"),
+        )
+        for args, text in cases:
+            with pytest.raises(ValidationError) as excinfo:
+                CiResult(*args)
+            assert str(excinfo.value) == text
+
     @given(
         st.floats(min_value=-2.0, max_value=2.0),
         st.floats(min_value=0.0, max_value=1.0),
@@ -217,3 +263,65 @@ class TestCiResult:
         clipped = ci.clip_to_unit_interval()
         assert clipped.point_estimate == 0.0
         assert clipped.lower <= clipped.point_estimate <= clipped.upper
+
+
+# One set of field values per type whose __init__ is written by hand, and a second for dataclasses.replace.
+_VALUE_TYPES = {
+    CiResult: (
+        (0.5, 0.01, 0.4, 0.6, 0.1, AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, PrivacyBudget(0.5, 0.25),
+         ClipFlags(True, False, True, False), (("stratum_proportion[0]", 0.02),)),
+        {"lower": 0.3, "clipped": ClipFlags()},
+    ),
+    StratumCounts: (((3, 0, 12),), {"counts": (1,)}),
+    RandomStream: ((7, 2**64 - 1), {"stream_id": 5}),
+    _DrawnStream: ((7, 11, 2, 1, [0.25, -1.5]), {"normals": [0.0, 0.0]}),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUE_TYPES), ids=lambda cls: cls.__name__)
+class TestHandWrittenInit:
+    """The value types store their fields through a hand-written __init__; it must act as the generated one."""
+
+    def test_signature_is_the_fields_in_order(self, cls):
+        fields = dataclasses.fields(cls)
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == [f.name for f in fields]
+        for p, f in zip(params, fields):
+            assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if f.default is not dataclasses.MISSING:
+                assert p.default == f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                assert p.default == f.default_factory()
+            else:
+                assert p.default is inspect.Parameter.empty
+
+    def test_every_field_is_stored(self, cls):
+        values, _ = _VALUE_TYPES[cls]
+        made = cls(*values)
+        expected = {f.name: v for f, v in zip(dataclasses.fields(cls), values)}
+        if cls is StratumCounts:
+            expected["counts"] = tuple(values[0])
+        assert {f.name: getattr(made, f.name) for f in dataclasses.fields(cls)} == expected
+        assert list(vars(made)) == list(expected)
+
+    def test_equal_values_make_equal_objects(self, cls):
+        values, _ = _VALUE_TYPES[cls]
+        a, b = cls(*values), cls(**{f.name: v for f, v in zip(dataclasses.fields(cls), values)})
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_replace_and_pickle(self, cls):
+        values, changes = _VALUE_TYPES[cls]
+        made = cls(*values)
+        assert dataclasses.replace(made) == made
+        changed = dataclasses.replace(made, **changes)
+        for name, value in changes.items():
+            assert getattr(changed, name) == value
+        for obj in (made, changed):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert type(copy) is cls and copy == obj and vars(copy) == vars(obj)
+
+    def test_fields_are_frozen(self, cls):
+        made = cls(*_VALUE_TYPES[cls][0])
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, f.name, None)

@@ -1,20 +1,26 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratci import (
+    AlgorithmTag,
+    PrivacyBudget,
+    RatioApproximationWarning,
     StratumCounts,
     ValidationError,
     build_design,
     build_design_with_weights,
     derive_stream,
     gaussian_mechanism,
+    release,
     sensitivities,
 )
+from stratci.dp_ci import MECHANISMS
 from stratci.estimators import non_private_estimate
 
 
@@ -115,6 +121,24 @@ def _small_designs(draw):
     return build_design(strata)
 
 
+def _largest_changes(design):
+    """The largest change of p_hat and of V_hat over every count vector and substitute-one neighbour."""
+    estimates = {
+        counts: non_private_estimate(design, StratumCounts(counts))
+        for counts in itertools.product(*(range(s.sample_size + 1) for s in design))
+    }
+    # Substituting one record in stratum h moves c_h by one; the pair
+    # (c, c + e_h) stands for both directions.
+    largest_p = largest_v = 0.0
+    for counts, estimate in estimates.items():
+        for h, stratum in enumerate(design):
+            if counts[h] < stratum.sample_size:
+                neighbour = estimates[counts[:h] + (counts[h] + 1,) + counts[h + 1:]]
+                largest_p = max(largest_p, abs(neighbour.proportion - estimate.proportion))
+                largest_v = max(largest_v, abs(neighbour.variance - estimate.variance))
+    return largest_p, largest_v
+
+
 class TestSensitivityByEnumeration:
     """Every count vector and every substitute-one neighbour of it, against sensitivities()."""
 
@@ -122,19 +146,7 @@ class TestSensitivityByEnumeration:
     @given(design=_small_designs())
     def test_bounds_hold_and_are_attained(self, design):
         report = sensitivities(design)
-        estimates = {
-            counts: non_private_estimate(design, StratumCounts(counts))
-            for counts in itertools.product(*(range(s.sample_size + 1) for s in design))
-        }
-        # Substituting one record in stratum h moves c_h by one; the pair
-        # (c, c + e_h) stands for both directions.
-        largest_p = largest_v = 0.0
-        for counts, estimate in estimates.items():
-            for h, stratum in enumerate(design):
-                if counts[h] < stratum.sample_size:
-                    neighbour = estimates[counts[:h] + (counts[h] + 1,) + counts[h + 1:]]
-                    largest_p = max(largest_p, abs(neighbour.proportion - estimate.proportion))
-                    largest_v = max(largest_v, abs(neighbour.variance - estimate.variance))
+        largest_p, largest_v = _largest_changes(design)
         assert report.proportion * (1 - _SLACK) <= largest_p <= report.proportion * (1 + _SLACK)
         assert report.variance * (1 - _SLACK) <= largest_v <= report.variance * (1 + _SLACK)
 
@@ -143,3 +155,82 @@ class TestSensitivityByEnumeration:
         report = sensitivities(design)
         assert report.stratum_constants[0] == report.stratum_constants[2] == 0.0
         assert report.variance == (report.stratum_constants[1] / 12) * (1 - 1 / 12)
+
+
+def _zcdp_cost(change: float, noise_variance: float) -> float:
+    """The zCDP cost Delta^2 / (2 sigma^2) of one Gaussian release (Bun & Steinke, TCC 2016, Prop. 1.6)."""
+    return change * change / (2.0 * noise_variance)
+
+
+class TestZcdpLedger:
+    """Each mechanism's recorded noise variances, with the enumerated changes of one adjacent dataset, cost budget_spent.
+
+    The releases one adjacent change touches compose (zCDP adds), so their
+    costs Delta^2 / (2 sigma^2) must add up to what the result records as
+    spent: no more, or the guarantee is overstated, and no less, or budget
+    is left unused.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        design=_small_designs(),
+        rho=st.floats(1e-6, 10.0),
+        split=st.floats(0.05, 0.95),
+    )
+    # Both of pop-pub's branches, whatever Hypothesis draws.
+    @example(design=build_design([(5, 5), (7, 7)]), rho=0.5, split=0.5)
+    @example(design=build_design([(5, 5), (40, 12), (7, 7)]), rho=1e-3, split=0.25)
+    def test_touched_releases_spend_the_budget(self, design, rho, split):
+        budget = PrivacyBudget.total(rho, split)
+        counts = StratumCounts((0,) * len(design))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RatioApproximationWarning)
+            results = {
+                tag: release(tag, derive_stream(0, [0]), design, counts, budget, 0.1)[0] for tag in MECHANISMS
+            }
+        for ci in results.values():
+            assert ci.budget_spent == budget
+
+        def close(cost, spent):
+            # sigma^2 is computed as Delta^2 / (2 rho) and each enumerated
+            # Delta is a difference of rounded quotients, so a cost that is
+            # exact in real arithmetic is off by a few ulps (see _SLACK).
+            assert abs(cost - spent) <= _SLACK * spent
+
+        # str-pub: substituting one record in stratum h moves that stratum's proportion only.
+        noise = dict(results[AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES].noise_variances)
+        assert len(noise) == len(design)
+        for h, s in enumerate(design):
+            n = s.sample_size
+            change = max(abs((c + 1) / n - c / n) for c in range(n))
+            close(_zcdp_cost(change, noise[f"stratum_proportion[{h}]"]), budget.rho)
+
+        # pop-pub: one substitution moves both the proportion and the variance estimate.
+        noise = dict(results[AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES].noise_variances)
+        change_p, change_v = _largest_changes(design)
+        cost = _zcdp_cost(change_p, noise["population_proportion"])
+        if change_v == 0.0:
+            # Every stratum is a census: the variance estimate is 0 whatever
+            # the data, released exactly (sigma^2 = 0) at no cost, so the
+            # releases spend rho1 of the rho1 + rho2 recorded.
+            assert all(s.population_size == s.sample_size for s in design)
+            assert noise["variance_estimate"] == 0.0
+            close(cost, budget.rho1)
+        else:
+            close(cost + _zcdp_cost(change_v, noise["variance_estimate"]), budget.rho)
+
+        # str-priv: adding or removing one record in stratum h moves its size by one and its count by one or none.
+        noise = dict(results[AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES].noise_variances)
+        assert len(noise) == 2 * len(design)
+        for h, s in enumerate(design):
+            n = s.sample_size
+            moves = [
+                (dc, dn)
+                for c in range(n + 1)
+                for dc, dn in ((1, 1), (0, 1), (-1, -1), (0, -1))
+                if 0 <= c + dc <= n + dn
+            ]
+            change_c = max(abs(dc) for dc, _ in moves)
+            change_n = max(abs(dn) for _, dn in moves)
+            cost = _zcdp_cost(change_c, noise[f"stratum_count[{h}]"]) + _zcdp_cost(change_n, noise[f"stratum_size[{h}]"])
+            close(cost, budget.rho)
