@@ -11,7 +11,7 @@ the release function is resolved once and then called directly, as
 ``run_experiment`` does; "fresh" streams draw theirs stream by stream, and
 each call goes through ``dp_ci.release``, as ``stratci ci`` and the library
 do.  A second table times, per call, the layers a release stands on:
-``derive_stream(seed, [i, slot])`` (one per repetition and mechanism),
+``derive_stream(seed, [i, slot])`` (how a library caller keys a stream),
 ``RandomStream.child(h)`` for h < H, and ``non_private_ci`` on the same
 design and counts.  One untimed call of each comes first, so the figures
 are those of a design already in use.  A batch is timed by
@@ -103,6 +103,7 @@ def main(argv=None) -> None:
     print_table("mechanism", table, [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")])
     print()
     print_table("layer", layers, [f"H = {H}" for H in STRATA])
+
 
 if __name__ == "__main__":
     main()
