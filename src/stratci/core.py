@@ -53,21 +53,22 @@ class AlgorithmTag(enum.Enum):
     DIFFERENCE = "difference"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StratumDesign:
     """Public design facts for one stratum.
 
     ``weight`` is the stratum's share of the population, N_h / N.  Sample
     sizes below 2 are rejected because the within-stratum variance estimator
-    divides by n_h - 1.
+    divides by n_h - 1.  Its fields are stored in one write to the instance
+    dict, as :class:`CiResult`'s are.
     """
 
     population_size: int
     sample_size: int
     weight: float
 
-    def __post_init__(self) -> None:
-        n, N = self.sample_size, self.population_size
+    def __init__(self, population_size: int, sample_size: int, weight: float) -> None:
+        n, N = sample_size, population_size
         if not (isinstance(N, int) and isinstance(n, int)) or isinstance(N, bool) or isinstance(n, bool):
             raise ValidationError("stratum sizes must be integers")
         if N < 1:
@@ -78,8 +79,9 @@ class StratumDesign:
             raise ValidationError(f"sample_size must be at least 2, got {n}")
         if n > N:
             raise ValidationError(f"sample_size {n} exceeds population_size {N}")
-        if not (0.0 < self.weight <= 1.0) or not math.isfinite(self.weight):
-            raise ValidationError(f"weight must lie in (0, 1], got {self.weight}")
+        if not (0.0 < weight <= 1.0) or not math.isfinite(weight):
+            raise ValidationError(f"weight must lie in (0, 1], got {weight}")
+        self.__dict__.update(population_size=N, sample_size=n, weight=weight)
 
     @property
     def sampling_weight(self) -> float:

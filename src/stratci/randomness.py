@@ -3,7 +3,10 @@
 A :class:`RandomStream` is a value type: the pair (base_seed, stream_id) fully
 determines its draw sequence, identically on every platform.  Derivation from
 index tuples uses a splitmix64 hash-combine, so concurrent tasks can each own
-a stream without any draw-order coupling.
+a stream without any draw-order coupling.  A single release derives its
+child stream ids by scalar hash-combines, or in one array pass once it needs
+at least ``_ARRAY_CROSSOVER`` / 2 of them per pass; the ids are the same
+either way.
 
 Noise for many streams can also be drawn ahead, in one vectorised pass: a
 bulk kernel computes splitmix64, the first Philox4x64-10 block and numpy's
@@ -154,12 +157,7 @@ def child_normals(stream: RandomStream, children: int, fan: int = 1) -> list[flo
     """
     if isinstance(stream, _DrawnStream) and stream.children == children and stream.fan == fan:
         return stream.normals
-    sid = stream.stream_id
-    if fan == 1:
-        ids = [_combine(sid, i) for i in range(children)]
-    else:
-        ids = [_combine(sub, j) for sub in (_combine(sid, i) for i in range(children)) for j in range(fan)]
-    return standard_normals(stream.base_seed, ids)
+    return standard_normals(stream.base_seed, _child_id_list(stream.stream_id, children, fan))
 
 
 _U64 = np.uint64
@@ -172,12 +170,42 @@ _KI = np.frombuffer(_ziggurat.KI, dtype="<u8").astype(_U64)
 _WI = np.frombuffer(_ziggurat.WI, dtype="<f8").astype(np.float64)
 
 
+# splitmix64's increment, shifts and multipliers, made uint64 once.
+_SPLITMIX = tuple(map(_U64, (_GOLDEN, 30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)))
+# One array pass of _child_ids costs about as much as 15 scalar _combine
+# calls, and a fan above 1 takes two passes: children * (1 + fan) >= 30 holds
+# exactly when the scalar loop would make at least 15 calls per pass.
+_ARRAY_CROSSOVER = 30
+
+
 def _combine_array(state, index):
     """:func:`_combine` over uint64 arrays, wrapping mod 2**64 (numpy checks no array overflow)."""
-    x = (state ^ index) + _U64(_GOLDEN)
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return x ^ (x >> _U64(31))
+    golden, s1, m1, s2, m2, s3 = _SPLITMIX
+    x = (state ^ index) + golden
+    x = (x ^ (x >> s1)) * m1
+    x = (x ^ (x >> s2)) * m2
+    return x ^ (x >> s3)
+
+
+def _child_ids(parents: np.ndarray, children: int, fan: int) -> np.ndarray:
+    """The ids of ``child(i)``, or of ``child(i, j)`` if ``fan > 1``, of each id of a uint64 array, as uint64.
+
+    The (parents x children x fan) tree, flat and ordered by parent, then i,
+    then j; each id is the splitmix64 value :func:`_combine` gives.
+    """
+    ids = _combine_array(parents[:, None], np.arange(children, dtype=_U64))
+    if fan > 1:
+        ids = _combine_array(ids[:, :, None], np.arange(fan, dtype=_U64))
+    return ids.ravel()
+
+
+def _child_id_list(stream_id: int, children: int, fan: int) -> list[int]:
+    """The ids of the streams :func:`child_normals` draws from, in its order, in one array pass once that pays."""
+    if children * (1 + fan) >= _ARRAY_CROSSOVER:
+        return _child_ids(np.array([stream_id & _MASK64], dtype=_U64), children, fan).tolist()
+    if fan == 1:
+        return [_combine(stream_id, i) for i in range(children)]
+    return [_combine(sub, j) for sub in (_combine(stream_id, i) for i in range(children)) for j in range(fan)]
 
 
 def _mulhi(m: np.uint64, b: np.ndarray) -> np.ndarray:
@@ -238,12 +266,7 @@ def _drawn_streams(base_seed: int, requests: Sequence[tuple]) -> list[Iterator[_
     carrying ``child_normals(RandomStream(base_seed, p), children, fan)``,
     made as it is read.  One bulk draw fills every request.
     """
-    ids = []
-    for parents, children, fan in requests:
-        sub = _combine_array(parents[:, None], np.arange(children, dtype=_U64))
-        if fan > 1:
-            sub = _combine_array(sub[:, :, None], np.arange(fan, dtype=_U64))
-        ids.append(sub.ravel())
+    ids = [_child_ids(parents, children, fan) for parents, children, fan in requests]
     normals = _bulk_normals(base_seed, np.concatenate(ids))
     out, at = [], 0
     for (parents, children, fan), sub in zip(requests, ids):

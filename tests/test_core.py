@@ -273,6 +273,7 @@ _VALUE_TYPES = {
         {"lower": 0.3, "clipped": ClipFlags()},
     ),
     StratumCounts: (((3, 0, 12),), {"counts": (1,)}),
+    StratumDesign: ((2000, 100, 0.25), {"sample_size": 2000}),
     RandomStream: ((7, 2**64 - 1), {"stream_id": 5}),
     _DrawnStream: ((7, 11, 2, 1, [0.25, -1.5]), {"normals": [0.0, 0.0]}),
 }

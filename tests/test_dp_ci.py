@@ -36,7 +36,8 @@ from stratci import (
 )
 from stratci import dp_ci, estimators
 from stratci.core import _CLIP_FLAGS, memoised
-from stratci.randomness import gaussian
+from stratci.estimators import _wald_block
+from stratci.randomness import _DrawnStream, gaussian
 from test_cli import _release_repr
 
 import oracles
@@ -665,6 +666,49 @@ class TestFinish:
             "ValidationError: variance must be nonnegative, got -1e-300",
             "clipped below", "clipped above", "-0.0 kept",
         }
+
+class TestOneStratifiedEstimate:
+    """The stratified non-private estimate, written out in non_private_estimate, _wald_block and pop-pub, agrees bit for bit."""
+
+    # (N_h, n_h): census strata (n_h = N_h, fpc 0) among sampled ones.
+    _STRATUM = st.one_of(
+        st.integers(2, 5000).map(lambda N: (N, N)),
+        st.integers(2, 10**6).flatmap(lambda N: st.tuples(st.just(N), st.integers(2, min(N, 5000)))),
+    )
+
+    # A reordering of one copy's arithmetic moves a bound's last bit in about
+    # one sample in a thousand, so each example checks up to 400 samples of its design.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(_STRATUM, min_size=1, max_size=50),
+        samples=st.one_of(st.just(1), st.integers(1, 400)),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(1e-12, 0.999, exclude_min=True, exclude_max=True),
+    )
+    def test_three_copies_agree(self, sizes, samples, seed, alpha):
+        design = build_design(sizes)
+        n = np.array([[s.sample_size] for s in design])
+        # Counts of 0 and of n_h are each about a quarter of the draws.
+        rng = np.random.default_rng(seed)
+        block = np.where(rng.random((len(design), samples)) < 0.5, n * rng.integers(0, 2, (len(design), samples)),
+                         rng.integers(0, n + 1, (len(design), samples)))
+        # Zero noise: pop-pub releases its estimate, and its variance plus the known extrinsic term.
+        silent = _DrawnStream(0, 0, *dp_ci._population_shape(len(design)), [0.0, 0.0])
+        budget = PrivacyBudget.total(0.5)
+        for column in block.T:
+            counts = StratumCounts(column.tolist())
+            estimate = non_private_estimate(design, counts)
+            ci, _ = population_noise_public_sizes(silent, design, counts, budget, alpha)
+            assert repr(ci.point_estimate) == repr(estimate.proportion)
+            assert repr(ci.variance_estimate) == repr(
+                estimate.variance + dict(ci.noise_variances)["population_proportion"]
+            )
+            lower, upper, point = _wald_block(design, column[:, None].astype(np.int64), alpha, False)
+            scalar = non_private_ci(design, counts, alpha)
+            assert repr((lower.tolist(), upper.tolist(), point.tolist())) == repr(
+                ([scalar.lower], [scalar.upper], [scalar.point_estimate])
+            )
+
 
 class TestDesignFacts:
     """Design facts are computed once per :class:`Design` and kept on it; any

@@ -12,7 +12,11 @@ from stratci.randomness import (
     _KI,
     _MIN_LANES,
     RandomStream,
+    _ARRAY_CROSSOVER,
     _bulk_normals,
+    _child_id_list,
+    _child_ids,
+    _combine,
     _CountSampler,
     _drawn_streams,
     _philox_first_words,
@@ -307,6 +311,59 @@ class TestBulkNormals:
         # Its children and its generator are those of the plain stream.
         assert drawn.child(1, 0) == stream.child(1, 0)
         assert drawn.generator().standard_normal() == stream.generator().standard_normal()
+
+
+# Stream ids below 0, in [0, 2**64) and at 2**64 or above, with the edges of each range.
+_PARENT_IDS = st.one_of(st.integers(-(2**80), -1), st.integers(0, _MASK64), st.integers(2**64, 2**80))
+
+
+class TestChildIds:
+    """Child ids made in one array pass are the ids of scalar _combine and RandomStream.child."""
+
+    # Every shape with children 0-64 and fan 1-3, on both sides of _ARRAY_CROSSOVER,
+    # for each of 16 parents: 16 * 2 080 * 6 = 199 680 ids.
+    PARENTS = [-(2**80), -(2**64) - 1, -(2**63), -1, 0, 1, 2**63, _MASK64, 2**64, 2**64 + 1, 2**80 + 3] + [
+        random.Random(5).randint(-(2**70), 2**70) for _ in range(5)
+    ]
+
+    def test_id_tree_equals_scalar_combine_and_child(self):
+        crossed = set()
+        for children in range(65):
+            for fan in range(1, 4):
+                crossed.add(children * (1 + fan) >= _ARRAY_CROSSOVER)
+                tree = _child_ids(
+                    np.array([p & _MASK64 for p in self.PARENTS], dtype=np.uint64), children, fan
+                ).tolist()
+                at = 0
+                for parent in self.PARENTS:
+                    stream = RandomStream(3, parent)
+                    kids = [
+                        stream.child(i) if fan == 1 else stream.child(i, j)
+                        for i in range(children) for j in range(fan)
+                    ]
+                    expected = [k.stream_id for k in kids]
+                    if fan == 1:
+                        assert expected == [_combine(parent, i) for i in range(children)]
+                    else:
+                        assert expected == [_combine(_combine(parent, i), j) for i in range(children) for j in range(fan)]
+                    assert _child_id_list(parent, children, fan) == expected
+                    assert tree[at:at + len(expected)] == expected
+                    at += len(expected)
+                assert at == len(tree)
+        assert crossed == {False, True}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_seed=_PARENT_IDS,
+        parent=_PARENT_IDS,
+        fan=st.integers(1, 3),
+        extra=st.integers(0, 30),
+    )
+    def test_child_normals_above_the_crossover(self, base_seed, parent, fan, extra):
+        children = -(-_ARRAY_CROSSOVER // (1 + fan)) + extra  # the fewest children that cross, and more
+        stream = RandomStream(base_seed, parent)
+        kids = [stream.child(i) if fan == 1 else stream.child(i, j) for i in range(children) for j in range(fan)]
+        assert child_normals(stream, children, fan) == standard_normals(base_seed, [k.stream_id for k in kids])
 
 
 def _scalar_counts(base_seed, ids, design):

@@ -1,4 +1,4 @@
-"""Time one private release per call, per mechanism, and the layers under it, at H = 1 and H = 20 strata.
+"""Time one private release per call, per mechanism, and the layers under it, at H = 1, 5 and 20 strata.
 
     PYTHONPATH=src python3 tools/release_costs.py [--batches 60] [--calls 50] [--seed 1]
 
@@ -35,7 +35,7 @@ from stratci import (
 from stratci.dp_ci import MECHANISMS, _release_function, release
 from stratci.randomness import _drawn_streams
 
-STRATA = (1, 20)
+STRATA = (1, 5, 20)
 BUDGET = PrivacyBudget.total(1.0 / 160.0)
 
 
