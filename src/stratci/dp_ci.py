@@ -14,7 +14,11 @@ design facts stay public:
   remove/add-one adjacency, protecting the sizes themselves.
 
 All three share one signature and return ``(CiResult, per-stratum releases
-or None)``; :func:`release` calls one by its :class:`AlgorithmTag`.
+or None)``; :func:`release` calls one by its :class:`AlgorithmTag`.  The
+releases are None for the population-level mechanism, and for any mechanism
+called with ``per_stratum=False``, which builds no per-stratum record and
+leaves the interval's bits, flags and errors as they are: the simulation
+harness scores only the interval, and ``stratci ci`` prints the records.
 :data:`MECHANISMS` holds one row per mechanism: its release function, its
 repetition stream slot, its budget rule and its closed forms.
 
@@ -121,7 +125,8 @@ def stratum_noise_public_sizes(
     *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
-) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    per_stratum: bool = True,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
     """Stratum-level noise with public sample sizes.
 
     Per stratum: p_tilde_h = p_hat_h + N(0, 1/(2 rho n_h^2)), then the
@@ -132,14 +137,15 @@ def stratum_noise_public_sizes(
     with s2 the injected noise variance; adding s2 back inside undoes the
     downward bias E[p_tilde(1-p_tilde)] = p_hat(1-p_hat) - s2.  Proportions
     are clipped onto [0, 1] before the variance computation when requested.
-    Spends the full (unsplit) budget.
+    Spends the full (unsplit) budget.  Returns the per-stratum releases, or
+    None with ``per_stratum=False``.
     """
     check_paired(design, counts)
     facts = memoised(_design_facts, design)
     scales, noise_variances = memoised(_public_sizes_constants, design, budget)
     # Stratum h draws its noise from stream child(h).
     normals = child_normals(stream, *_public_sizes_shape(len(scales)))
-    releases = []
+    releases = [] if per_stratum else None
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = False
     for c, n, (s2, sd), fpc, w, w2, z in zip(
@@ -156,15 +162,16 @@ def stratum_noise_public_sizes(
             v_tilde = 0.0
         any_clipped |= was_clipped
         any_floored |= floored
-        releases.append(_release((
-            p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored, False, False,
-        )))
+        if per_stratum:
+            releases.append(_release((
+                p_tilde, v_tilde, s2, None, None, None, None, was_clipped, floored, False, False,
+            )))
         point += w * p_tilde
         variance += w2 * v_tilde
     ci = _interval(
         _PUBLIC_SIZES, budget, alpha, clip_interval, point, variance, any_clipped, any_floored, False, noise_variances,
     )
-    return ci, tuple(releases)
+    return ci, (tuple(releases) if per_stratum else None)
 
 
 def _public_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
@@ -183,6 +190,7 @@ def population_noise_public_sizes(
     *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
+    per_stratum: bool = True,
 ) -> tuple[CiResult, None]:
     """Population-level noise with public sample sizes.
 
@@ -192,7 +200,7 @@ def population_noise_public_sizes(
     when every stratum is a census and DV is 0.  A noisy variance driven
     negative is floored at zero (flagged), yielding a degenerate zero-width
     interval rather than a failure.  No per-stratum quantity is released, so
-    the second element is always None.
+    the second element is always None, whatever ``per_stratum`` says.
     """
     check_paired(design, counts)
     p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
@@ -236,7 +244,8 @@ def stratum_noise_private_sizes(
     *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
-) -> tuple[CiResult, tuple[PrivateStratumRelease, ...]]:
+    per_stratum: bool = True,
+) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
     """Stratum-level noise protecting both counts and sample sizes.
 
     Per stratum: c_tilde = c + N(0, 1/(2 rho1)); n_tilde = max(n + N(0,
@@ -249,6 +258,7 @@ def stratum_noise_private_sizes(
     finite-population factor is floored at zero if the noisy size exceeds the
     stratum population; the two additive noise terms are kept.  Warns when the
     denominator's coefficient of variation strains the normal approximation.
+    Returns the per-stratum releases, or None with ``per_stratum=False``.
     """
     check_paired(design, counts)
     warning, count_scale, size_scale, noise_variances = memoised(_private_sizes_constants, design, budget)
@@ -267,7 +277,7 @@ def stratum_noise_private_sizes(
     noisy_counts = gaussian_releases(normals[::2], counts.counts, count_scale, budget.rho1)
     noisy_sizes = gaussian_releases(normals[1::2], facts.float_sizes, size_scale, budget.rho2)
     count_variance, size_variance = count_scale[0], size_scale[0]
-    releases = []
+    releases = [] if per_stratum else None
     point = variance = 0.0  # added stratum by stratum, as ordered_sum adds
     any_clipped = any_floored = any_size_floored = False
     for (N, N_less_1), w, w2, c_noisy, n_noisy in zip(
@@ -294,17 +304,18 @@ def stratum_noise_private_sizes(
         any_clipped |= was_clipped
         any_floored |= floored
         any_size_floored |= size_floored
-        releases.append(_release((
-            p_tilde, v_tilde, None, c_noisy, n_tilde, count_variance, size_variance,
-            was_clipped, floored, size_floored, fpc_floored,
-        )))
+        if per_stratum:
+            releases.append(_release((
+                p_tilde, v_tilde, None, c_noisy, n_tilde, count_variance, size_variance,
+                was_clipped, floored, size_floored, fpc_floored,
+            )))
         point += w * p_tilde
         variance += w2 * v_tilde
     ci = _interval(
         _PRIVATE_SIZES, budget, alpha, clip_interval, point, variance, any_clipped, any_floored, any_size_floored,
         noise_variances,
     )
-    return ci, tuple(releases)
+    return ci, (tuple(releases) if per_stratum else None)
 
 
 def _private_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
@@ -342,7 +353,8 @@ class Mechanism(NamedTuple):
     of that module-level name (a wrapper or a test double) made before the call
     or run reaches it.  A repetition feeds it from stream child ``1 + slot``,
     fixed per mechanism so that no config's choice of algorithms shifts
-    another's noise.  ``noise_shape(H)`` is the (children, fan) of the
+    another's noise, and calls it with ``per_stratum=False``: a run keeps only
+    the interval.  ``noise_shape(H)`` is the (children, fan) of the
     ``randomness.child_normals`` call that draws its noise at H strata.
     ``splits_budget`` marks a need for rho1 > 0 and rho2 > 0.  The closed forms
     are those of ``analysis``: ``extrinsic_variance`` and ``mean_shift`` take
@@ -418,15 +430,17 @@ def release(
     *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
+    per_stratum: bool = True,
 ) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
     """Release an interval through the private mechanism ``algorithm`` names.
 
     Returns what that mechanism returns: the interval, and its per-stratum
-    releases (None for the population-level mechanism).  Looked up anew per call.
+    releases (None for the population-level mechanism, or with
+    ``per_stratum=False``).  Looked up anew per call.
     """
     return _release_function(algorithm)(
         stream, design, counts, budget, alpha,
-        clip_proportions=clip_proportions, clip_interval=clip_interval,
+        clip_proportions=clip_proportions, clip_interval=clip_interval, per_stratum=per_stratum,
     )
 
 

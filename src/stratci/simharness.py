@@ -394,7 +394,7 @@ def _run(
             for ((lower, upper, point), function, *_), stream in zip(private, drawn):
                 ci, _ = function(
                     stream, design, counts, budget, config.alpha,
-                    clip_proportions=config.clip_proportions, clip_interval=config.clip_interval,
+                    clip_proportions=config.clip_proportions, clip_interval=config.clip_interval, per_stratum=False,
                 )
                 lower[r], upper[r], point[r] = ci.lower, ci.upper, ci.point_estimate
         del streams  # the block's draws are freed before the next block's are made

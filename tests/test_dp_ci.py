@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from stratci import (
 from stratci import dp_ci, estimators
 from stratci.core import _CLIP_FLAGS, memoised
 from stratci.estimators import _wald_block
-from stratci.randomness import _DrawnStream, gaussian
+from stratci.randomness import _DrawnStream, _drawn_streams, gaussian
 from test_cli import _release_repr
 
 import oracles
@@ -361,7 +362,7 @@ class TestRelease:
         private = {t for t in AlgorithmTag} - {AlgorithmTag.NON_PRIVATE, AlgorithmTag.DIFFERENCE}
         assert set(self.MECHANISMS) == private
         for tag, mechanism in self.MECHANISMS.items():
-            for clips in ({}, {"clip_proportions": True}, {"clip_interval": True}):
+            for clips in ({}, {"clip_proportions": True}, {"clip_interval": True}, {"per_stratum": False}):
                 via = release(tag, derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
                 direct = mechanism(derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
                 assert repr(via) == repr(direct)
@@ -567,6 +568,59 @@ class TestReferenceRelease:
             "RatioApproximationWarning", "str-pub exact", "pop-pub exact", "str-priv exact",
             "str-pub rho 1.00000000000005e-310 is too small", "str-priv rho 5e-311 is too small",
         }
+
+
+class TestPerStratum:
+    """``per_stratum=False`` builds no per-stratum record and changes nothing else a release gives."""
+
+    @staticmethod
+    def _outcome(mechanism, *args, **kwargs):
+        """(the result, or the raised error as text; the warnings as (category, text, filename, line))."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = mechanism(*args, **kwargs)
+            except (ValidationError, InfeasibleError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+        return out, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+    # The designs of TestReferenceRelease, at a budget of 10**U(-8, 1), or
+    # 1e-310, where the noise variances overflow and every mechanism raises.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_reference_cases(),
+        rho=st.floats(-8.0, 1.0).map(lambda e: 10.0**e) | st.just(1e-310),
+        split=st.floats(0.01, 0.99),
+        clip_proportions=st.booleans(),
+        clip_interval=st.booleans(),
+        drawn=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_same_release_without_records(self, case, rho, split, clip_proportions, clip_interval, drawn, seed):
+        design, counts, _ = case
+        budget = PrivacyBudget.total(rho, split)
+        clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
+        for tag, direct in TestRelease.MECHANISMS.items():
+            # A drawn stream goes to the mechanism, as a harness run calls it; a fresh one through release.
+            if drawn:
+                shape = dp_ci.MECHANISMS[tag].noise_shape(len(design))
+                stream, call = next(_drawn_streams(seed, [(np.array([seed], dtype=np.uint64), *shape)])[0]), direct
+            else:
+                stream, call = derive_stream(seed, [5]), partial(release, tag)
+            (kept, kept_warnings), (bare, bare_warnings) = [
+                self._outcome(call, stream, design, counts, budget, 0.1, **clips, **keywords)
+                for keywords in ({}, {"per_stratum": False})
+            ]
+            assert bare_warnings == kept_warnings
+            if isinstance(kept, str):
+                assert bare == kept
+                continue
+            assert repr(bare[0]) == repr(kept[0])
+            assert bare[1] is None
+            if tag is AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES:
+                assert kept[1] is None
+            else:
+                assert len(kept[1]) == len(design)
 
 
 _BAD_FLOATS = (math.nan, math.inf, -math.inf)

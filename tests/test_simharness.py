@@ -574,36 +574,41 @@ class TestMechanismBinding:
     """A run binds each mechanism's release function once, by its row's name in ``dp_ci``.
 
     So a wrapper bound at that name before the run, as the benchmark's
-    tracer binds one, sees every release of the run.
+    tracer binds one, sees every release of the run, each one asked for no
+    per-stratum records.
     """
 
     @staticmethod
-    def _count(monkeypatch) -> dict:
-        calls = {}
+    def _count(monkeypatch) -> tuple[dict, set]:
+        """Calls per release function, and every ``per_stratum`` value they were given."""
+        calls, per_stratum = {}, set()
         for row in MECHANISMS.values():
             calls[row.function] = 0
 
             def wrapper(*args, _name=row.function, _original=getattr(dp_ci, row.function), **kwargs):
                 calls[_name] += 1
+                per_stratum.add(kwargs.get("per_stratum"))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(dp_ci, row.function, wrapper)
-        return calls
+        return calls, per_stratum
 
     @pytest.mark.parametrize("tags", [ALL_TAGS, (AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES,)], ids=["all", "str-priv"])
     def test_wrapper_sees_every_release(self, monkeypatch, tags):
         config = _config(strata=3, repetitions=7, algorithms=tags)
         plain = run_experiment(config, keep_records=True)
-        calls = self._count(monkeypatch)
+        calls, per_stratum = self._count(monkeypatch)
         assert run_experiment(config, keep_records=True) == plain
         assert calls == {row.function: 7 if tag in tags else 0 for tag, row in MECHANISMS.items()}
+        assert per_stratum == {False}
 
     def test_wrapper_sees_every_grid_point(self, monkeypatch):
         config = _config(strata=2, repetitions=5)
         plain = rho_sweep(config, [0.01, 0.1, 1.0], keep_records=True)
-        calls = self._count(monkeypatch)
+        calls, per_stratum = self._count(monkeypatch)
         assert rho_sweep(config, [0.01, 0.1, 1.0], keep_records=True) == plain
         assert calls == {row.function: 15 for row in MECHANISMS.values()}
+        assert per_stratum == {False}
 
     def test_ratio_warning_names_the_harness(self):
         # rho_sweep.cfg's smallest budget, 0.001, fires str-priv's ratio warning.

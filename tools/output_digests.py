@@ -20,7 +20,12 @@ and its ratio warning is printed; at the smaller one every mechanism's
 proportion clip and interval clip fire.  One line is printed per run: its
 exit code and the SHA-256 of its stdout and stderr, with the checkout's root
 replaced in stderr.  This covers every per-stratum release the command
-prints, and the warning's text and the line it names.
+prints, and the warning's text and the line it names.  It also runs ``ci``
+on a two-stratum all-census input (``CENSUS_INPUT``, every n_h = N_h), once
+per private algorithm and output format at ``--rho 0.1``, so that a change
+to pop-pub's release or recorded budget on such a design (whose variance
+estimate is 0 whatever the data) shows in a digest.  With the five shipped
+configs that makes 62 outputs.
 
 Given two roots, each line shows both sides, and the script exits 1 if any
 of them differ.  The standard library is all it needs.
@@ -56,6 +61,8 @@ CI_INPUT = [(40, 40, 0), (500, 2, 2), (800, 3, 0), (60, 60, 60)] + [
 CI_RHOS = ("0.0001", "0.5")
 CI_ALGORITHMS = ("str-pub", "pop-pub", "str-priv")
 CI_CLIPS = ((), ("--clip-proportions",), ("--clip-interval",))
+# (N_h, n_h, c_h) per stratum of the all-census ``stratci ci`` input.
+CENSUS_INPUT = [(120, 120, 30), (80, 80, 52)]
 
 
 def sha256(data: bytes) -> str:
@@ -85,17 +92,19 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
             done = stratci(root, ["qq", "--config", str(cfg), "--grid", "99"], work)
             out[config.name, "qq --grid 99"] = f"exit {done.returncode} {sha256(done.stdout)}"
         strata = work / "strata.csv"
-        strata.write_text("stratum_id,N_h,n_h,c_h\n" + "".join(f"{h},{N},{n},{c}\n" for h, (N, n, c) in enumerate(CI_INPUT)))
-        for rho in CI_RHOS:
+        groups = [("ci", CI_INPUT, rho, CI_CLIPS) for rho in CI_RHOS] + [("ci census", CENSUS_INPUT, "0.1", [()])]
+        for label, rows, rho, clips in groups:
+            body = "".join(f"{h},{N},{n},{c}\n" for h, (N, n, c) in enumerate(rows))
+            strata.write_text("stratum_id,N_h,n_h,c_h\n" + body)
             for algorithm in CI_ALGORITHMS:
                 for fmt in ("json", "csv"):
-                    for clip in CI_CLIPS:
+                    for clip in clips:
                         argv = ["ci", "--input", str(strata), "--algorithm", algorithm, "--rho", rho, "--seed", "7",
                                 "--format", fmt, *clip]
                         done = stratci(root, argv, work)
                         stderr = done.stderr.replace(bytes(root), b"ROOT")
                         name = " ".join((algorithm, fmt, *clip))
-                        out[f"ci --rho {rho}", name] = f"exit {done.returncode} {sha256(done.stdout + stderr)}"
+                        out[f"{label} --rho {rho}", name] = f"exit {done.returncode} {sha256(done.stdout + stderr)}"
     return out
 
 

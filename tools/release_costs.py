@@ -1,67 +1,117 @@
 """Time one private release per call, per mechanism, and the layers under it, at H = 1, 5 and 20 strata.
 
-    PYTHONPATH=src python3 tools/release_costs.py [--batches 60] [--calls 50] [--seed 1]
+    PYTHONPATH=src python3 tools/release_costs.py [--batches 60] [--calls 50] [--seed 1] [--against DIR]
 
 At each H it builds one design, N_h drawn from [1500, 2000] and n_h from
 [60, 160], and one sample of counts at proportion 0.3.  Each mechanism then
 releases ``--calls`` times per batch, with ``clip_proportions`` on, at
 rho = 1/160 split evenly, from a new stream on every call, each column made
 the way its caller makes the call.  "drawn" streams carry their normals, and
-the release function is resolved once and then called directly, as
-``run_experiment`` does; "fresh" streams draw theirs stream by stream, and
-each call goes through ``dp_ci.release``, as ``stratci ci`` and the library
-do.  A second table times, per call, the layers a release stands on:
+the release function is resolved once and then called directly with
+``per_stratum=False``, as ``run_experiment`` does; "fresh" streams draw
+theirs stream by stream, and each call goes through ``dp_ci.release`` with
+its per-stratum releases, as ``stratci ci`` and the library do.  A second
+table times, per call, the layers a release stands on:
 ``derive_stream(seed, [i, slot])`` (how a library caller keys a stream),
 ``RandomStream.child(h)`` for h < H, and ``non_private_ci`` on the same
 design and counts.  One untimed call of each comes first, so the figures
 are those of a design already in use.  A batch is timed by
 ``time.thread_time``; each figure is the smallest time per call over the
-batches, in microseconds, printed as Markdown tables.  It needs numpy and
+batches, in microseconds, printed as Markdown tables.
+
+With ``--against DIR``, the package at ``DIR/src/stratci`` is imported into
+this process under a second name, and every figure is timed on both
+checkouts, alternating batch by batch (which side goes first swaps each
+batch), so that both meet the machine in the same state; each cell reads
+``this [DIR]``.  Release functions that lack ``per_stratum`` are called
+without it, as that checkout's harness calls them.  It needs numpy and
 stratci only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
+import inspect
+import sys
 import time
-from functools import partial
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from stratci import (
-    PrivacyBudget, RandomStream, RatioApproximationWarning, StratumCounts, build_design, derive_stream, non_private_ci,
-)
-from stratci.dp_ci import MECHANISMS, _release_function, release
-from stratci.randomness import _drawn_streams
-
 STRATA = (1, 5, 20)
-BUDGET = PrivacyBudget.total(1.0 / 160.0)
+AGAINST = "stratci_against"
 
 
-def per_call_us(call, arguments, calls: int, **keywords) -> float:
-    """The smallest time per call of ``call(*args, **keywords)`` over batches of ``calls`` calls, one ``args`` each.
+def load_against(root: Path) -> str:
+    """Import the package at ``root/src/stratci`` as ``stratci_against``, and return that name."""
+    package = root / "src" / "stratci"
+    spec = importlib.util.spec_from_file_location(
+        AGAINST, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = module
+    spec.loader.exec_module(module)
+    return AGAINST
 
-    In microseconds.
+
+def cases(name: str, H: int, sizes: list, counts: list, seed: int, total: int) -> dict:
+    """``(table, row, column) -> (call, arguments, keywords)`` for every figure at H strata, on package ``name``."""
+    stratci = importlib.import_module(name)
+    dp_ci = importlib.import_module(f"{name}.dp_ci")
+    randomness = importlib.import_module(f"{name}.randomness")
+    budget = stratci.PrivacyBudget.total(1.0 / 160.0)
+    design, counts = stratci.build_design(sizes), stratci.StratumCounts(tuple(counts))
+    fresh = [stratci.derive_stream(seed, [H, i]) for i in range(total)]
+    out = {}
+    for tag, row in dp_ci.MECHANISMS.items():
+        function = dp_ci._release_function(tag)
+        drawn = randomness._drawn_streams(seed, [(np.arange(total, dtype=np.uint64), *row.noise_shape(H))])[0]
+        discard = {"per_stratum": False} if "per_stratum" in inspect.signature(function).parameters else {}
+        for column, call, streams, keywords in (
+            ("drawn", function, drawn, discard), ("fresh", partial(dp_ci.release, tag), fresh, {}),
+        ):
+            arguments = [(stream, design, counts, budget, 0.1) for stream in streams]
+            out["mechanism", tag.value, f"H = {H} {column}"] = (call, arguments, {"clip_proportions": True, **keywords})
+    out["layer", "derive_stream", f"H = {H}"] = (
+        stratci.derive_stream, [(seed, [i, 1 + i % 3]) for i in range(total)], {},
+    )
+    out["layer", "child", f"H = {H}"] = (stratci.RandomStream.child, [(fresh[i], i % H) for i in range(total)], {})
+    out["layer", "non_private_ci", f"H = {H}"] = (stratci.non_private_ci, [(design, counts, 0.1)] * total, {})
+    return out
+
+
+def per_call_us(sides: list, calls: int) -> list[float]:
+    """Per side, the smallest time per call of ``call(*args, **keywords)`` over batches of ``calls`` calls, in µs.
+
+    Each side is a ``(call, arguments, keywords)``, one ``args`` per call.
+    The sides take turns batch by batch, and the first to run swaps each batch.
     """
-    call(*arguments[0], **keywords)
-    best = float("inf")
-    for start in range(0, len(arguments), calls):
-        batch = arguments[start:start + calls]
-        began = time.thread_time()
-        for args in batch:
-            call(*args, **keywords)
-        best = min(best, (time.thread_time() - began) / len(batch))
-    return best * 1e6
+    for call, arguments, keywords in sides:
+        call(*arguments[0], **keywords)
+    best = [float("inf")] * len(sides)
+    for number, start in enumerate(range(0, len(sides[0][1]), calls)):
+        for i in (range(len(sides)) if number % 2 == 0 else reversed(range(len(sides)))):
+            call, arguments, keywords = sides[i]
+            batch = arguments[start:start + calls]
+            began = time.thread_time()
+            for args in batch:
+                call(*args, **keywords)
+            best[i] = min(best[i], (time.thread_time() - began) / len(batch))
+    return [us * 1e6 for us in best]
 
 
 def print_table(title: str, table: dict, heads: list[str]) -> None:
-    """A Markdown table: one row per (name, figures) item of ``table``, under ``title`` and ``heads``."""
+    """A Markdown table: one row per (name, cells) item of ``table``, under ``title`` and ``heads``."""
     width = max(len(title), *map(len, table))
-    print(f"| {title:<{width}} | " + " | ".join(heads) + " |")
-    print(f"|-{'-' * width}-|" + "|".join("-" * (len(head) + 2) for head in heads) + "|")
+    cell = max(len(c) for c in [*heads, *(c for cells in table.values() for c in cells)])
+    print(f"| {title:<{width}} | " + " | ".join(f"{head:<{cell}}" for head in heads) + " |")
+    print(f"|-{'-' * width}-|" + "|".join("-" * (cell + 2) for _ in heads) + "|")
     for name, cells in table.items():
-        print(f"| {name:<{width}} | " + " | ".join(f"{us:<{len(head)}.1f}" for us, head in zip(cells, heads)) + " |")
+        print(f"| {name:<{width}} | " + " | ".join(f"{c:<{cell}}" for c in cells) + " |")
 
 
 def main(argv=None) -> None:
@@ -69,40 +119,30 @@ def main(argv=None) -> None:
     parser.add_argument("--batches", type=int, default=60)
     parser.add_argument("--calls", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", type=Path, metavar="DIR", help="a second checkout to time in turn")
     args = parser.parse_args(argv)
     if args.batches < 1 or args.calls < 1:
         parser.error("--batches and --calls must be at least 1")
+    if args.against is not None and not (args.against / "src" / "stratci" / "__init__.py").is_file():
+        parser.error(f"no package at {args.against / 'src' / 'stratci'}")
+    names = ["stratci"] + ([load_against(args.against.resolve())] if args.against is not None else [])
     total = args.batches * args.calls
     rng = np.random.default_rng(args.seed)
-    table = {tag.value: [] for tag in MECHANISMS}
-    layers = {"derive_stream": [], "child": [], "non_private_ci": []}
-    for H in STRATA:
-        sizes = list(zip(rng.integers(1500, 2001, H).tolist(), rng.integers(60, 161, H).tolist()))
-        design = build_design(sizes)
-        counts = StratumCounts(tuple(rng.binomial([n for _, n in sizes], 0.3).tolist()))
-        for tag, row in MECHANISMS.items():
-            ids = np.arange(total, dtype=np.uint64)
-            drawn = list(_drawn_streams(args.seed, [(ids, *row.noise_shape(H))])[0])
-            fresh = [derive_stream(args.seed, [H, i]) for i in range(total)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RatioApproximationWarning)
-                table[tag.value] += [
-                    per_call_us(
-                        function, [(stream, design, counts, BUDGET, 0.1) for stream in streams], args.calls,
-                        clip_proportions=True,
-                    )
-                    for function, streams in ((_release_function(tag), drawn), (partial(release, tag), fresh))
-                ]
-        layers["derive_stream"].append(
-            per_call_us(derive_stream, [(args.seed, [i, 1 + i % 3]) for i in range(total)], args.calls)
-        )
-        layers["child"].append(
-            per_call_us(RandomStream.child, [(fresh[i], i % H) for i in range(total)], args.calls)
-        )
-        layers["non_private_ci"].append(per_call_us(non_private_ci, [(design, counts, 0.1)] * total, args.calls))
-    print_table("mechanism", table, [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")])
+    tables = {"mechanism": {}, "layer": {}}
+    with warnings.catch_warnings():
+        for name in names:
+            warnings.simplefilter("ignore", importlib.import_module(name).RatioApproximationWarning)
+        for H in STRATA:
+            sizes = list(zip(rng.integers(1500, 2001, H).tolist(), rng.integers(60, 161, H).tolist()))
+            counts = rng.binomial([n for _, n in sizes], 0.3).tolist()
+            sides = [cases(name, H, sizes, counts, args.seed, total) for name in names]
+            for key in sides[0]:
+                mine, *theirs = per_call_us([side[key] for side in sides], args.calls)
+                table, row, _ = key
+                tables[table].setdefault(row, []).append(f"{mine:.1f}" + "".join(f" [{us:.1f}]" for us in theirs))
+    print_table("mechanism", tables["mechanism"], [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")])
     print()
-    print_table("layer", layers, [f"H = {H}" for H in STRATA])
+    print_table("layer", tables["layer"], [f"H = {H}" for H in STRATA])
 
 
 if __name__ == "__main__":
