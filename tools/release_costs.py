@@ -31,7 +31,6 @@ stratci only.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import inspect
 import sys
