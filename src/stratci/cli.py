@@ -8,7 +8,7 @@ Every command is a pure function of its flags, input files, and seed; there
 is no time-based seeding, so identical invocations produce byte-identical
 output.  Exit codes: 0 success, 1 parse error (a file that cannot be read or
 written, or is not UTF-8, included), 2 validation error, 3 infeasible
-configuration.
+configuration, 141 (128 + SIGPIPE) standard output closed before written.
 """
 
 from __future__ import annotations
@@ -462,7 +462,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Imported here: a line added above _cmd_ci would move the line that
+        # ci's ratio warning names on stderr.
+        import os
+
+        # The reader is gone; point stdout at the null device so that the
+        # interpreter's flush at exit does not fail on it again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,9 +17,11 @@ stream's children can travel with the stream value itself, which
 
 Hypergeometric sample counts for many streams of one design are drawn
 lane-parallel by :class:`_CountSampler`, numpy's own ratio-of-uniforms
-sampler run over arrays of streams, again bit for bit.  Both bulk kernels
-are compared with numpy's scalar draws once per process, at the first bulk
-draw; on any difference, every draw is made stream by stream.
+sampler run over arrays of streams, again bit for bit; its ``g - gp``
+tables are built whole, in one array pass over every stratum, at its first
+lane draw: at most 4 x ``_TABLE_CAP`` logarithms, once per sampler.  Both
+bulk kernels are compared with numpy's scalar draws once per process, at the
+first bulk draw; on any difference, every draw is made stream by stream.
 
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for
@@ -325,21 +327,31 @@ _MIN_LANES = 160
 _PASSES = 4
 
 
-def _logfactorial(k: int) -> float:
-    """numpy's ``logfactorial``: its table below 126, else Stirling's series to the 1/k**3 term."""
-    if k < 126:
-        return _LOGFACT[k]
-    return (k + 0.5) * math.log(k) - k + (_HALF_LN_2PI + (1.0 / k) * (1 / 12.0 - 1 / (360.0 * k * k)))
+def _logfactorials(k: np.ndarray) -> np.ndarray:
+    """numpy's ``logfactorial`` over an int array: its table below 126, else Stirling's series to the 1/k**3 term.
+
+    Each logarithm is the C library's, through ``math.log`` (``np.log``
+    differs from it in the last bit on some integers), and every other
+    operation keeps the C code's order, so each entry is numpy's bit for bit.
+    """
+    table = np.array(_LOGFACT)
+    big = k >= len(table)
+    out = table[np.where(big, 0, k)]
+    x = k[big].astype(np.float64)
+    logs = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    out[big] = (x + 0.5) * logs - x + (_HALF_LN_2PI + (1.0 / x) * (1 / 12.0 - 1 / (360.0 * x * x)))
+    return out
 
 
 class _Hrua:
     """numpy's ``hypergeometric_hrua`` for one stratum (Stadlober 1989): its constants and ``g - gp`` table.
 
     The draw is made on the smaller of (K, N - K) and of (n, N - n), then
-    mapped back.  ``table[k]`` holds T = g - gp(k) for k in [0, b), filled
-    as tries reach it, and ``table[b]`` holds -inf, so that a try outside
-    [0, b) fails both fast tests, as numpy's range test rejects it.
-    Every expression keeps the C code's operand order.
+    mapped back.  :func:`_build_tables` sets ``g`` and the table, whole, at
+    the sampler's first lane draw: ``table[k]`` holds T = g - gp(k) for k in
+    [0, b), and ``table[b]`` holds -inf, so that a try outside [0, b) fails
+    both fast tests, as numpy's range test rejects it.  Every expression
+    keeps the C code's operand order.
     """
 
     def __init__(self, N: int, K: int, n: int) -> None:
@@ -351,23 +363,13 @@ class _Hrua:
         self.a = cs * p + 0.5
         c = math.sqrt(float(N - cs) * cs * p * q / (N - 1) + 0.5)
         self.h = _D1 * c + _D2
-        m = math.floor(float(cs + 1) * (lo + 1) / (N + 2))
-        self.g = self._gp(m)
+        self.m = math.floor(float(cs + 1) * (lo + 1) / (N + 2))
         self.b = min(min(cs, lo) + 1, math.floor(self.a + 16 * c))
-        self.table = None  # made once the design's tables are known to fit
+        self.g = self.table = None  # set by _build_tables at the first lane draw
 
     def x(self, u, v):
         """X = a + h (V - 0.5) / U of a try, over floats or arrays."""
         return self.a + self.h * (v - 0.5) / u
-
-    def _gp(self, k: int) -> float:
-        lf = _logfactorial
-        return lf(k) + lf(self.lo - k) + lf(self.cs - k) + lf(self.hi - self.cs + k)
-
-    def fill(self, ks: Iterable[int]) -> None:
-        """Compute the table entries at ``ks``."""
-        for k in ks:
-            self.table[k] = self.g - self._gp(k)
 
     def finish(self, uniforms: Iterator[float]) -> tuple[int, int]:
         """numpy's rejection loop on a lane's next doubles: (k, doubles read)."""
@@ -381,8 +383,6 @@ class _Hrua:
             if x < 0.0 or x >= self.b:
                 continue
             k = math.floor(x)
-            if math.isnan(self.table[k]):
-                self.fill((k,))
             t = float(self.table[k])
             if u * (4.0 - u) - 3.0 <= t:
                 return k, read
@@ -397,6 +397,28 @@ class _Hrua:
             np.subtract(self.cs, row, out=row)
         if self.complement:
             np.subtract(self.good, row, out=row)
+
+
+def _build_tables(strata: Sequence[_Hrua]) -> None:
+    """Set ``g`` and the whole table of every stratum, in one array pass over all of them.
+
+    Stratum s takes b + 1 slots of one array: gp(k) for k in [0, b), then
+    gp(m), which is g; T = g - gp follows, and the last slot becomes the
+    -inf.  gp sums its four logfactorials in the C code's order.
+    """
+    b = np.array([s.b for s in strata])
+    ends = np.cumsum(b + 1)
+    starts = ends - (b + 1)
+    k = np.arange(ends[-1]) - np.repeat(starts, b + 1)
+    k[ends - 1] = [s.m for s in strata]
+    lo, cs, hi = (np.repeat([getattr(s, name) for s in strata], b + 1) for name in ("lo", "cs", "hi"))
+    lf = _logfactorials(np.stack([k, lo - k, cs - k, hi - cs + k]))
+    gp = lf[0] + lf[1] + lf[2] + lf[3]
+    g = gp[ends - 1]
+    table = np.repeat(g, b + 1) - gp
+    table[ends - 1] = -math.inf
+    for s, gs, start, end in zip(strata, g.tolist(), starts.tolist(), ends.tolist()):
+        s.g, s.table = gs, table[start:end]
 
 
 def _doubles(key0: int, stream_id: int, word: int) -> Iterator[float]:
@@ -415,8 +437,9 @@ class _CountSampler:
     bit for bit.  It runs numpy's HRUA over the lanes: each lane reads its
     stream's doubles, which numpy's Philox generator draws into a buffer,
     two per try, from where its previous stratum stopped; after a few vector
-    passes the lanes still rejecting finish one at a time.  A census stratum
-    draws nothing.  A design with a stratum that numpy draws otherwise
+    passes the lanes still rejecting finish one at a time.  Every stratum's
+    table is built, whole, at the first lane draw.  A census stratum draws
+    nothing.  A design with a stratum that numpy draws otherwise
     (n < 10 or n > N - 10), or whose tables would pass ``_TABLE_CAP``, and a
     block of fewer than ``_MIN_LANES`` lanes, draw stream by stream.
     """
@@ -425,13 +448,8 @@ class _CountSampler:
         self.design = tuple(population_sizes), tuple(positive_counts), tuple(sample_sizes)
         # A census draws nothing: its count is K.  None marks a stratum outside HRUA.
         strata = [K if n == N else _Hrua(N, K, n) if 10 <= n <= N - 10 else None for N, K, n in zip(*self.design)]
-        hrua = [s for s in strata if isinstance(s, _Hrua)]
-        self.strata = None
-        if None not in strata and sum(s.b + 1 for s in hrua) <= _TABLE_CAP:
-            self.strata = strata
-            for s in hrua:
-                s.table = np.full(s.b + 1, np.nan)
-                s.table[-1] = -math.inf
+        self.hrua = hrua = [s for s in strata if isinstance(s, _Hrua)]
+        self.strata = strata if None not in strata and sum(s.b + 1 for s in hrua) <= _TABLE_CAP else None
         # Buffered doubles per lane: two per try, about 1.5 tries per stratum
         # and some to spare; a lane that runs out reads on from numpy's Philox.
         self.words = 2 * math.ceil((3 * len(hrua) + 6 * math.sqrt(len(hrua)) + 2 * _PASSES) / 2)
@@ -445,6 +463,8 @@ class _CountSampler:
     # A try with U = 0 divides by zero, as in C; its X is infinite, and rejected.
     @np.errstate(divide="ignore", invalid="ignore")
     def _lanes(self, base_seed: int, ids: np.ndarray) -> np.ndarray:
+        if self.hrua and self.hrua[0].table is None:
+            _build_tables(self.hrua)
         L, W = len(ids), self.words
         uniforms = np.empty((L, W))
         scratch = _scratch
@@ -475,10 +495,6 @@ class _CountSampler:
                 # k in [-1, b]; both ends read the -inf at table[b].
                 k = np.floor(np.minimum(np.maximum(x, -1.0, out=x), s.b, out=x), out=x).astype(np.intp)
                 t = table[k]
-                missing = np.isnan(t)
-                if missing.any():
-                    s.fill(set(k[missing].tolist()))
-                    t = table[k]
                 accept = u * (4.0 - u) - 3.0 <= t
                 # Neither fast test decides these; numpy's log test takes C's log.
                 close = (~accept & (u * (u - t) < 1)).nonzero()[0]

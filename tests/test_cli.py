@@ -979,6 +979,24 @@ class TestInputBoundary:
         assert proc.stderr.startswith("error: cannot ") and str(out) in proc.stderr
 
 
+def test_closed_stdout_exits_141_without_traceback(tmp_path, one_row_file):
+    # The pipe's read end is closed before the child starts, so every write to it fails.
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratci.cli", "ci", "--input", str(one_row_file), "--algorithm", "str-priv",
+             "--rho", "0.1", "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == ""
+
+
 _FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )

@@ -13,11 +13,15 @@ theirs stream by stream, and each call goes through ``dp_ci.release`` with
 its per-stratum releases, as ``stratci ci`` and the library do.  A second
 table times, per call, the layers a release stands on:
 ``derive_stream(seed, [i, slot])`` (how a library caller keys a stream),
-``RandomStream.child(h)`` for h < H, and ``non_private_ci`` on the same
-design and counts.  One untimed call of each comes first, so the figures
-are those of a design already in use.  A batch is timed by
-``time.thread_time``; each figure is the smallest time per call over the
-batches, in microseconds, printed as Markdown tables.
+``RandomStream.child(h)`` for h < H, ``non_private_ci`` on the same design
+and counts, and "count block": a fresh ``randomness._CountSampler`` of the
+design, with K_h = 3 N_h // 10, drawing the counts of a block of 600 streams
+(one call per batch, in µs per stream), as a sweep of six 100-repetition
+budgets draws them.  One untimed call of each comes first, so the figures
+are those of a design already in use (the count block's sampler is still
+new on every call).  A batch is timed by ``time.thread_time``; each figure
+is the smallest time per call over the batches, in microseconds, printed as
+Markdown tables.
 
 With ``--against DIR``, the package at ``DIR/src/stratci`` is imported into
 this process under a second name, and every figure is timed on both
@@ -43,6 +47,7 @@ import numpy as np
 
 STRATA = (1, 5, 20)
 AGAINST = "stratci_against"
+LANES = 600  # streams in the count block
 
 
 def load_against(root: Path) -> str:
@@ -57,8 +62,17 @@ def load_against(root: Path) -> str:
     return AGAINST
 
 
-def cases(name: str, H: int, sizes: list, counts: list, seed: int, total: int) -> dict:
-    """``(table, row, column) -> (call, arguments, keywords)`` for every figure at H strata, on package ``name``."""
+def count_block(sampler, design: tuple, seed: int, ids: np.ndarray) -> np.ndarray:
+    """A fresh sampler of ``design`` draws the counts of the streams ``ids``."""
+    return sampler(*design).counts(seed, ids)
+
+
+def cases(name: str, H: int, sizes: list, counts: list, seed: int, batches: int, calls: int) -> dict:
+    """``(table, row, column) -> (call, arguments, keywords)`` for every figure at H strata, on package ``name``.
+
+    Each figure makes ``calls`` calls per batch, the count block one.
+    """
+    total = batches * calls
     stratci = importlib.import_module(name)
     dp_ci = importlib.import_module(f"{name}.dp_ci")
     randomness = importlib.import_module(f"{name}.randomness")
@@ -80,17 +94,22 @@ def cases(name: str, H: int, sizes: list, counts: list, seed: int, total: int) -
     )
     out["layer", "child", f"H = {H}"] = (stratci.RandomStream.child, [(fresh[i], i % H) for i in range(total)], {})
     out["layer", "non_private_ci", f"H = {H}"] = (stratci.non_private_ci, [(design, counts, 0.1)] * total, {})
+    population = [N for N, _ in sizes], [3 * N // 10 for N, _ in sizes], [n for _, n in sizes]
+    block = (randomness._CountSampler, population, seed, np.arange(LANES, dtype=np.uint64))
+    out["layer", "count block", f"H = {H}"] = (count_block, [block] * batches, {})
     return out
 
 
-def per_call_us(sides: list, calls: int) -> list[float]:
-    """Per side, the smallest time per call of ``call(*args, **keywords)`` over batches of ``calls`` calls, in µs.
+def per_call_us(sides: list, batches: int) -> list[float]:
+    """Per side, the smallest time per call of ``call(*args, **keywords)`` over ``batches`` batches, in µs.
 
-    Each side is a ``(call, arguments, keywords)``, one ``args`` per call.
-    The sides take turns batch by batch, and the first to run swaps each batch.
+    Each side is a ``(call, arguments, keywords)``, one ``args`` per call,
+    split evenly over the batches.  The sides take turns batch by batch, and
+    the first to run swaps each batch.
     """
     for call, arguments, keywords in sides:
         call(*arguments[0], **keywords)
+    calls = len(sides[0][1]) // batches
     best = [float("inf")] * len(sides)
     for number, start in enumerate(range(0, len(sides[0][1]), calls)):
         for i in (range(len(sides)) if number % 2 == 0 else reversed(range(len(sides)))):
@@ -125,7 +144,6 @@ def main(argv=None) -> None:
     if args.against is not None and not (args.against / "src" / "stratci" / "__init__.py").is_file():
         parser.error(f"no package at {args.against / 'src' / 'stratci'}")
     names = ["stratci"] + ([load_against(args.against.resolve())] if args.against is not None else [])
-    total = args.batches * args.calls
     rng = np.random.default_rng(args.seed)
     tables = {"mechanism": {}, "layer": {}}
     with warnings.catch_warnings():
@@ -134,10 +152,11 @@ def main(argv=None) -> None:
         for H in STRATA:
             sizes = list(zip(rng.integers(1500, 2001, H).tolist(), rng.integers(60, 161, H).tolist()))
             counts = rng.binomial([n for _, n in sizes], 0.3).tolist()
-            sides = [cases(name, H, sizes, counts, args.seed, total) for name in names]
+            sides = [cases(name, H, sizes, counts, args.seed, args.batches, args.calls) for name in names]
             for key in sides[0]:
-                mine, *theirs = per_call_us([side[key] for side in sides], args.calls)
                 table, row, _ = key
+                mine, *theirs = (us / (LANES if row == "count block" else 1) for us in
+                                 per_call_us([side[key] for side in sides], args.batches))
                 tables[table].setdefault(row, []).append(f"{mine:.1f}" + "".join(f" [{us:.1f}]" for us in theirs))
     print_table("mechanism", tables["mechanism"], [f"H = {H} {kind}" for H in STRATA for kind in ("drawn", "fresh")])
     print()
