@@ -472,8 +472,9 @@ class TestCountKernel:
         rng = np.random.default_rng(8)
         uv = rng.random((2, 2000))
         # (N, K, n) = (90, 45, 25) and the like put (cs + 1)(lo + 1) / (N + 2)
-        # on a whole number, which another operand order floors to m - 1.
-        strata = [(90, 45, 25), (96, 48, 15), (108, 54, 27)]
+        # on a whole number, which another operand order floors to m - 1;
+        # (119, 32, 54) is floored to m - 1 when (lo + 1) / (N + 2) is rounded first.
+        strata = [(90, 45, 25), (96, 48, 15), (108, 54, 27), (119, 32, 54)]
         for _ in range(300):
             N = int(rng.choice([rng.integers(20, 400), rng.integers(400, 20_000)]))
             strata.append((N, int(rng.integers(0, N + 1)), int(rng.integers(10, N - 9))))
@@ -481,7 +482,7 @@ class TestCountKernel:
         randomness._build_tables(hrua)
         for (N, K, n), s in zip(strata, hrua):
             setup = oracles.hrua_setup(K, N - K, n)
-            assert (s.a, s.h, s.g, s.b) == (setup["a"], setup["h"], setup["g"], setup["b"])
+            assert (s.a, s.h, s.m, s.g, s.b) == (setup["a"], setup["h"], setup["m"], setup["g"], setup["b"])
             assert s.table[:-1].tolist() == [oracles.hrua_t(setup, k) for k in range(s.b)]
             assert s.table[-1] == -math.inf
             u, v = uv

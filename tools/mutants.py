@@ -5,9 +5,9 @@
 Each row of ``MUTANTS`` is a file under the checkout, an exact snippet of
 it, the snippet's replacement, the pytest arguments (test files and a ``-k``
 selection) that should catch the edit, and the reason it matters.  For
-each row the tool copies ``src/``, ``tests/`` and ``pyproject.toml`` (for
-pytest's settings) of ``--root`` (default: this checkout) to a temporary
-directory, applies the one edit there and runs the selection with
+each row the tool copies ``src/``, ``tests/``, ``configs/`` (some tests
+read the shipped configs) and ``pyproject.toml`` (pytest's settings) of
+``--root`` (default: this checkout) to a temporary directory, applies the one edit there and runs the selection with
 ``PYTHONPATH`` pointed at the copy's ``src``.  The mutant is killed when the
 selection fails.  The checkout itself is never edited.
 
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -46,11 +46,15 @@ class Mutant(NamedTuple):
 
 
 _RANDOMNESS = "src/stratci/randomness.py"
-_TABLES = ("tests/test_randomness.py", "-k", "test_logfactorial_is_numpys or test_constants_tables_and_tries_are_numpys")
+_TABLES = (
+    "tests/test_randomness.py", "-k", "test_logfactorial_is_numpys or test_constants_tables_and_tries_are_numpys",
+)
 _KERNEL = ("tests/test_randomness.py", "-k", "TestCountKernel or TestSelfCheck")
 # The lane kernel called directly and the self-check: a kernel fault that the
 # self-check catches sends counts() to the scalar path, where it cannot show.
 _LANES = ("tests/test_randomness.py", "-k", "test_kernel_reaches_every_branch or test_kernels_agree_with_numpy_here")
+_READ_ON = ("tests/test_randomness.py", "-k", "test_lanes_past_the_buffer")
+_FINISH = ("tests/test_dp_ci.py", "-k", "TestFinish")
 _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or test_bool_counts_rejected")
 
 MUTANTS = (
@@ -75,6 +79,63 @@ MUTANTS = (
         "- x + (_HALF_LN_2PI + (1.0 / x) * (1 / 12.0 - 1 / (360.0 * x * x)))",
         "- x + _HALF_LN_2PI + (1.0 / x) * (1 / 12.0 - 1 / (360.0 * x * x))", _TABLES,
         "Stirling's series adds its 1/2 log(2 pi) and 1/k terms together before (k + 0.5) log k - k, as in C",
+    ),
+    # The lane-parallel HRUA kernel: numpy's constants, draws and maps, each in the C code's order.
+    Mutant(
+        "stirling-1-over-k-integer", _RANDOMNESS, "(1.0 / x) * (1 / 12.0", "(1 // x) * (1 / 12.0", _TABLES,
+        "C's 1.0 / k is a float division",
+    ),
+    Mutant(
+        "stirling-1-over-360kk-integer", _RANDOMNESS, "1 / (360.0 * x * x)", "1 // (360.0 * x * x)", _TABLES,
+        "C's 1 / (360.0 * k * k) is a float division",
+    ),
+    Mutant(
+        "x-reordered", _RANDOMNESS,
+        "return self.a + self.h * (v - 0.5) / u", "return self.a + self.h * ((v - 0.5) / u)", _TABLES,
+        "X = a + h * (V - 0.5) / U multiplies before it divides, as in C",
+    ),
+    Mutant(
+        "var-reordered", _RANDOMNESS, "float(N - cs) * cs * p * q / (N - 1)", "float(N - cs) * cs * (p * q) / (N - 1)",
+        _TABLES, "var is a left-to-right product, as in C",
+    ),
+    Mutant(
+        "mu-reordered", _RANDOMNESS, "self.a = cs * p + 0.5", "self.a = cs * lo / N + 0.5", _TABLES,
+        "mu = computed_sample * p, with p = lo / N rounded first",
+    ),
+    Mutant(
+        "m-divided-first", _RANDOMNESS, "float(cs + 1) * (lo + 1) / (N + 2)", "float(cs + 1) / (N + 2) * (lo + 1)",
+        _TABLES, "m floors (cs + 1)(lo + 1) / (N + 2) multiplied first; another order floors some to m - 1",
+    ),
+    Mutant(
+        "m-quotient-first", _RANDOMNESS, "float(cs + 1) * (lo + 1) / (N + 2)", "float(cs + 1) * ((lo + 1) / (N + 2))",
+        _TABLES, "m floors (cs + 1)(lo + 1) / (N + 2) multiplied first; another order floors some to m - 1",
+    ),
+    Mutant(
+        "v-before-u", _RANDOMNESS, "u, v = uv[:, 0], uv[:, 1]", "v, u = uv[:, 0], uv[:, 1]", _LANES,
+        "each try reads U, then V",
+    ),
+    Mutant(
+        "lane-words-shifted", _RANDOMNESS, "            draw(out=row)\n",
+        "            bitgen.random_raw()\n            draw(out=row)\n", _LANES,
+        "a lane's first double is its fresh Philox's word 0",
+    ),
+    Mutant(
+        "read-on-shift-12", _RANDOMNESS, "yield (int(bitgen.random_raw()) >> 11) * 2.0**-53",
+        "yield (int(bitgen.random_raw()) >> 12) * 2.0**-53", _READ_ON,
+        "numpy's next_double takes a word's high 53 bits",
+    ),
+    Mutant(
+        "read-on-low-bits", _RANDOMNESS, "yield (int(bitgen.random_raw()) >> 11) * 2.0**-53",
+        "yield (int(bitgen.random_raw()) & ((1 << 53) - 1)) * 2.0**-53", _READ_ON,
+        "numpy's next_double takes a word's high 53 bits",
+    ),
+    Mutant(
+        "maps-back-swapped", _RANDOMNESS,
+        "        if self.flip:\n            np.subtract(self.cs, row, out=row)\n"
+        "        if self.complement:\n            np.subtract(self.good, row, out=row)\n",
+        "        if self.complement:\n            np.subtract(self.good, row, out=row)\n"
+        "        if self.flip:\n            np.subtract(self.cs, row, out=row)\n",
+        _LANES, "numpy maps good > bad back before computed_sample < sample",
     ),
     Mutant(
         "log-test-np-log", _RANDOMNESS,
@@ -129,6 +190,40 @@ MUTANTS = (
         "_noise_scale(1.0, budget.rho2)", "_noise_scale(1.0, budget.rho)",
         ("tests/test_dp_ci.py", "tests/test_mechanisms.py", "-k", "TestStratumNoisePrivateSizes or TestZcdpLedger"),
         "str-priv's size noise is scaled by its own share rho2 of the budget",
+    ),
+    # The scalar release's finish and binding.
+    Mutant(
+        "clip-test-strict", "src/stratci/core.py",
+        "if 0.0 <= lower and upper <= 1.0:", "if 0.0 < lower and upper <= 1.0:", _FINISH,
+        "an interval whose lower bound is exactly 0 is not clipped",
+    ),
+    Mutant(
+        "interval-clipped-from-flag", "src/stratci/dp_ci.py", "proportion_clipped, clipped is not None,",
+        "proportion_clipped, clip_interval,", _FINISH,
+        "interval_clipped says that the clip moved a bound, not that it was asked for",
+    ),
+    Mutant(
+        "release-function-bound-once", "src/stratci/dp_ci.py",
+        "def _release_function(algorithm: AlgorithmTag) -> Callable:",
+        "@lru_cache(maxsize=None)\ndef _release_function(algorithm: AlgorithmTag) -> Callable:",
+        ("tests/test_simharness.py", "-k", "TestMechanismBinding"),
+        "a run binds each release function by name when it starts, so a wrapper bound before it sees every release",
+    ),
+    Mutant(
+        "finiteness-after-sign", "src/stratci/estimators.py",
+        "    if not (math.isfinite(estimate) and math.isfinite(variance)):\n"
+        "        raise ValidationError(\n"
+        "            \"the point or variance estimate is not finite; the privacy budget rho may be too small\"\n"
+        "        )\n"
+        "    if variance < 0.0:\n"
+        "        raise ValidationError(f\"variance must be nonnegative, got {variance}\")\n",
+        "    if variance < 0.0:\n"
+        "        raise ValidationError(f\"variance must be nonnegative, got {variance}\")\n"
+        "    if not (math.isfinite(estimate) and math.isfinite(variance)):\n"
+        "        raise ValidationError(\n"
+        "            \"the point or variance estimate is not finite; the privacy budget rho may be too small\"\n"
+        "        )\n",
+        _FINISH, "a Wald interval checks finiteness before the variance's sign, and each error keeps its text",
     ),
     # The command line.
     Mutant(
