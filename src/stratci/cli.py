@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -458,22 +459,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # Imported here: a line added above _cmd_ci would move the line that
-        # ci's ratio warning names on stderr.
-        import os
-
-        # The reader is gone; point stdout at the null device so that the
-        # interpreter's flush at exit does not fail on it again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return args.func(args)
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -483,6 +473,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    code = 141  # stdout closed while the command wrote to it
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point stdout at the null device so that the
+        # interpreter's flush at exit does not fail on it again.  A stdout
+        # captured in memory has no descriptor to point.
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

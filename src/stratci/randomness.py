@@ -19,9 +19,11 @@ Hypergeometric sample counts for many streams of one design are drawn
 lane-parallel by :class:`_CountSampler`, numpy's own ratio-of-uniforms
 sampler run over arrays of streams, again bit for bit; its ``g - gp``
 tables are built whole, in one array pass over every stratum, at its first
-lane draw: at most 4 x ``_TABLE_CAP`` logarithms, once per sampler.  Both
-bulk kernels are compared with numpy's scalar draws once per process, at the
-first bulk draw; on any difference, every draw is made stream by stream.
+lane draw: at most 4 x ``_TABLE_CAP`` logarithms, once per sampler, whatever
+entries its tries reach (on a stratum near the cap, far more time than its
+draws take).  Both bulk kernels are compared with numpy's scalar draws once
+per process, at the first bulk draw; on any difference, every draw is made
+stream by stream.
 
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -996,6 +997,18 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, one_row_file):
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert proc.stderr == ""
 
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout held in memory, with no descriptor, whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_without_a_descriptor_exits_141(monkeypatch, one_row_file):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["ci", "--input", one_row_file, "--algorithm", "str-priv", "--rho", "0.1"]) == 141
 
 _FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

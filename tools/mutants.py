@@ -1,14 +1,15 @@
 """Run the table of hand-made mutants: each one edit that the named tests must catch.
 
-    python3 tools/mutants.py [--root DIR] [--only NAME ...] [--list]
+    python3 tools/mutants.py
 
 Each row of ``MUTANTS`` is a file under the checkout, an exact snippet of
 it, the snippet's replacement, the pytest arguments (test files and a ``-k``
 selection) that should catch the edit, and the reason it matters.  For
 each row the tool copies ``src/``, ``tests/``, ``configs/`` (some tests
 read the shipped configs) and ``pyproject.toml`` (pytest's settings) of
-``--root`` (default: this checkout) to a temporary directory, applies the one edit there and runs the selection with
-``PYTHONPATH`` pointed at the copy's ``src``.  The mutant is killed when the
+the checkout the tool sits in to a temporary directory, applies the one
+edit there and runs the selection with ``PYTHONPATH`` pointed at the
+copy's ``src``.  The mutant is killed when the
 selection fails.  The checkout itself is never edited.
 
 Before any mutant runs, each distinct selection runs once on an unedited
@@ -232,13 +233,20 @@ MUTANTS = (
         ("tests/test_cli.py", "-k", "closed_stdout"),
         "a closed stdout must exit 141 with no traceback, not 1 (the parse-error code)",
     ),
+    Mutant(
+        "cli-closed-stdout-unguarded", "src/stratci/cli.py",
+        "        try:\n            fd = sys.stdout.fileno()\n        except (OSError, ValueError):\n            return code\n",
+        "        fd = sys.stdout.fileno()\n",
+        ("tests/test_cli.py", "-k", "closed_stdout"),
+        "a closed stdout held in memory has no descriptor to point at the null device; main still returns 141",
+    ),
 )
 
 
-def copy_checkout(root: Path, into: Path) -> None:
-    """Copy what the tests need from ``root`` into the directory ``into``."""
+def copy_checkout(into: Path) -> None:
+    """Copy what the tests need from this checkout into the directory ``into``."""
     for name in COPIED:
-        source = root / name
+        source = ROOT / name
         if source.is_dir():
             shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         else:
@@ -262,41 +270,29 @@ def run_tests(into: Path, tests: tuple[str, ...]) -> int:
     return subprocess.run(command, cwd=into, env=env, capture_output=True).returncode
 
 
-def in_copy(root: Path, mutant: Mutant | None, tests: tuple[str, ...]) -> int:
-    """Run ``tests`` in a fresh temporary copy of ``root``, with ``mutant``'s edit made if it is given."""
+def in_copy(mutant: Mutant | None, tests: tuple[str, ...]) -> int:
+    """Run ``tests`` in a fresh temporary copy of this checkout, with ``mutant``'s edit made if it is given."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         into = Path(tmp)
-        copy_checkout(root, into)
+        copy_checkout(into)
         if mutant is not None:
             apply(into, mutant)
         return run_tests(into, tests)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", type=Path, default=ROOT, help="the checkout to copy (default: this one)")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these rows")
-    parser.add_argument("--list", action="store_true", help="print the table and exit")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if args.only is None or m.name in args.only]
-    if args.only is not None and len(rows) != len(set(args.only)):
-        parser.error(f"unknown rows: {sorted(set(args.only) - {m.name for m in MUTANTS})}")
-    if args.list:
-        for m in rows:
-            print(f"{m.name}: {m.file}: {m.reason}{' (known survivor)' if m.survives else ''}")
-        return 0
-    root = args.root.resolve()
-    for tests in dict.fromkeys(m.tests for m in rows):
-        code = in_copy(root, None, tests)
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    for tests in dict.fromkeys(m.tests for m in MUTANTS):
+        code = in_copy(None, tests)
         if code != 0:
             print(f"selection {' '.join(tests)!r} {'selects no test' if code == 5 else 'fails'} without a mutant "
                   f"(pytest exit {code})", file=sys.stderr)
             return 2
     unexpected = []
-    for m in rows:
+    for m in MUTANTS:
         began = time.monotonic()
         try:
-            code = in_copy(root, m, m.tests)
+            code = in_copy(m, m.tests)
         except LookupError as exc:
             print(f"stale row: {exc}", file=sys.stderr)
             return 2

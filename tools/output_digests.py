@@ -19,8 +19,11 @@ both budgets str-priv's proportion clip, noisy-size floor and fpc floor fire
 and its ratio warning is printed; at the smaller one every mechanism's
 proportion clip and interval clip fire.  One line is printed per run: its
 exit code and the SHA-256 of its stdout and stderr, with the checkout's root
-replaced in stderr.  This covers every per-stratum release the command
-prints, and the warning's text and the line it names.  It also runs ``ci``
+replaced in stderr and the line number of each ``file.py:LINE:`` location
+there (the warning's) replaced too.  This covers every per-stratum release
+the command prints, and the warning's text, the file it names and that
+line's source text, which Python prints under it; a line added or removed
+above the call it names moves no digest.  It also runs ``ci``
 on a two-stratum all-census input (``CENSUS_INPUT``, every n_h = N_h), once
 per private algorithm and output format at ``--rho 0.1``, so that a change
 to pop-pub's release or recorded budget on such a design (whose variance
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -102,7 +106,7 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
                         argv = ["ci", "--input", str(strata), "--algorithm", algorithm, "--rho", rho, "--seed", "7",
                                 "--format", fmt, *clip]
                         done = stratci(root, argv, work)
-                        stderr = done.stderr.replace(bytes(root), b"ROOT")
+                        stderr = re.sub(rb"\.py:\d+:", b".py:LINE:", done.stderr.replace(bytes(root), b"ROOT"))
                         name = " ".join((algorithm, fmt, *clip))
                         out[f"{label} --rho {rho}", name] = f"exit {done.returncode} {sha256(done.stdout + stderr)}"
     return out
