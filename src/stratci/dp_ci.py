@@ -14,8 +14,8 @@ design facts stay public:
   remove/add-one adjacency, protecting the sizes themselves.
 
 All three share one signature and return ``(CiResult, per-stratum releases
-or None)``; :func:`release` calls one by its :class:`AlgorithmTag`.  The
-releases are None for the population-level mechanism, and for any mechanism
+or None)``; :func:`release` calls one, with its records, by its tag.  The
+releases are None for the population-level mechanism, and for a mechanism
 called with ``per_stratum=False``, which builds no per-stratum record and
 leaves the interval's bits, flags and errors as they are: the simulation
 harness scores only the interval, and ``stratci ci`` prints the records.
@@ -48,7 +48,7 @@ from .core import (
     memoised,
     ordered_sum,
 )
-from .estimators import _design_facts, _wald_bounds, wald_interval
+from .estimators import _design_facts, _stratified, _wald_bounds, wald_interval
 from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
@@ -204,12 +204,7 @@ def population_noise_public_sizes(
     """
     check_paired(design, counts)
     p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
-    facts = memoised(_design_facts, design)
-    point = variance = 0.0  # the non-private estimate, added stratum by stratum as ordered_sum adds
-    for c, n, w, w2, fpc in zip(counts.counts, *facts[:4]):
-        p = c / n
-        point += w * p
-        variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
+    point, variance = _stratified(counts.counts, memoised(_design_facts, design))
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *_population_shape(len(design)))
     (p_noisy,) = gaussian_releases((z_p,), (point,), p_scale, budget.rho1)
@@ -430,17 +425,15 @@ def release(
     *,
     clip_proportions: bool = False,
     clip_interval: bool = False,
-    per_stratum: bool = True,
 ) -> tuple[CiResult, tuple[PrivateStratumRelease, ...] | None]:
     """Release an interval through the private mechanism ``algorithm`` names.
 
     Returns what that mechanism returns: the interval, and its per-stratum
-    releases (None for the population-level mechanism, or with
-    ``per_stratum=False``).  Looked up anew per call.
+    releases (None for the population-level mechanism).  Looked up anew per
+    call.
     """
     return _release_function(algorithm)(
-        stream, design, counts, budget, alpha,
-        clip_proportions=clip_proportions, clip_interval=clip_interval, per_stratum=per_stratum,
+        stream, design, counts, budget, alpha, clip_proportions=clip_proportions, clip_interval=clip_interval,
     )
 
 

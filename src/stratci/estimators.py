@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, mul, truediv
+from operator import attrgetter, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .core import (
     check_paired,
     memoised,
     normal_quantile,
-    ordered_sum,
 )
 
 
@@ -89,21 +88,29 @@ def _design_facts(design: Sequence[StratumDesign]) -> _DesignFacts:
     ]))
 
 
+def _stratified(counts, facts: _DesignFacts):
+    """(p_hat, V_hat): w_h p_h and w_h**2 fpc_h p_h (1 - p_h)/(n_h - 1), p_h = c_h/n_h, added from 0.0 stratum by stratum.
+
+    ``counts`` is one count per stratum, or the rows of an (H x R) block: ``0.0 + row`` has ``np.zeros(R) + row``'s bits.
+    """
+    point = variance = 0.0
+    for c, n, w, w2, fpc in zip(counts, *facts[:4]):
+        p = c / n
+        point += w * p
+        variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
+    return point, variance
+
+
 def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: float, clip_interval: bool):
     """The bits of :func:`non_private_ci`, clipped if ``clip_interval``, per column of an (H x R) count block.
 
-    Returns (lower, upper, point) arrays.  Strata add row by row from
-    zeros, as :func:`ordered_sum` adds for every R.
+    Returns (lower, upper, point) arrays, from :func:`_stratified` over the block's rows.
     """
     z = _wald_quantile(alpha)
     facts = memoised(_design_facts, design)
     if ((counts < 0) | (counts > np.array(facts.sizes)[:, None])).any():
         raise ValidationError("each count must lie in [0, n_h]")
-    point, variance = np.zeros(counts.shape[1]), np.zeros(counts.shape[1])
-    for c, n, w, w2, fpc in zip(counts, *facts[:4]):
-        p = c / n
-        point += w * p
-        variance += w2 * (fpc * p * (1.0 - p) / (n - 1))
+    point, variance = _stratified(counts, facts)
     half_width = np.array([z * v**0.5 for v in variance.tolist()])
     lower, upper = point - half_width, point + half_width
     if clip_interval:
@@ -120,15 +127,11 @@ def non_private_estimate(
     bit for bit.
     """
     check_paired(design, counts)
-    sizes, weights, squared_weights, fpcs, *_ = memoised(_design_facts, design)
-    per_stratum = tuple(map(truediv, counts.counts, sizes))
-    stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(fpcs, per_stratum, sizes)])
-    return NonPrivateEstimate(
-        ordered_sum(map(mul, weights, per_stratum)),
-        per_stratum,
-        ordered_sum(map(mul, squared_weights, stratum_vars)),
-        stratum_vars,
-    )
+    facts = memoised(_design_facts, design)
+    per_stratum = tuple(map(truediv, counts.counts, facts.sizes))
+    stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(facts.fpcs, per_stratum, facts.sizes)])
+    point, variance = _stratified(counts.counts, facts)
+    return NonPrivateEstimate(point, per_stratum, variance, stratum_vars)
 
 
 def _wald_quantile(alpha: float) -> float:
@@ -175,5 +178,5 @@ def non_private_ci(
     design: Sequence[StratumDesign], counts: StratumCounts, alpha: float
 ) -> CiResult:
     """Classic stratified Wald interval from observed counts."""
-    est = non_private_estimate(design, counts)
-    return wald_interval(est.proportion, est.variance, alpha)
+    check_paired(design, counts)
+    return wald_interval(*_stratified(counts.counts, memoised(_design_facts, design)), alpha)

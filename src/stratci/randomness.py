@@ -17,13 +17,13 @@ stream's children can travel with the stream value itself, which
 
 Hypergeometric sample counts for many streams of one design are drawn
 lane-parallel by :class:`_CountSampler`, numpy's own ratio-of-uniforms
-sampler run over arrays of streams, again bit for bit; its ``g - gp``
-tables are built whole, in one array pass over every stratum, at its first
-lane draw: at most 4 x ``_TABLE_CAP`` logarithms, once per sampler, whatever
-entries its tries reach (on a stratum near the cap, far more time than its
-draws take).  Both bulk kernels are compared with numpy's scalar draws once
-per process, at the first bulk draw; on any difference, every draw is made
-stream by stream.
+sampler run over arrays of streams, again bit for bit (a lane that runs
+out of buffered doubles is redrawn whole, by numpy's scalar sampler); its
+``g - gp`` tables are built whole, in one array pass, at its first lane
+draw: at most 4 x ``_TABLE_CAP`` logarithms per sampler, whatever entries
+its tries reach (near the cap, far more time than its draws take).  Both
+bulk kernels are compared with numpy's scalar draws once per process, at
+the first bulk draw; on any difference, every draw is made stream by stream.
 
 The draws here are statistical-quality Gaussians; they are not hardened
 against floating-point side channels (a known practical caveat for
@@ -33,11 +33,9 @@ differentially private noise generation, out of scope here).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -274,9 +272,10 @@ def _drawn_streams(base_seed: int, requests: Sequence[tuple]) -> list[Iterator[_
     normals = _bulk_normals(base_seed, np.concatenate(ids))
     out, at = [], 0
     for (parents, children, fan), sub in zip(requests, ids):
-        rows = normals[at:at + sub.size].reshape(len(parents), children * fan).tolist()
+        n = len(parents)
+        rows = normals[at:at + sub.size].reshape(n, children * fan).tolist()
         at += sub.size
-        out.append(map(_DrawnStream, repeat(base_seed), parents.tolist(), repeat(children), repeat(fan), rows))
+        out.append(map(_DrawnStream, [base_seed] * n, parents.tolist(), [children] * n, [fan] * n, rows))
     return out
 
 
@@ -325,7 +324,8 @@ _D1, _D2 = 1.7155277699214135, 0.8989161620588988
 _TABLE_CAP = 1 << 16
 # Blocks of fewer lanes draw stream by stream, which is then as fast.
 _MIN_LANES = 160
-# Vector tries per stratum before the lanes still rejecting finish one by one.
+# Vector tries per stratum before the lanes still rejecting finish one by one
+# from their buffers; a lane with fewer tries left at a stratum is redrawn whole.
 _PASSES = 4
 
 
@@ -374,7 +374,7 @@ class _Hrua:
         return self.a + self.h * (v - 0.5) / u
 
     def finish(self, uniforms: Iterator[float]) -> tuple[int, int]:
-        """numpy's rejection loop on a lane's next doubles: (k, doubles read)."""
+        """numpy's rejection loop on a lane's next doubles: (k, doubles read); StopIteration if they run out."""
         read = 0
         while True:
             u, v = next(uniforms), next(uniforms)
@@ -423,14 +423,6 @@ def _build_tables(strata: Sequence[_Hrua]) -> None:
         s.g, s.table = gs, table[start:end]
 
 
-def _doubles(key0: int, stream_id: int, word: int) -> Iterator[float]:
-    """The stream's ``next_double`` values from its word ``word`` on, from numpy's own Philox."""
-    bitgen = np.random.Philox(key=np.array([key0, stream_id], dtype=_U64), counter=word // 4)
-    bitgen.random_raw(word % 4)
-    while True:
-        yield (int(bitgen.random_raw()) >> 11) * 2.0**-53
-
-
 class _CountSampler:
     """:func:`hypergeometric_counts` of one design, over lanes of streams at once.
 
@@ -439,11 +431,14 @@ class _CountSampler:
     bit for bit.  It runs numpy's HRUA over the lanes: each lane reads its
     stream's doubles, which numpy's Philox generator draws into a buffer,
     two per try, from where its previous stratum stopped; after a few vector
-    passes the lanes still rejecting finish one at a time.  Every stratum's
-    table is built, whole, at the first lane draw.  A census stratum draws
-    nothing.  A design with a stratum that numpy draws otherwise
-    (n < 10 or n > N - 10), or whose tables would pass ``_TABLE_CAP``, and a
-    block of fewer than ``_MIN_LANES`` lanes, draw stream by stream.
+    passes the lanes still rejecting finish one at a time, each from its own
+    buffer; a lane that runs out there, or starts a stratum past its
+    ``limit``, is redrawn whole by :func:`hypergeometric_counts` after the
+    last stratum.  Every stratum's table is built at the first lane draw.  A
+    census stratum draws nothing.  A design with a stratum that numpy draws
+    otherwise (n < 10 or n > N - 10), or whose tables would pass
+    ``_TABLE_CAP``, and a block of fewer than ``_MIN_LANES`` lanes, draw
+    stream by stream.
     """
 
     def __init__(self, population_sizes: Sequence[int], positive_counts: Sequence[int], sample_sizes: Sequence[int]):
@@ -453,7 +448,7 @@ class _CountSampler:
         self.hrua = hrua = [s for s in strata if isinstance(s, _Hrua)]
         self.strata = strata if None not in strata and sum(s.b + 1 for s in hrua) <= _TABLE_CAP else None
         # Buffered doubles per lane: two per try, about 1.5 tries per stratum
-        # and some to spare; a lane that runs out reads on from numpy's Philox.
+        # and some to spare; a lane that runs out is redrawn whole.
         self.words = 2 * math.ceil((3 * len(hrua) + 6 * math.sqrt(len(hrua)) + 2 * _PASSES) / 2)
 
     def counts(self, base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
@@ -471,7 +466,7 @@ class _CountSampler:
         uniforms = np.empty((L, W))
         scratch = _scratch
         key, bitgen, template, draw = scratch.key, scratch.bitgen, scratch.template, scratch.gen.random
-        key[0] = key0 = base_seed & _MASK64
+        key[0] = base_seed & _MASK64
         for row, sid in zip(uniforms, ids.tolist()):
             key[1] = sid
             bitgen.state = template
@@ -481,12 +476,13 @@ class _CountSampler:
         cursor = np.arange(0, L * W // 2, W // 2)  # each lane's next pair
         limit = cursor + (W // 2 - _PASSES)
         out = np.empty((len(self.strata), L), dtype=np.int64)
+        short = np.zeros(L, dtype=bool)  # lanes whose buffer may not hold their draws
         for row, s in zip(out, self.strata):
             if not isinstance(s, _Hrua):
                 row[:] = s
                 continue
-            fits = cursor <= limit
-            lanes, late = fits.nonzero()[0], (~fits).nonzero()[0]
+            short |= cursor > limit
+            lanes = (~short).nonzero()[0]
             at = cursor[lanes]
             table = s.table
             for _ in range(_PASSES):
@@ -510,12 +506,16 @@ class _CountSampler:
                 if not lanes.size:
                     break
             cursor[lanes] = at
-            for lane in [*lanes.tolist(), *late.tolist()]:
-                word, stop = 2 * int(cursor[lane]), (lane + 1) * W
-                doubles = itertools.chain(flat[word:stop].tolist(), _doubles(key0, int(ids[lane]), max(W, word - lane * W)))
-                row[lane], read = s.finish(doubles)
+            for lane in lanes.tolist():
+                try:
+                    row[lane], read = s.finish(iter(flat[2 * int(cursor[lane]):(lane + 1) * W].tolist()))
+                except StopIteration:
+                    short[lane] = True
+                    continue
                 cursor[lane] += read // 2
             s.unmap(row)
+        for lane in short.nonzero()[0].tolist():
+            out[:, lane] = hypergeometric_counts(RandomStream(base_seed, int(ids[lane])), *self.design)
         return out
 
 

@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -362,7 +361,7 @@ class TestRelease:
         private = {t for t in AlgorithmTag} - {AlgorithmTag.NON_PRIVATE, AlgorithmTag.DIFFERENCE}
         assert set(self.MECHANISMS) == private
         for tag, mechanism in self.MECHANISMS.items():
-            for clips in ({}, {"clip_proportions": True}, {"clip_interval": True}, {"per_stratum": False}):
+            for clips in ({}, {"clip_proportions": True}, {"clip_interval": True}):
                 via = release(tag, derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
                 direct = mechanism(derive_stream(5, [1]), design, counts, budget, 0.1, **clips)
                 assert repr(via) == repr(direct)
@@ -601,14 +600,14 @@ class TestPerStratum:
         budget = PrivacyBudget.total(rho, split)
         clips = {"clip_proportions": clip_proportions, "clip_interval": clip_interval}
         for tag, direct in TestRelease.MECHANISMS.items():
-            # A drawn stream goes to the mechanism, as a harness run calls it; a fresh one through release.
+            # A drawn stream, as a harness run makes it, or a fresh one.
             if drawn:
                 shape = dp_ci.MECHANISMS[tag].noise_shape(len(design))
-                stream, call = next(_drawn_streams(seed, [(np.array([seed], dtype=np.uint64), *shape)])[0]), direct
+                stream = next(_drawn_streams(seed, [(np.array([seed], dtype=np.uint64), *shape)])[0])
             else:
-                stream, call = derive_stream(seed, [5]), partial(release, tag)
+                stream = derive_stream(seed, [5])
             (kept, kept_warnings), (bare, bare_warnings) = [
-                self._outcome(call, stream, design, counts, budget, 0.1, **clips, **keywords)
+                self._outcome(direct, stream, design, counts, budget, 0.1, **clips, **keywords)
                 for keywords in ({}, {"per_stratum": False})
             ]
             assert bare_warnings == kept_warnings
@@ -722,7 +721,8 @@ class TestFinish:
         }
 
 class TestOneStratifiedEstimate:
-    """The stratified non-private estimate, written out in non_private_estimate, _wald_block and pop-pub, agrees bit for bit."""
+    """The stratified non-private estimate of non_private_estimate, _wald_block and pop-pub, all three through
+    estimators._stratified, agrees bit for bit with the independent copy in tests/oracles.py."""
 
     # (N_h, n_h): census strata (n_h = N_h, fpc 0) among sampled ones.
     _STRATUM = st.one_of(
@@ -752,6 +752,8 @@ class TestOneStratifiedEstimate:
         for column in block.T:
             counts = StratumCounts(column.tolist())
             estimate = non_private_estimate(design, counts)
+            reference = oracles.non_private_estimate(design, counts)
+            assert repr((estimate.proportion, estimate.variance)) == repr((reference.proportion, reference.variance))
             ci, _ = population_noise_public_sizes(silent, design, counts, budget, alpha)
             assert repr(ci.point_estimate) == repr(estimate.proportion)
             assert repr(ci.variance_estimate) == repr(

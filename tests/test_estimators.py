@@ -75,6 +75,7 @@ class TestProportions:
             assert repr(est.stratum_proportions) == repr(per_stratum)
             assert repr(est.stratum_variances) == repr(variances)
             assert repr(est.proportion) == repr(ordered_sum(s.weight * p for s, p in zip(design, per_stratum)))
+            assert repr(est.variance) == repr(ordered_sum(s.weight**2 * v for s, v in zip(design, variances)))
         assert repr(sample_proportions(design, counts)) == repr((est.proportion, per_stratum))
 
 

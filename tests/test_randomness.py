@@ -414,6 +414,8 @@ class TestCountKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_kernel_equals_scalar(self, base_seed, design, seed):
+        # counts() draws stream by stream once the self-check fails, where no kernel fault can show.
+        assert randomness._bulk_ok()
         sampler = _CountSampler(*design)
         H = len(design[0])
         ids = np.random.default_rng(seed).integers(0, 2**64, size=-(-self.DRAWS_PER_EXAMPLE // H), dtype=np.uint64)
@@ -450,13 +452,30 @@ class TestCountKernel:
             }
 
     @pytest.mark.parametrize("words", [2, 2 * randomness._PASSES + 2])
-    def test_lanes_past_the_buffer_read_on_from_numpy(self, words):
-        # With room for one try per lane, every lane finishes one by one and
-        # reads past its buffered doubles; with room for a few, many do.
+    def test_lanes_past_the_buffer_are_redrawn_whole(self, words):
+        # With room for one try per lane, every lane starts stratum 0 past its
+        # limit and is redrawn whole; with room for a few, some lanes run out
+        # of buffered doubles inside finish.
         design = ((1800, 1900, 1500, 2000), (900, 1200, 300, 1000), (140, 90, 60, 2000))
         ids = np.random.default_rng(5).integers(0, 2**64, size=300, dtype=np.uint64)
         sampler = _CountSampler(*design)
         sampler.words = words
+        assert np.array_equal(sampler._lanes(3, ids), _scalar_counts(3, ids, design))
+
+    def test_a_lane_that_runs_out_in_its_last_stratum_is_redrawn_whole(self):
+        # Room for the vector passes' tries only: a lane still rejecting after
+        # them finds no double left in finish, at its one and last stratum.
+        design = ((1800,), (900,), (140,))
+        ids = np.random.default_rng(5).integers(0, 2**64, size=300, dtype=np.uint64)
+        sampler = _CountSampler(*design)
+        sampler.words = 2 * randomness._PASSES
+        words_read = []
+        for i in ids.tolist():
+            gen = RandomStream(3, i).generator()
+            gen.hypergeometric(900, 900, 140)
+            state = gen.bit_generator.state  # a fresh Philox has counter 0 and an empty buffer of 4 words
+            words_read.append(4 * (state["state"]["counter"][0] - 1) + state["buffer_pos"])
+        assert max(words_read) > sampler.words
         assert np.array_equal(sampler._lanes(3, ids), _scalar_counts(3, ids, design))
 
     # A reordered expression moves the last bit of a constant, a table entry

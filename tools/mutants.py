@@ -54,7 +54,10 @@ _KERNEL = ("tests/test_randomness.py", "-k", "TestCountKernel or TestSelfCheck")
 # The lane kernel called directly and the self-check: a kernel fault that the
 # self-check catches sends counts() to the scalar path, where it cannot show.
 _LANES = ("tests/test_randomness.py", "-k", "test_kernel_reaches_every_branch or test_kernels_agree_with_numpy_here")
-_READ_ON = ("tests/test_randomness.py", "-k", "test_lanes_past_the_buffer")
+_PAST_BUFFER = ("tests/test_randomness.py", "-k", "test_lanes_past_the_buffer_are_redrawn_whole")
+# A lane left unmarked after an earlier stratum starts the next one past its
+# limit, and is marked there; only a lane that runs out in its last stratum shows.
+_LAST_STRATUM = ("tests/test_randomness.py", "-k", "test_a_lane_that_runs_out_in_its_last_stratum_is_redrawn_whole")
 _FINISH = ("tests/test_dp_ci.py", "-k", "TestFinish")
 _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or test_bool_counts_rejected")
 
@@ -121,14 +124,17 @@ MUTANTS = (
         "a lane's first double is its fresh Philox's word 0",
     ),
     Mutant(
-        "read-on-shift-12", _RANDOMNESS, "yield (int(bitgen.random_raw()) >> 11) * 2.0**-53",
-        "yield (int(bitgen.random_raw()) >> 12) * 2.0**-53", _READ_ON,
-        "numpy's next_double takes a word's high 53 bits",
+        "short-lane-not-redrawn", _RANDOMNESS,
+        "        for lane in short.nonzero()[0].tolist():\n"
+        "            out[:, lane] = hypergeometric_counts(RandomStream(base_seed, int(ids[lane])), *self.design)\n",
+        "", _PAST_BUFFER,
+        "a lane whose buffer cannot hold its draws has no count until numpy's scalar sampler redraws it whole",
     ),
     Mutant(
-        "read-on-low-bits", _RANDOMNESS, "yield (int(bitgen.random_raw()) >> 11) * 2.0**-53",
-        "yield (int(bitgen.random_raw()) & ((1 << 53) - 1)) * 2.0**-53", _READ_ON,
-        "numpy's next_double takes a word's high 53 bits",
+        "exhausted-lane-not-marked", _RANDOMNESS,
+        "                except StopIteration:\n                    short[lane] = True\n",
+        "                except StopIteration:\n", _LAST_STRATUM,
+        "a lane that runs out of buffered doubles inside finish must be redrawn whole",
     ),
     Mutant(
         "maps-back-swapped", _RANDOMNESS,
@@ -144,6 +150,13 @@ MUTANTS = (
         "logs = np.log(u[close])", _KERNEL,
         "np.log differs by an ulp on 0.35% of uniforms, too rarely to move a count that the tests draw",
         survives=True,
+    ),
+    # The one stratified estimate, which the non-private interval, the block baseline and pop-pub share.
+    Mutant(
+        "stratified-variance-reassociated", "src/stratci/estimators.py",
+        "variance += w2 * (fpc * p * (1.0 - p) / (n - 1))", "variance += w2 * fpc * p * (1.0 - p) / (n - 1)",
+        ("tests/test_dp_ci.py", "-k", "TestOneStratifiedEstimate"),
+        "w_h**2 multiplies the stratum's whole variance term, as in the oracle's ordered sum of w_h**2 V_h",
     ),
     # The value types' hand-written __init__s and checks.
     Mutant(

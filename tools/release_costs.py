@@ -27,16 +27,13 @@ With ``--against DIR``, the package at ``DIR/src/stratci`` is imported into
 this process under a second name, and every figure is timed on both
 checkouts, alternating batch by batch (which side goes first swaps each
 batch), so that both meet the machine in the same state; each cell reads
-``this [DIR]``.  Release functions that lack ``per_stratum`` are called
-without it, as that checkout's harness calls them.  It needs numpy and
-stratci only.
+``this [DIR]``.  It needs numpy and stratci only.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import sys
 import time
 import warnings
@@ -83,9 +80,8 @@ def cases(name: str, H: int, sizes: list, counts: list, seed: int, batches: int,
     for tag, row in dp_ci.MECHANISMS.items():
         function = dp_ci._release_function(tag)
         drawn = randomness._drawn_streams(seed, [(np.arange(total, dtype=np.uint64), *row.noise_shape(H))])[0]
-        discard = {"per_stratum": False} if "per_stratum" in inspect.signature(function).parameters else {}
         for column, call, streams, keywords in (
-            ("drawn", function, drawn, discard), ("fresh", partial(dp_ci.release, tag), fresh, {}),
+            ("drawn", function, drawn, {"per_stratum": False}), ("fresh", partial(dp_ci.release, tag), fresh, {}),
         ):
             arguments = [(stream, design, counts, budget, 0.1) for stream in streams]
             out["mechanism", tag.value, f"H = {H} {column}"] = (call, arguments, {"clip_proportions": True, **keywords})
