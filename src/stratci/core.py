@@ -173,13 +173,27 @@ class StratumCounts:
         self.__dict__.update(counts=counts)
 
 
+@dataclass(frozen=True, eq=False, init=False)
+class _BlockCounts(StratumCounts):
+    """One column of a count block, with the design it was checked against and its (p_hat, V_hat) there."""
+
+    design: Sequence[StratumDesign]
+    estimate: tuple[float, float]
+
+    def __init__(self, counts: tuple[int, ...], design: Sequence[StratumDesign], estimate: tuple[float, float]) -> None:
+        self.__dict__.update(counts=counts, design=design, estimate=estimate)
+
+
 def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None:
     """Validate that counts pair with a coherent design.
 
     Requires equal length, 0 <= c_h <= n_h, and stratum weights summing to 1
     within ``WEIGHT_SUM_TOL``.  The weight sum is checked once per
-    :class:`Design`; the counts are checked on every call.
+    :class:`Design`; counts on every call, unless their block checked them for it.
     """
+    if type(counts) is _BlockCounts and counts.design is design:
+        memoised(_checked_sizes, design)
+        return
     if len(design) != len(counts.counts):
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"

@@ -43,6 +43,7 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _BlockCounts,
     _clipped_to_unit,
     check_paired,
     memoised,
@@ -204,7 +205,8 @@ def population_noise_public_sizes(
     """
     check_paired(design, counts)
     p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
-    point, variance = _stratified(counts.counts, memoised(_design_facts, design))
+    carried = type(counts) is _BlockCounts and counts.design is design  # estimated by the block's baseline
+    point, variance = counts.estimate if carried else _stratified(counts.counts, memoised(_design_facts, design))
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *_population_shape(len(design)))
     (p_noisy,) = gaussian_releases((z_p,), (point,), p_scale, budget.rho1)

@@ -17,6 +17,7 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _BlockCounts,
     check_paired,
     memoised,
     normal_quantile,
@@ -104,18 +105,24 @@ def _stratified(counts, facts: _DesignFacts):
 def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: float, clip_interval: bool):
     """The bits of :func:`non_private_ci`, clipped if ``clip_interval``, per column of an (H x R) count block.
 
-    Returns (lower, upper, point) arrays, from :func:`_stratified` over the block's rows.
+    Returns (lower, upper, point) arrays, from :func:`_stratified` over the block's rows, and per column
+    a ``core._BlockCounts`` of its int counts, checked here against ``design``, and unclipped (p_hat, V_hat).
     """
+    if counts.dtype.kind not in "iu" or counts.ndim != 2 or len(counts) != len(design):
+        raise ValidationError("a count block must be an integer array with one row per stratum")
     z = _wald_quantile(alpha)
     facts = memoised(_design_facts, design)
     if ((counts < 0) | (counts > np.array(facts.sizes)[:, None])).any():
         raise ValidationError("each count must lie in [0, n_h]")
     point, variance = _stratified(counts, facts)
-    half_width = np.array([z * v**0.5 for v in variance.tolist()])
+    variances = variance.tolist()
+    half_width = np.array([z * v**0.5 for v in variances])
     lower, upper = point - half_width, point + half_width
+    columns = list(map(_BlockCounts, map(tuple, counts.T.tolist()), [design] * len(variances),
+                       zip(point.tolist(), variances)))
     if clip_interval:
-        return tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (lower, upper, point))
-    return lower, upper, point
+        return tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (lower, upper, point)), columns
+    return (lower, upper, point), columns
 
 
 def non_private_estimate(

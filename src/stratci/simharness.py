@@ -321,10 +321,11 @@ def run_experiment(
     to ``_NOISE_BLOCK_DRAWS // H`` repetitions, lane-parallel by numpy's own
     hypergeometric sampler (see ``randomness._CountSampler``).  A block of
     repetitions draws every mechanism's noise in one bulk pass and gets its
-    non-private baselines in one array pass; the private releases run one
-    repetition per call.  ``rep_order`` only permutes execution; results
-    are keyed by repetition index and reduced in index order, so the
-    summary is order-invariant.
+    non-private baselines in one array pass, which checks its counts and
+    adds each repetition's estimate; the private releases take those counts
+    (pop-pub that estimate) one repetition per call.  ``rep_order`` only
+    permutes execution; results are keyed by repetition index and reduced
+    in index order, so the summary is order-invariant.
     """
     order = range(config.repetitions) if rep_order is None else rep_order
     if rep_order is not None and sorted(rep_order) != list(range(config.repetitions)):
@@ -387,10 +388,11 @@ def _run(
         requests = [(_combine_array(rep_ids, child), *shape) for *_, child, shape in private]
         streams = _drawn_streams(config.base_seed, requests) if requests else []
         drawn_counts = sample_counts.take(len(chunk))
-        # The block's baseline in one pass; the releases run one repetition at a time.
-        for column, values in zip(baseline, _wald_block(design, drawn_counts, config.alpha, config.clip_interval)):
+        # The block's baseline in one pass; the releases run one repetition at a time, on counts it checked.
+        bounds, block_counts = _wald_block(design, drawn_counts, config.alpha, config.clip_interval)
+        for column, values in zip(baseline, bounds):
             column[chunk] = values
-        for r, counts, *drawn in zip(chunk, map(StratumCounts, drawn_counts.T.tolist()), *streams):
+        for r, counts, *drawn in zip(chunk, block_counts, *streams):
             for ((lower, upper, point), function, *_), stream in zip(private, drawn):
                 ci, _ = function(
                     stream, design, counts, budget, config.alpha,

@@ -759,11 +759,76 @@ class TestOneStratifiedEstimate:
             assert repr(ci.variance_estimate) == repr(
                 estimate.variance + dict(ci.noise_variances)["population_proportion"]
             )
-            lower, upper, point = _wald_block(design, column[:, None].astype(np.int64), alpha, False)
+            (lower, upper, point), _ = _wald_block(design, column[:, None].astype(np.int64), alpha, False)
             scalar = non_private_ci(design, counts, alpha)
             assert repr((lower.tolist(), upper.tolist(), point.tolist())) == repr(
                 ([scalar.lower], [scalar.upper], [scalar.point_estimate])
             )
+
+
+class TestBlockCounts:
+    """Each column of a block reaches the mechanisms as a ``core._BlockCounts`` that _wald_block checked against
+    its design and estimated there; paired with any other design, it is checked and estimated afresh."""
+
+    BUDGET = PrivacyBudget.total(0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(TestOneStratifiedEstimate._STRATUM, min_size=1, max_size=50),
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        clip=st.booleans(),
+    )
+    def test_carried_estimate_and_release_are_the_scalar_ones(self, sizes, samples, seed, clip):
+        design = build_design(sizes)
+        n = np.array([[s.sample_size] for s in design])
+        rng = np.random.default_rng(seed)
+        block = np.where(rng.random((len(design), samples)) < 0.5, n * rng.integers(0, 2, (len(design), samples)),
+                         rng.integers(0, n + 1, (len(design), samples)))
+        _, carried = _wald_block(design, block, 0.1, clip)
+        facts = memoised(estimators._design_facts, design)
+        assert len(carried) == samples
+        for r, (counts, column) in enumerate(zip(carried, block.T.tolist())):
+            assert counts.design is design and counts.counts == tuple(column)
+            assert all(type(c) is int for c in counts.counts)
+            assert repr(counts.estimate) == repr(estimators._stratified(column, facts))
+            stream = derive_stream(seed, [r])
+            assert repr(population_noise_public_sizes(stream, design, counts, self.BUDGET, 0.1)) == repr(
+                population_noise_public_sizes(stream, design, StratumCounts(column), self.BUDGET, 0.1)
+            )
+
+    @staticmethod
+    def _carried(sizes, counts):
+        design = build_design(sizes)
+        _, (carried,) = _wald_block(design, np.array(counts)[:, None], 0.1, False)
+        return carried
+
+    @pytest.mark.parametrize("other", [[(2000, 100), (500, 20)], [(2000, 100)], [(2000, 100), (500, 50), (90, 9)]])
+    def test_another_design_is_checked_in_full(self, other):
+        carried = self._carried([(2000, 100), (500, 50)], [40, 30])
+        # A count over that design's n_h, or a design of another length.
+        with pytest.raises(ValidationError, match="exceeds sample size|strata but counts has"):
+            population_noise_public_sizes(derive_stream(1, [0]), build_design(other), carried, self.BUDGET, 0.1)
+
+    def test_another_design_is_estimated_afresh(self):
+        carried = self._carried([(2000, 100), (500, 50)], [40, 30])
+        other = build_design([(1000, 100), (4000, 60)])
+        assert carried.estimate != estimators._stratified(carried.counts, memoised(estimators._design_facts, other))
+        stream = derive_stream(1, [0])
+        assert repr(population_noise_public_sizes(stream, other, carried, self.BUDGET, 0.1)) == repr(
+            population_noise_public_sizes(stream, other, StratumCounts(carried.counts), self.BUDGET, 0.1)
+        )
+
+    @pytest.mark.parametrize("block", [
+        np.array([[40.0], [30.0]]), np.array([[40], [51]]), np.array([[-1], [30]]), np.array([[True], [False]]),
+        np.array([[40], [30], [1]]), np.array([40, 30]),
+    ], ids=["float", "over n_h", "negative", "bool", "extra row", "one dimension"])
+    def test_bad_block_raises_before_any_carrier(self, monkeypatch, block):
+        made = []
+        monkeypatch.setattr(estimators, "_BlockCounts", lambda *args: made.append(args))
+        with pytest.raises(ValidationError):
+            _wald_block(build_design([(2000, 100), (500, 50)]), block, 0.1, False)
+        assert made == []
 
 
 class TestDesignFacts:

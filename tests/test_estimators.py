@@ -103,7 +103,7 @@ class TestBlockBaseline:
         rng = np.random.default_rng(seed)
         counts = np.where(rng.random((len(design), width)) < 0.5, n * rng.integers(0, 2, (len(design), width)),
                           rng.integers(0, n + 1, (len(design), width)))
-        lower, upper, point = _wald_block(design, np.ascontiguousarray(counts, dtype=np.int64), alpha, clip)
+        (lower, upper, point), _ = _wald_block(design, np.ascontiguousarray(counts, dtype=np.int64), alpha, clip)
         expected = []
         for column in counts.T.tolist():
             ci = non_private_ci(design, StratumCounts(tuple(column)), alpha)

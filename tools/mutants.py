@@ -60,6 +60,7 @@ _PAST_BUFFER = ("tests/test_randomness.py", "-k", "test_lanes_past_the_buffer_ar
 _LAST_STRATUM = ("tests/test_randomness.py", "-k", "test_a_lane_that_runs_out_in_its_last_stratum_is_redrawn_whole")
 _FINISH = ("tests/test_dp_ci.py", "-k", "TestFinish")
 _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or test_bool_counts_rejected")
+_CARRIED = ("tests/test_dp_ci.py", "-k", "TestBlockCounts")
 
 MUTANTS = (
     # The one-pass g - gp table build: a last bit moved in any entry moves some count.
@@ -157,6 +158,28 @@ MUTANTS = (
         "variance += w2 * (fpc * p * (1.0 - p) / (n - 1))", "variance += w2 * fpc * p * (1.0 - p) / (n - 1)",
         ("tests/test_dp_ci.py", "-k", "TestOneStratifiedEstimate"),
         "w_h**2 multiplies the stratum's whole variance term, as in the oracle's ordered sum of w_h**2 V_h",
+    ),
+    # Each repetition's counts, checked and estimated by the block baseline and carried to the releases.
+    Mutant(
+        "block-estimate-any-design", "src/stratci/dp_ci.py",
+        "carried = type(counts) is _BlockCounts and counts.design is design", "carried = type(counts) is _BlockCounts",
+        _CARRIED,
+        "a carried estimate holds only for the design the block was estimated on",
+    ),
+    Mutant(
+        "check-paired-shortcut-any-design", "src/stratci/core.py",
+        "    if type(counts) is _BlockCounts and counts.design is design:\n        memoised(_checked_sizes, design)\n",
+        "    if type(counts) is _BlockCounts:\n        memoised(_checked_sizes, design)\n", _CARRIED,
+        "a block's counts were checked against its own design's n_h only",
+    ),
+    Mutant(
+        "block-counts-float-accepted", "src/stratci/estimators.py", 'counts.dtype.kind not in "iu" or ', "",
+        _CARRIED, "a carrier skips StratumCounts' per-count check, so its block must hold integers",
+    ),
+    Mutant(
+        "bulk-normals-chunks-reversed", _RANDOMNESS, "for part in parts])", "for part in parts[::-1]])",
+        ("tests/test_randomness.py", "-k", "test_chunked_draws_keep_their_order"),
+        "the chunks of a bulk draw are joined in the order of their ids",
     ),
     # The value types' hand-written __init__s and checks.
     Mutant(

@@ -8,9 +8,13 @@ releases ``--calls`` times per batch, with ``clip_proportions`` on, at
 rho = 1/160 split evenly, from a new stream on every call, each column made
 the way its caller makes the call.  "drawn" streams carry their normals, and
 the release function is resolved once and then called directly with
-``per_stratum=False``, as ``run_experiment`` does; "fresh" streams draw
-theirs stream by stream, and each call goes through ``dp_ci.release`` with
-its per-stratum releases, as ``stratci ci`` and the library do.  A second
+``per_stratum=False``, as ``run_experiment`` does, on the counts it passes:
+the ``core._BlockCounts`` that ``estimators._wald_block`` returns for the
+design's one-column block, already checked and estimated there, or, on a
+checkout whose ``_wald_block`` returns only its three arrays, the plain
+``StratumCounts``.  "fresh" streams draw theirs stream by stream, and each
+call goes through ``dp_ci.release`` with its per-stratum releases, as
+``stratci ci`` and the library do.  A second
 table times, per call, the layers a release stands on:
 ``derive_stream(seed, [i, slot])`` (how a library caller keys a stream),
 ``RandomStream.child(h)`` for h < H, ``non_private_ci`` on the same design
@@ -75,15 +79,20 @@ def cases(name: str, H: int, sizes: list, counts: list, seed: int, batches: int,
     randomness = importlib.import_module(f"{name}.randomness")
     budget = stratci.PrivacyBudget.total(1.0 / 160.0)
     design, counts = stratci.build_design(sizes), stratci.StratumCounts(tuple(counts))
+    estimators = importlib.import_module(f"{name}.estimators")
+    baseline = estimators._wald_block(design, np.array([counts.counts]).T, 0.1, False)
+    # A checkout whose block baseline also returns its columns' counts hands those on, as run_experiment does.
+    carried = baseline[1][0] if len(baseline) == 2 else counts
     fresh = [stratci.derive_stream(seed, [H, i]) for i in range(total)]
     out = {}
     for tag, row in dp_ci.MECHANISMS.items():
         function = dp_ci._release_function(tag)
         drawn = randomness._drawn_streams(seed, [(np.arange(total, dtype=np.uint64), *row.noise_shape(H))])[0]
-        for column, call, streams, keywords in (
-            ("drawn", function, drawn, {"per_stratum": False}), ("fresh", partial(dp_ci.release, tag), fresh, {}),
+        for column, call, streams, sample, keywords in (
+            ("drawn", function, drawn, carried, {"per_stratum": False}),
+            ("fresh", partial(dp_ci.release, tag), fresh, counts, {}),
         ):
-            arguments = [(stream, design, counts, budget, 0.1) for stream in streams]
+            arguments = [(stream, design, sample, budget, 0.1) for stream in streams]
             out["mechanism", tag.value, f"H = {H} {column}"] = (call, arguments, {"clip_proportions": True, **keywords})
     out["layer", "derive_stream", f"H = {H}"] = (
         stratci.derive_stream, [(seed, [i, 1 + i % 3]) for i in range(total)], {},
