@@ -202,10 +202,11 @@ def population_noise_public_sizes(
     negative is floored at zero (flagged), yielding a degenerate zero-width
     interval rather than a failure.  No per-stratum quantity is released, so
     the second element is always None, whatever ``per_stratum`` says.
+    Counts that ``_wald_block`` checked on this very design bring their (p_hat, V_hat), which it releases.
     """
     check_paired(design, counts)
     p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
-    carried = type(counts) is _BlockCounts and counts.design is design  # estimated by the block's baseline
+    carried = type(counts) is _BlockCounts and counts.design is design
     point, variance = counts.estimate if carried else _stratified(counts.counts, memoised(_design_facts, design))
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *_population_shape(len(design)))

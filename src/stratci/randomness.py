@@ -235,8 +235,8 @@ def _philox_first_words(key0: int, key1: np.ndarray) -> np.ndarray:
     return _mulhi(m1, c2) ^ c1 ^ _U64((key0 + 9 * _PHILOX_W[0]) & _MASK64)
 
 
-# glibc's free() trims the heap's top past 128 KiB, so a whole 16 368-id block's temporaries
-# page-fault afresh on every pass: 1 668 minor faults per block drawn whole, 256 in two chunks.
+# glibc's free() trims the heap's top past 128 KiB, so a whole 16 368-id block's temporaries can
+# page-fault afresh on each pass: 1 668 minor faults per block drawn whole, 256 in two chunks.
 _BULK_CHUNK = 8192
 
 
