@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -173,27 +173,33 @@ class StratumCounts:
         self.__dict__.update(counts=counts)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class _BlockCounts(StratumCounts):
-    """One column of a count block, with the design it was checked against and its (p_hat, V_hat) there."""
+    """One column of a count block, with the design it was checked against and its (p_hat, V_hat) there.
 
-    design: Sequence[StratumDesign]
-    estimate: tuple[float, float]
+    Not a dataclass of its own: ``dataclasses.replace`` cannot build one, one equals only itself, and
+    no field can be set, so a carrier holds only counts that its design checked.
+    """
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, counts: tuple[int, ...], design: Sequence[StratumDesign], estimate: tuple[float, float]) -> None:
         self.__dict__.update(counts=counts, design=design, estimate=estimate)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None:
+
+def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> tuple[float, float] | None:
     """Validate that counts pair with a coherent design.
 
     Requires equal length, 0 <= c_h <= n_h, and stratum weights summing to 1
     within ``WEIGHT_SUM_TOL``.  The weight sum is checked once per
     :class:`Design`; counts on every call, unless their block checked them for it.
+    Returns the (p_hat, V_hat) that such counts carry, else None.
     """
     if type(counts) is _BlockCounts and counts.design is design:
         memoised(_checked_sizes, design)
-        return
+        return counts.estimate
     if len(design) != len(counts.counts):
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
@@ -203,6 +209,7 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> None
         for h, (c, n) in enumerate(zip(counts.counts, sizes)):
             if c > n:
                 raise ValidationError(f"count {c} exceeds sample size {n} in stratum {h}")
+    return None
 
 
 def _checked_sizes(design: Sequence[StratumDesign]) -> tuple[int, ...]:

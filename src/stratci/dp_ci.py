@@ -43,7 +43,6 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
-    _BlockCounts,
     _clipped_to_unit,
     check_paired,
     memoised,
@@ -204,10 +203,9 @@ def population_noise_public_sizes(
     the second element is always None, whatever ``per_stratum`` says.
     Counts that ``_wald_block`` checked on this very design bring their (p_hat, V_hat), which it releases.
     """
-    check_paired(design, counts)
+    carried = check_paired(design, counts)
     p_scale, v_scale, noise_variances = memoised(_population_constants, design, budget)
-    carried = type(counts) is _BlockCounts and counts.design is design
-    point, variance = counts.estimate if carried else _stratified(counts.counts, memoised(_design_facts, design))
+    point, variance = carried or _stratified(counts.counts, memoised(_design_facts, design))
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *_population_shape(len(design)))
     (p_noisy,) = gaussian_releases((z_p,), (point,), p_scale, budget.rho1)

@@ -235,19 +235,11 @@ def _philox_first_words(key0: int, key1: np.ndarray) -> np.ndarray:
     return _mulhi(m1, c2) ^ c1 ^ _U64((key0 + 9 * _PHILOX_W[0]) & _MASK64)
 
 
-# glibc's free() trims the heap's top past 128 KiB, so a whole 16 368-id block's temporaries can
-# page-fault afresh on each pass: 1 668 minor faults per block drawn whole, 256 in two chunks.
-_BULK_CHUNK = 8192
-
-
 def _bulk_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:
-    """:func:`standard_normals` over a uint64 array of stream ids, as float64, in chunks of ``_BULK_CHUNK`` at most."""
+    """:func:`standard_normals` over a uint64 array of stream ids, as float64."""
     if not _bulk_ok():
         return np.array(standard_normals(base_seed, stream_ids.tolist()), dtype=np.float64)
-    if len(stream_ids) <= _BULK_CHUNK:
-        return _ziggurat_normals(base_seed, stream_ids)
-    parts = np.array_split(stream_ids, -(-len(stream_ids) // _BULK_CHUNK))
-    return np.concatenate([_ziggurat_normals(base_seed, part) for part in parts])
+    return _ziggurat_normals(base_seed, stream_ids)
 
 
 def _ziggurat_normals(base_seed: int, stream_ids: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -35,7 +36,7 @@ from stratci import (
     wald_interval,
 )
 from stratci import dp_ci, estimators
-from stratci.core import _CLIP_FLAGS, memoised
+from stratci.core import _CLIP_FLAGS, check_paired, memoised
 from stratci.estimators import _wald_block
 from stratci.randomness import _DrawnStream, _drawn_streams, gaussian
 from test_cli import _release_repr
@@ -818,6 +819,20 @@ class TestBlockCounts:
         assert repr(population_noise_public_sizes(stream, other, carried, self.BUDGET, 0.1)) == repr(
             population_noise_public_sizes(stream, other, StratumCounts(carried.counts), self.BUDGET, 0.1)
         )
+
+    def test_a_carrier_cannot_be_rebuilt_reset_or_equated(self):
+        carried = self._carried([(2000, 100), (500, 50)], [40, 30])
+        assert check_paired(carried.design, carried) is carried.estimate
+        assert check_paired(carried.design, StratumCounts(carried.counts)) is None
+        with pytest.raises(TypeError):
+            dataclasses.replace(carried, counts=(99, 30))
+        for name in ("counts", "design", "estimate"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(carried, name, None)
+        # Same counts, estimate and design values, but checked against another Design object.
+        twin = self._carried([(2000, 100), (500, 50)], [40, 30])
+        assert carried == carried and len({carried, twin}) == 2
+        assert carried != twin and carried != StratumCounts(carried.counts)
 
     @pytest.mark.parametrize("block", [
         np.array([[40.0], [30.0]]), np.array([[40], [51]]), np.array([[-1], [30]]), np.array([[True], [False]]),

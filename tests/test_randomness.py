@@ -234,15 +234,6 @@ class TestBulkNormals:
             assert bulk[slow].tolist() == standard_normals(base_seed, ids[slow].tolist())
             assert bulk.tolist() == standard_normals(base_seed, ids.tolist())
 
-    @pytest.mark.parametrize("size", [8191, 8193, 16_368])
-    def test_chunked_draws_keep_their_order(self, size):
-        # 8 191 ids stay whole; 8 193 split 4 097 + 4 096; 16 368 (a full twenty-stratum noise block) 8 184 + 8 184.
-        assert randomness._BULK_CHUNK == 8192
-        ids = np.random.default_rng(size).integers(0, 2**64, size=size, dtype=np.uint64)
-        second = slice(-(-size // 2), None) if size > 8192 else slice(None)
-        assert _slow_path(11, ids)[second].any()
-        assert _bulk_normals(11, ids).tolist() == standard_normals(11, ids.tolist())
-
     def test_philox_first_word_matches_numpy(self):
         ids = np.random.default_rng(3).integers(0, 2**64, size=500, dtype=np.uint64)
         for base_seed in (0, 1, _MASK64):

@@ -162,9 +162,8 @@ MUTANTS = (
     # Each repetition's counts, checked and estimated by the block baseline and carried to the releases.
     Mutant(
         "block-estimate-any-design", "src/stratci/dp_ci.py",
-        "carried = type(counts) is _BlockCounts and counts.design is design", "carried = type(counts) is _BlockCounts",
-        _CARRIED,
-        "a carried estimate holds only for the design the block was estimated on",
+        "carried or _stratified(", 'getattr(counts, "estimate", None) or _stratified(', _CARRIED,
+        "a carried estimate holds only for the design the block was estimated on, which check_paired tests",
     ),
     Mutant(
         "check-paired-shortcut-any-design", "src/stratci/core.py",
@@ -175,11 +174,6 @@ MUTANTS = (
     Mutant(
         "block-counts-float-accepted", "src/stratci/estimators.py", 'counts.dtype.kind not in "iu" or ', "",
         _CARRIED, "a carrier skips StratumCounts' per-count check, so its block must hold integers",
-    ),
-    Mutant(
-        "bulk-normals-chunks-reversed", _RANDOMNESS, "for part in parts])", "for part in parts[::-1]])",
-        ("tests/test_randomness.py", "-k", "test_chunked_draws_keep_their_order"),
-        "the chunks of a bulk draw are joined in the order of their ids",
     ),
     # The value types' hand-written __init__s and checks.
     Mutant(

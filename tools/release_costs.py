@@ -82,6 +82,7 @@ def cases(name: str, H: int, sizes: list, counts: list, seed: int, batches: int,
     estimators = importlib.import_module(f"{name}.estimators")
     baseline = estimators._wald_block(design, np.array([counts.counts]).T, 0.1, False)
     # A checkout whose block baseline also returns its columns' counts hands those on, as run_experiment does.
+    # Delete the three-array fallback once no --against target predates the carried counts.
     carried = baseline[1][0] if len(baseline) == 2 else counts
     fresh = [stratci.derive_stream(seed, [H, i]) for i in range(total)]
     out = {}
