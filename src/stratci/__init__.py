@@ -28,7 +28,6 @@ from .core import (
     StratumDesign,
     ValidationError,
     build_design,
-    build_design_with_weights,
     normal_cdf,
     normal_quantile,
 )
@@ -44,12 +43,9 @@ from .dp_ci import (
     stratum_noise_public_sizes,
 )
 from .estimators import (
-    NonPrivateEstimate,
     exact_stratum_variance,
     non_private_ci,
-    non_private_estimate,
     sample_proportions,
-    stratum_variance_estimate,
     wald_interval,
 )
 from .mechanisms import MechanismOutput, SensitivityReport, gaussian_mechanism, sensitivities
@@ -79,7 +75,6 @@ __all__ = [
     "ExperimentSummary",
     "InfeasibleError",
     "MechanismOutput",
-    "NonPrivateEstimate",
     "Population",
     "PrivacyBudget",
     "PrivateStratumRelease",
@@ -95,7 +90,6 @@ __all__ = [
     "budget_ratio_private_vs_public",
     "budget_ratio_stratum_vs_population",
     "build_design",
-    "build_design_with_weights",
     "denominator_cv",
     "derive_stream",
     "difference_ci",
@@ -105,7 +99,6 @@ __all__ = [
     "gaussian_mechanism",
     "generate_population",
     "non_private_ci",
-    "non_private_estimate",
     "normal_cdf",
     "normal_quantile",
     "population_noise_public_sizes",
@@ -120,7 +113,6 @@ __all__ = [
     "sensitivities",
     "stratum_noise_private_sizes",
     "stratum_noise_public_sizes",
-    "stratum_variance_estimate",
     "theoretical_width_ratio",
     "wald_interval",
     "width_ratio_lower_bound",

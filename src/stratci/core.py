@@ -112,22 +112,6 @@ def build_design(sizes: Sequence[tuple[int, int]]) -> Design:
     return Design(StratumDesign(N, n, N / total) for N, n in sizes)
 
 
-def build_design_with_weights(
-    sizes: Sequence[tuple[int, int]], weights: Sequence[float]
-) -> Design:
-    """Build a design from explicit weights.
-
-    The weights must sum to 1 within ``WEIGHT_SUM_TOL``; inconsistent weights
-    are rejected rather than renormalized.
-    """
-    if len(sizes) != len(weights):
-        raise ValidationError("sizes and weights must have equal length")
-    total = ordered_sum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"weights sum to {total!r}, expected 1 within {WEIGHT_SUM_TOL}")
-    return Design(StratumDesign(N, n, w) for (N, n), w in zip(sizes, weights))
-
-
 _T = TypeVar("_T")
 
 
@@ -319,10 +303,6 @@ class CiResult:
             alpha=alpha, algorithm=algorithm, budget_spent=budget_spent, clipped=clipped,
             noise_variances=noise_variances,
         )
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def clip_to_unit_interval(self) -> "CiResult":
         """Post-process endpoints (and the point estimate) onto [0, 1].

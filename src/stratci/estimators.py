@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter, truediv
 from typing import NamedTuple, Sequence
 
@@ -24,44 +23,22 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class NonPrivateEstimate:
-    """Point and variance estimates, per stratum and aggregated.
-
-    By construction ``proportion == ordered_sum(w_h * stratum_proportions[h])``
-    and ``variance == ordered_sum(w_h**2 * stratum_variances[h])`` exactly.
-    """
-
-    proportion: float
-    stratum_proportions: tuple[float, ...]
-    variance: float
-    stratum_variances: tuple[float, ...]
-
-
 def sample_proportions(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> tuple[float, tuple[float, ...]]:
     """Return (p_hat, per-stratum p_hat_h) with p_hat_h = c_h / n_h."""
-    est = non_private_estimate(design, counts)
-    return est.proportion, est.stratum_proportions
-
-
-def stratum_variance_estimate(stratum: StratumDesign, p_hat_h: float) -> float:
-    """Unbiased within-stratum variance estimate (divides by n_h - 1).
-
-    ((N_h - n_h) / N_h) * p_hat_h (1 - p_hat_h) / (n_h - 1).
-    """
-    N, n = stratum.population_size, stratum.sample_size
-    return ((N - n) / N) * p_hat_h * (1.0 - p_hat_h) / (n - 1)
+    check_paired(design, counts)
+    facts = memoised(_design_facts, design)
+    return _stratified(counts.counts, facts)[0], tuple(map(truediv, counts.counts, facts.sizes))
 
 
 def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     """Exact design variance of p_hat_h at true proportion p_h (divides by n_h).
 
-    ((N_h - n_h) / (N_h - 1)) * p_h (1 - p_h) / n_h.  Distinct from
-    :func:`stratum_variance_estimate`: this is the sampling-theory variance,
-    not its plug-in estimator; the two use different finite-population
-    corrections.
+    ((N_h - n_h) / (N_h - 1)) * p_h (1 - p_h) / n_h.  Distinct from the
+    plug-in estimate ((N_h - n_h) / N_h) * p_hat_h (1 - p_hat_h) / (n_h - 1)
+    that :func:`_stratified` adds: this is the sampling-theory variance, and
+    the two use different finite-population corrections.
     """
     N, n = stratum.population_size, stratum.sample_size
     if N == 1:
@@ -123,22 +100,6 @@ def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: floa
     if clip_interval:
         return tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (lower, upper, point)), columns
     return (lower, upper, point), columns
-
-
-def non_private_estimate(
-    design: Sequence[StratumDesign], counts: StratumCounts
-) -> NonPrivateEstimate:
-    """Full non-private estimate: proportions plus variance estimates.
-
-    Each stratum variance equals :func:`stratum_variance_estimate` at p_hat_h,
-    bit for bit.
-    """
-    check_paired(design, counts)
-    facts = memoised(_design_facts, design)
-    per_stratum = tuple(map(truediv, counts.counts, facts.sizes))
-    stratum_vars = tuple([fpc * p * (1.0 - p) / (n - 1) for fpc, p, n in zip(facts.fpcs, per_stratum, facts.sizes)])
-    point, variance = _stratified(counts.counts, facts)
-    return NonPrivateEstimate(point, per_stratum, variance, stratum_vars)
 
 
 def _wald_quantile(alpha: float) -> float:

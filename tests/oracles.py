@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 from operator import mul, truediv
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from stratci import _ziggurat
 from stratci.core import (
@@ -47,7 +47,7 @@ from stratci.dp_ci import (
     denominator_cv,
     mechanism,
 )
-from stratci.estimators import NonPrivateEstimate, wald_interval
+from stratci.estimators import wald_interval
 from stratci.mechanisms import sensitivities
 from stratci.randomness import RandomStream, child_normals
 
@@ -115,7 +115,7 @@ def truncated_even_moment(mu: float, sigma: float, half_width: float, order: int
 # --- The mechanisms as first written --------------------------------------
 #
 # The release bodies of ``stratci.dp_ci``, ``mechanisms.gaussian_releases``
-# and ``estimators.non_private_estimate`` as they stood before each mechanism
+# and the package's non-private estimate as they stood before each mechanism
 # became one pass over its strata, copied verbatim with their fact helpers.
 # ``reference_release`` calls them as ``dp_ci.release`` calls the package's
 # own; a property test requires the same interval, releases, errors and
@@ -162,13 +162,21 @@ def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
     )
 
 
+class NonPrivateEstimate(NamedTuple):
+    """Point and variance estimates, per stratum and aggregated."""
+
+    proportion: float
+    stratum_proportions: tuple[float, ...]
+    variance: float
+    stratum_variances: tuple[float, ...]
+
+
 def non_private_estimate(
     design: Sequence[StratumDesign], counts: StratumCounts
 ) -> NonPrivateEstimate:
     """Full non-private estimate: proportions plus variance estimates.
 
-    Each stratum variance equals :func:`stratum_variance_estimate` at p_hat_h,
-    bit for bit.
+    Each stratum variance is the unbiased ((N_h - n_h) / N_h) p_hat_h (1 - p_hat_h) / (n_h - 1).
     """
     check_paired(design, counts)
     sizes, weights, squared_weights, fpcs = memoised(_estimate_facts, design)

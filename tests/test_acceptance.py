@@ -313,7 +313,9 @@ def test_c8_determinism(tmp_path, capsys):
 
 def test_c9_rho_sweep_monotonics():
     """Widths shrink as rho grows; coverage stays in band except the documented
-    small-rho over-coverage of the private-sizes mechanism under clipping."""
+    small-rho over-coverage of the private-sizes mechanism.  That over-coverage
+    is measured with no clipping too: at one stratum and n rho = 0.25 it covers
+    0.9307 at n = 40 and 0.9101 at n = 160."""
     config = ExperimentConfig(
         alpha=0.1, strata=20, stratum_size=Uniform(1500, 2000),
         rate=Uniform(0.04, 0.08), proportion=Uniform(0.4, 0.6),
@@ -339,7 +341,7 @@ def test_c9_rho_sweep_monotonics():
         for tag in ALL_TAGS:
             cov = dict(summary.by_algorithm)[tag].coverage
             if tag is STR_PRIV and rho <= 0.005:
-                # clipping binds: upward excursions expected, never undershoot
+                # str-priv over-covers at small rho: upward excursions expected, never undershoot
                 in_band = cov >= 0.885
                 over_coverage_seen = over_coverage_seen or cov > 0.915
             else:

@@ -20,12 +20,11 @@ from stratci import (
     StratumDesign,
     ValidationError,
     build_design,
-    build_design_with_weights,
     normal_cdf,
     normal_quantile,
     wald_interval,
 )
-from stratci.core import ordered_sum
+from stratci.core import Design, check_paired, ordered_sum
 from stratci.randomness import RandomStream, _DrawnStream
 
 mpmath.mp.dps = 40
@@ -159,9 +158,10 @@ class TestDesign:
                 StratumDesign(population_size=N, sample_size=n, weight=1.0)
 
     def test_user_weights_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            build_design_with_weights([(100, 10), (100, 10)], [0.5, 0.6])
-        design = build_design_with_weights([(100, 10), (100, 10)], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="stratum weights sum to"):
+            check_paired(Design(StratumDesign(100, 10, w) for w in (0.5, 0.6)), StratumCounts((1, 1)))
+        design = Design(StratumDesign(100, 10, w) for w in (0.5, 0.5))
+        assert check_paired(design, StratumCounts((1, 1))) is None
         assert [s.weight for s in design] == [0.5, 0.5]
 
     def test_counts_validation(self):
@@ -247,7 +247,7 @@ class TestCiResult:
         ci = wald_interval(estimate, variance, alpha)
         expected = 2.0 * normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance)
         assert ci.clipped == ClipFlags()
-        assert math.isclose(ci.width, expected, rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(ci.upper - ci.lower, expected, rel_tol=1e-12, abs_tol=1e-15)
 
     def test_clip_to_unit_interval_sets_flag_only_on_change(self):
         inside = wald_interval(0.5, 1e-4, 0.1)

@@ -21,12 +21,10 @@ from stratci import (
     StratumDesign,
     ValidationError,
     build_design,
-    build_design_with_weights,
     derive_stream,
     difference_ci,
     exact_stratum_variance,
     non_private_ci,
-    non_private_estimate,
     normal_quantile,
     population_noise_public_sizes,
     release,
@@ -36,7 +34,7 @@ from stratci import (
     wald_interval,
 )
 from stratci import dp_ci, estimators
-from stratci.core import _CLIP_FLAGS, check_paired, memoised
+from stratci.core import _CLIP_FLAGS, Design, check_paired, memoised
 from stratci.estimators import _wald_block
 from stratci.randomness import _DrawnStream, _drawn_streams, gaussian
 from test_cli import _release_repr
@@ -181,7 +179,7 @@ class TestPopulationNoisePublicSizes:
         )
         ci, _ = population_noise_public_sizes(derive_stream(seed, [0]), DESIGN, COUNTS, budget, 0.1)
         assert ci.variance_estimate == 0.0
-        assert ci.width == 0.0
+        assert ci.upper - ci.lower == 0.0
 
     def test_requires_positive_split(self):
         with pytest.raises(ValidationError):
@@ -327,7 +325,7 @@ class TestDifferenceCi:
         a = wald_interval(0.4, 1e-4, 0.1)
         diff = difference_ci(a, a, 0.1)
         assert diff.point_estimate == 0.0
-        assert math.isclose(diff.width, math.sqrt(2) * a.width, rel_tol=1e-12)
+        assert math.isclose(diff.upper - diff.lower, math.sqrt(2) * (a.upper - a.lower), rel_tol=1e-12)
         assert diff.algorithm is AlgorithmTag.DIFFERENCE
 
     def test_frozen_example(self):
@@ -722,7 +720,7 @@ class TestFinish:
         }
 
 class TestOneStratifiedEstimate:
-    """The stratified non-private estimate of non_private_estimate, _wald_block and pop-pub, all three through
+    """The stratified non-private estimate of non_private_ci, _wald_block and pop-pub, all three through
     estimators._stratified, agrees bit for bit with the independent copy in tests/oracles.py."""
 
     # (N_h, n_h): census strata (n_h = N_h, fpc 0) among sampled ones.
@@ -752,16 +750,17 @@ class TestOneStratifiedEstimate:
         budget = PrivacyBudget.total(0.5)
         for column in block.T:
             counts = StratumCounts(column.tolist())
-            estimate = non_private_estimate(design, counts)
+            scalar = non_private_ci(design, counts, alpha)
             reference = oracles.non_private_estimate(design, counts)
-            assert repr((estimate.proportion, estimate.variance)) == repr((reference.proportion, reference.variance))
+            assert repr((scalar.point_estimate, scalar.variance_estimate)) == repr(
+                (reference.proportion, reference.variance)
+            )
             ci, _ = population_noise_public_sizes(silent, design, counts, budget, alpha)
-            assert repr(ci.point_estimate) == repr(estimate.proportion)
+            assert repr(ci.point_estimate) == repr(reference.proportion)
             assert repr(ci.variance_estimate) == repr(
-                estimate.variance + dict(ci.noise_variances)["population_proportion"]
+                reference.variance + dict(ci.noise_variances)["population_proportion"]
             )
             (lower, upper, point), _ = _wald_block(design, column[:, None].astype(np.int64), alpha, False)
-            scalar = non_private_ci(design, counts, alpha)
             assert repr((lower.tolist(), upper.tolist(), point.tolist())) == repr(
                 ([scalar.lower], [scalar.upper], [scalar.point_estimate])
             )
@@ -1075,7 +1074,8 @@ class TestDesignFacts:
                 assert fact(other) == fact(design)
 
     def test_build_design_is_its_strata_tuple(self):
-        for design in (build_design(self.DESIGN), build_design_with_weights(self.DESIGN, (0.5, 0.25, 0.25))):
+        hand_built = Design(StratumDesign(N, n, w) for (N, n), w in zip(self.DESIGN, (0.5, 0.25, 0.25)))
+        for design in (build_design(self.DESIGN), hand_built):
             strata = tuple(design)
             assert isinstance(design, tuple)
             assert design == strata and hash(design) == hash(strata) and repr(design) == repr(strata)

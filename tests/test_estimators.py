@@ -9,17 +9,16 @@ from stratci import (
     StratumCounts,
     ValidationError,
     build_design,
-    build_design_with_weights,
     derive_stream,
     exact_stratum_variance,
     non_private_ci,
-    non_private_estimate,
     sample_proportions,
-    stratum_variance_estimate,
     wald_interval,
 )
 from stratci.core import ordered_sum
 from stratci.estimators import _wald_block
+
+import oracles
 
 
 class TestProportions:
@@ -30,7 +29,8 @@ class TestProportions:
         assert per == (0.5,)
 
     def test_symmetric_two_strata(self):
-        design = build_design_with_weights([(1000, 100), (1000, 100)], [0.5, 0.5])
+        design = build_design([(1000, 100), (1000, 100)])
+        assert [s.weight for s in design] == [0.5, 0.5]
         p, _ = sample_proportions(design, StratumCounts((40, 60)))
         assert p == 0.5
 
@@ -49,12 +49,12 @@ class TestProportions:
 
     def test_aggregation_identities(self):
         design = build_design([(1500, 60), (1800, 90), (2000, 150)])
-        est = non_private_estimate(design, StratumCounts((10, 45, 75)))
-        assert est.proportion == ordered_sum(
-            s.weight * p for s, p in zip(design, est.stratum_proportions)
-        )
-        assert est.variance == ordered_sum(
-            s.weight**2 * v for s, v in zip(design, est.stratum_variances)
+        counts = StratumCounts((10, 45, 75))
+        p, per = sample_proportions(design, counts)
+        ci = non_private_ci(design, counts, 0.1)
+        assert p == ci.point_estimate == ordered_sum(s.weight * q for s, q in zip(design, per))
+        assert ci.variance_estimate == ordered_sum(
+            s.weight**2 * v for s, v in zip(design, oracles.non_private_estimate(design, counts).stratum_variances)
         )
 
     @settings(max_examples=200, deadline=None)
@@ -64,19 +64,18 @@ class TestProportions:
     ))
     def test_matches_per_stratum_functions(self, rows):
         # The estimate reads its per-stratum factors from the design; it must
-        # give the bits of c_h / n_h and stratum_variance_estimate, the same
-        # on a Design as on a plain list, and the same on the second call.
+        # give the bits of c_h / n_h and of the oracle's per-stratum variances,
+        # the same on a Design as on a plain list, and the same on the second call.
         design = build_design([(N, n) for N, n, _ in rows])
         counts = StratumCounts(tuple(round(u * n) for _, n, u in rows))
         per_stratum = tuple(c / s.sample_size for s, c in zip(design, counts.counts))
-        variances = tuple(stratum_variance_estimate(s, p) for s, p in zip(design, per_stratum))
-        for est in (non_private_estimate(design, counts), non_private_estimate(design, counts),
-                    non_private_estimate(list(design), counts)):
-            assert repr(est.stratum_proportions) == repr(per_stratum)
-            assert repr(est.stratum_variances) == repr(variances)
-            assert repr(est.proportion) == repr(ordered_sum(s.weight * p for s, p in zip(design, per_stratum)))
-            assert repr(est.variance) == repr(ordered_sum(s.weight**2 * v for s, v in zip(design, variances)))
-        assert repr(sample_proportions(design, counts)) == repr((est.proportion, per_stratum))
+        variances = oracles.non_private_estimate(design, counts).stratum_variances
+        point = ordered_sum(s.weight * p for s, p in zip(design, per_stratum))
+        for layout in (design, design, list(design)):
+            assert repr(sample_proportions(layout, counts)) == repr((point, per_stratum))
+            ci = non_private_ci(layout, counts, 0.1)
+            assert repr(ci.point_estimate) == repr(point)
+            assert repr(ci.variance_estimate) == repr(ordered_sum(s.weight**2 * v for s, v in zip(design, variances)))
 
 
 class TestBlockBaseline:
@@ -128,33 +127,38 @@ class TestBlockBaseline:
             _wald_block(design, np.array([[50, count], [7, 7]]), 0.1, False)
 
 
+def _stratum_variance(design, count):
+    """V_hat of a one-stratum design (w = 1): its stratum's variance estimate at p_hat = count / n."""
+    return non_private_ci(design, StratumCounts((count,)), 0.1).variance_estimate
+
+
 class TestStratumVariance:
     def test_zero_at_boundaries(self):
-        (stratum,) = build_design([(2000, 100)])
-        assert stratum_variance_estimate(stratum, 0.0) == 0.0
-        assert stratum_variance_estimate(stratum, 1.0) == 0.0
+        design = build_design([(2000, 100)])
+        assert _stratum_variance(design, 0) == 0.0
+        assert _stratum_variance(design, 100) == 0.0
 
     def test_census_kills_variance(self):
-        (stratum,) = build_design([(100, 100)])
-        assert stratum_variance_estimate(stratum, 0.5) == 0.0
+        design = build_design([(100, 100)])
+        assert _stratum_variance(design, 50) == 0.0
 
     def test_frozen_value(self):
-        (stratum,) = build_design([(2000, 100)])
-        v = stratum_variance_estimate(stratum, 0.5)
+        design = build_design([(2000, 100)])
+        v = _stratum_variance(design, 50)
         assert math.isclose(v, 0.95 * 0.25 / 99, rel_tol=1e-15)
         assert math.isclose(v, 2.398989898989899e-3, rel_tol=1e-12)
 
     def test_zero_iff_degenerate(self):
-        (stratum,) = build_design([(2000, 100)])
-        for p in (0.1, 0.5, 0.9):
-            assert stratum_variance_estimate(stratum, p) > 0.0
+        design = build_design([(2000, 100)])
+        for count in (10, 50, 90):
+            assert _stratum_variance(design, count) > 0.0
 
     def test_estimator_vs_exact_form_differ(self):
         # the estimator divides by N and n-1; the exact design variance by
         # N-1 and n -- keeping them separate avoids the classic FPC mix-up
-        (stratum,) = build_design([(2000, 100)])
-        est = stratum_variance_estimate(stratum, 0.5)
-        exact = exact_stratum_variance(stratum, 0.5)
+        design = build_design([(2000, 100)])
+        est = _stratum_variance(design, 50)
+        exact = exact_stratum_variance(design[0], 0.5)
         assert est != exact
         assert math.isclose(exact, (1900 / 1999) * 0.25 / 100, rel_tol=1e-15)
 
@@ -200,9 +204,9 @@ class TestUnbiasedness:
         p_hats = np.empty(reps)
         var_hats = np.empty(reps)
         for r in range(reps):
-            est = non_private_estimate(design, StratumCounts((int(counts[r, 0]), int(counts[r, 1]))))
-            p_hats[r] = est.proportion
-            var_hats[r] = est.variance
+            ci = non_private_ci(design, StratumCounts((int(counts[r, 0]), int(counts[r, 1]))), 0.1)
+            p_hats[r] = ci.point_estimate
+            var_hats[r] = ci.variance_estimate
 
         exact_var = sum(
             s.weight**2 * exact_stratum_variance(s, K / N)

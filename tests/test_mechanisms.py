@@ -14,14 +14,14 @@ from stratci import (
     StratumCounts,
     ValidationError,
     build_design,
-    build_design_with_weights,
     derive_stream,
     gaussian_mechanism,
     release,
     sensitivities,
 )
 from stratci.dp_ci import MECHANISMS
-from stratci.estimators import non_private_estimate
+
+from oracles import non_private_estimate
 
 
 class TestGaussianMechanism:
@@ -73,7 +73,8 @@ class TestSensitivities:
         assert report.proportion == 0.01
 
     def test_max_over_strata(self):
-        design = build_design_with_weights([(1000, 50), (1000, 100)], [0.5, 0.5])
+        design = build_design([(1000, 50), (1000, 100)])
+        assert [s.weight for s in design] == [0.5, 0.5]
         report = sensitivities(design)
         assert report.proportion == max(0.5 / 50, 0.5 / 100) == 0.01
 

@@ -159,6 +159,13 @@ MUTANTS = (
         ("tests/test_dp_ci.py", "-k", "TestOneStratifiedEstimate"),
         "w_h**2 multiplies the stratum's whole variance term, as in the oracle's ordered sum of w_h**2 V_h",
     ),
+    Mutant(
+        "sample-proportions-weighted", "src/stratci/estimators.py",
+        "tuple(map(truediv, counts.counts, facts.sizes))",
+        "tuple([w * c / n for w, c, n in zip(facts.weights, counts.counts, facts.sizes)])",
+        ("tests/test_cli.py", "-k", "TestFrozenOutputs and test_analyze"),
+        "analyze reads each stratum's own p_hat_h = c_h / n_h, not the term w_h p_hat_h that p_hat adds up",
+    ),
     # Each repetition's counts, checked and estimated by the block baseline and carried to the releases.
     Mutant(
         "block-estimate-any-design", "src/stratci/dp_ci.py",
@@ -221,6 +228,11 @@ MUTANTS = (
         "_noise_scale(1.0, budget.rho2)", "_noise_scale(1.0, budget.rho)",
         ("tests/test_dp_ci.py", "tests/test_mechanisms.py", "-k", "TestStratumNoisePrivateSizes or TestZcdpLedger"),
         "str-priv's size noise is scaled by its own share rho2 of the budget",
+    ),
+    Mutant(
+        "str-priv-p-factor-linear", "src/stratci/dp_ci.py", "lambda p: 1.0 + p * p", "lambda p: 1.0 + p",
+        ("tests/test_analysis.py", "-k", "TestWidthRatioLimit"),
+        "str-priv's simulated mean width ratio tends to the closed form with factor 1 + p^2, the paper's",
     ),
     # The scalar release's finish and binding.
     Mutant(

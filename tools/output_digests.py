@@ -1,4 +1,4 @@
-"""Digest every output of the shipped configs and of ``stratci ci``, and compare two checkouts.
+"""Digest every output of the shipped configs, ``stratci ci`` and ``stratci analyze``, and compare two checkouts.
 
     python3 tools/output_digests.py ROOT [ROOT2]
 
@@ -27,8 +27,11 @@ above the call it names moves no digest.  It also runs ``ci``
 on a two-stratum all-census input (``CENSUS_INPUT``, every n_h = N_h), once
 per private algorithm and output format at ``--rho 0.1``, so that a change
 to pop-pub's release or recorded budget on such a design (whose variance
-estimate is 0 whatever the data) shows in a digest.  With the five shipped
-configs that makes 62 outputs.
+estimate is 0 whatever the data) shows in a digest.  Last, at each budget
+in ``CI_RHOS``, it runs ``stratci analyze`` with ``--input`` on each of
+these two inputs, with and without ``--p 0.3``, and with the one-stratum
+shorthand ``--N 2000 --n 152 --p 0.5``; each run's line is digested as a
+``ci`` run's is.  With the five shipped configs that makes 72 outputs.
 
 Given two roots, each line shows both sides, and the script exits 1 if any
 of them differ.  The standard library is all it needs.
@@ -79,6 +82,13 @@ def stratci(root: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProce
     return subprocess.run([sys.executable, "-m", "stratci.cli", *argv], cwd=cwd, env=env, capture_output=True)
 
 
+def ran(root: Path, argv: list[str], cwd: Path) -> str:
+    """The exit code and the SHA-256 of stdout and stderr, with the checkout's root and each ``.py:LINE:`` replaced."""
+    done = stratci(root, argv, cwd)
+    stderr = re.sub(rb"\.py:\d+:", b".py:LINE:", done.stderr.replace(bytes(root), b"ROOT"))
+    return f"exit {done.returncode} {sha256(done.stdout + stderr)}"
+
+
 def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
     """``(config name, output) -> digest or exit code`` for every config."""
     out = {}
@@ -95,20 +105,25 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
                 out[config.name, name] = sha256(path.read_bytes()) if path.is_file() else "missing"
             done = stratci(root, ["qq", "--config", str(cfg), "--grid", "99"], work)
             out[config.name, "qq --grid 99"] = f"exit {done.returncode} {sha256(done.stdout)}"
-        strata = work / "strata.csv"
-        groups = [("ci", CI_INPUT, rho, CI_CLIPS) for rho in CI_RHOS] + [("ci census", CENSUS_INPUT, "0.1", [()])]
-        for label, rows, rho, clips in groups:
+        inputs = {}
+        for name, rows in (("ci", CI_INPUT), ("census", CENSUS_INPUT)):
+            inputs[name] = work / f"{name}.csv"
             body = "".join(f"{h},{N},{n},{c}\n" for h, (N, n, c) in enumerate(rows))
-            strata.write_text("stratum_id,N_h,n_h,c_h\n" + body)
+            inputs[name].write_text("stratum_id,N_h,n_h,c_h\n" + body)
+        groups = [("ci", "ci", rho, CI_CLIPS) for rho in CI_RHOS] + [("ci census", "census", "0.1", [()])]
+        for label, name, rho, clips in groups:
             for algorithm in CI_ALGORITHMS:
                 for fmt in ("json", "csv"):
                     for clip in clips:
-                        argv = ["ci", "--input", str(strata), "--algorithm", algorithm, "--rho", rho, "--seed", "7",
-                                "--format", fmt, *clip]
-                        done = stratci(root, argv, work)
-                        stderr = re.sub(rb"\.py:\d+:", b".py:LINE:", done.stderr.replace(bytes(root), b"ROOT"))
-                        name = " ".join((algorithm, fmt, *clip))
-                        out[f"{label} --rho {rho}", name] = f"exit {done.returncode} {sha256(done.stdout + stderr)}"
+                        argv = ["ci", "--input", str(inputs[name]), "--algorithm", algorithm, "--rho", rho,
+                                "--seed", "7", "--format", fmt, *clip]
+                        out[f"{label} --rho {rho}", " ".join((algorithm, fmt, *clip))] = ran(root, argv, work)
+        runs = [(f"--input {name}" + " --p 0.3" * p, ["--input", str(path)] + ["--p", "0.3"] * p)
+                for name, path in inputs.items() for p in (0, 1)]
+        runs.append(("--N 2000 --n 152 --p 0.5", ["--N", "2000", "--n", "152", "--p", "0.5"]))
+        for rho in CI_RHOS:
+            for label, flags in runs:
+                out[f"analyze --rho {rho}", label] = ran(root, ["analyze", *flags, "--rho", rho], work)
     return out
 
 
