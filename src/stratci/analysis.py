@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError, ordered_sum
+from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError, _design_facts, memoised, ordered_sum
 from .dp_ci import MECHANISMS, mechanism
 
 
@@ -97,13 +97,21 @@ def ratio_estimator_k2_moments(
 
 def sampling_weights(design: Sequence[StratumDesign]) -> tuple[float, ...]:
     """u_h = N_h / n_h for each stratum."""
-    return tuple(s.sampling_weight for s in design)
+    return memoised(_design_facts, design).sampling_weights
 
 
-def _finite(value: float, rho: float, algorithm: AlgorithmTag, what: str) -> float:
+# The budget parts a closed form divides by, blamed when its value is not finite; rho where none is listed.
+_DIVISORS = {
+    ("extrinsic_variance", AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES): "rho1 {0.rho1!r} is too small",
+    ("extrinsic_variance", AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES): "rho1 {0.rho1!r} or rho2 {0.rho2!r} is too small",
+    ("mean_shift", AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES): "rho2 {0.rho2!r} is too small",
+}
+
+
+def _finite(value: float, algorithm: AlgorithmTag, what: str, cause: str, *inputs) -> float:
+    """``value``, once finite; else the error that blames ``cause.format(*inputs)``, formatted only then."""
     if not math.isfinite(value):
-        what = what.replace("_", " ")
-        raise ValidationError(f"rho {rho!r} is too small: the {algorithm.value} {what} is not finite")
+        raise ValidationError(f"{cause.format(*inputs)}: the {algorithm.value} {what.replace('_', ' ')} is not finite")
     return value
 
 
@@ -117,7 +125,8 @@ def _stratum_term(term: str, design, algorithm, budget, stratum_proportions) -> 
             raise ValidationError(f"the {what} needs one proportion per stratum")
         if not all(0.0 <= p <= 1.0 for p in stratum_proportions):
             raise ValidationError(f"the {what} needs proportions in [0, 1], got {tuple(stratum_proportions)}")
-    return _finite(getattr(row, term)(design, budget, stratum_proportions), budget.rho, algorithm, term)
+    cause = _DIVISORS.get((term, algorithm), "rho {0.rho!r} is too small")
+    return _finite(getattr(row, term)(design, budget, stratum_proportions), algorithm, term, cause, budget)
 
 
 def extrinsic_variance(
@@ -199,7 +208,9 @@ def theoretical_width_ratio(
     N, n = population_size, sample_size
     denominator = p * (1.0 - p) * n * rho
     ratio = ((N - 1) / (N - n)) * row.p_factor(p) / denominator if denominator > 0.0 else math.inf
-    return _finite(math.sqrt(1.0 + ratio), rho, algorithm, "width ratio")
+    at_best_p = ((N - 1) / (N - n)) * row.bound_factor / (n * rho)  # if not finite, rho is to blame, not p
+    cause = "rho {0!r} is too small" if math.isinf(at_best_p) else "p {1!r} is too close to 0 or 1 for rho {0!r}"
+    return _finite(math.sqrt(1.0 + ratio), algorithm, "width ratio", cause, rho, p)
 
 
 def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTag) -> float:
@@ -215,7 +226,7 @@ def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTa
     if not rho > 0.0:
         raise ValidationError(f"rho must be positive, got {rho}")
     bound = math.sqrt(1.0 + row.bound_factor / (sample_size * rho))
-    return _finite(bound, rho, algorithm, "width-ratio bound")
+    return _finite(bound, algorithm, "width-ratio bound", "rho {0!r} is too small", rho)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -82,11 +82,6 @@ class StratumDesign:
         if not (0.0 < weight <= 1.0) or not math.isfinite(weight):
             raise ValidationError(f"weight must lie in (0, 1], got {weight}")
         self.__dict__.update(population_size=N, sample_size=n, weight=weight)
-
-    @property
-    def sampling_weight(self) -> float:
-        """Number of population units each sampled unit represents, N_h / n_h."""
-        return self.population_size / self.sample_size
 
 
 class Design(tuple):
@@ -176,19 +171,18 @@ class _BlockCounts(StratumCounts):
 def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> tuple[float, float] | None:
     """Validate that counts pair with a coherent design.
 
-    Requires equal length, 0 <= c_h <= n_h, and stratum weights summing to 1
-    within ``WEIGHT_SUM_TOL``.  The weight sum is checked once per
-    :class:`Design`; counts on every call, unless their block checked them for it.
-    Returns the (p_hat, V_hat) that such counts carry, else None.
+    Requires equal length, 0 <= c_h <= n_h, and a design whose facts
+    :func:`_design_facts` checks: once per :class:`Design`, counts on every
+    call, unless their block checked them for it.  Returns the (p_hat, V_hat)
+    that such counts carry, else None.
     """
     if type(counts) is _BlockCounts and counts.design is design:
-        memoised(_checked_sizes, design)
         return counts.estimate
     if len(design) != len(counts.counts):
         raise ValidationError(
             f"design has {len(design)} strata but counts has {len(counts.counts)}"
         )
-    sizes = memoised(_checked_sizes, design)
+    sizes = memoised(_design_facts, design).sizes
     if any(map(operator.gt, counts.counts, sizes)):
         for h, (c, n) in enumerate(zip(counts.counts, sizes)):
             if c > n:
@@ -196,12 +190,33 @@ def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> tupl
     return None
 
 
-def _checked_sizes(design: Sequence[StratumDesign]) -> tuple[int, ...]:
-    """The sample sizes n_h, once the stratum weights are checked to sum to 1."""
-    total_weight = ordered_sum(s.weight for s in design)
+class _DesignFacts(NamedTuple):
+    """Per stratum, every fact of a design that the estimators, mechanisms and closed forms read."""
+
+    sizes: tuple[int, ...]                    # n_h
+    weights: tuple[float, ...]                # w_h
+    squared_weights: tuple[float, ...]        # w_h**2
+    fpcs: tuple[float, ...]                   # (N_h - n_h)/N_h
+    deltas: tuple[float, ...]                 # 1/n_h, the sensitivity of p_hat_h
+    float_sizes: tuple[float, ...]            # float(n_h)
+    populations: tuple[tuple[int, int], ...]  # (N_h, N_h - 1)
+    shares: tuple[float, ...]                 # w_h/n_h, the sensitivity of p_hat to stratum h
+    sampling_weights: tuple[float, ...]       # N_h/n_h
+    constants: tuple[float, ...]              # C_h = w_h**2 fpc_h/(n_h - 1)
+
+
+def _design_facts(design: Sequence[StratumDesign]) -> _DesignFacts:
+    """Every stratum's facts, in one pass, of a design with a stratum and weights summing to 1 within the tolerance."""
+    if not design:
+        raise ValidationError("design must contain at least one stratum")
+    facts = _DesignFacts(*zip(*[
+        (n, w, w**2, (N - n) / N, 1.0 / n, float(n), (N, N - 1), w / n, N / n, w**2 * ((N - n) / N) / (n - 1))
+        for N, n, w in map(operator.attrgetter("population_size", "sample_size", "weight"), design)
+    ]))
+    total_weight = ordered_sum(facts.weights)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
-    return tuple(s.sample_size for s in design)
+    return facts
 
 
 @dataclass(frozen=True)

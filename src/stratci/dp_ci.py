@@ -44,11 +44,12 @@ from .core import (
     StratumDesign,
     ValidationError,
     _clipped_to_unit,
+    _design_facts,
     check_paired,
     memoised,
     ordered_sum,
 )
-from .estimators import _design_facts, _stratified, _wald_bounds, wald_interval
+from .estimators import _stratified, _wald_bounds, wald_interval
 from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
@@ -331,7 +332,7 @@ def _private_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBud
 
 
 def _wn2(design: Sequence[StratumDesign]) -> list[float]:
-    return [(s.weight / s.sample_size) ** 2 for s in design]
+    return [share**2 for share in memoised(_design_facts, design).shares]
 
 
 def _private_sizes_extrinsic(design, budget, p_h) -> float:
@@ -386,7 +387,7 @@ MECHANISMS = {
         "stratum_noise_private_sizes", 2, lambda H: (H, 2), True,
         _private_sizes_extrinsic,
         lambda design, budget, p_h: ordered_sum(
-            s.weight * p / (2.0 * budget.rho2 * s.sample_size**2) for s, p in zip(design, p_h)
+            w * p / (2.0 * budget.rho2 * n**2) for n, w, p in zip(*memoised(_design_facts, design)[:2], p_h)
         ),
         lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
     ),

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from operator import attrgetter, truediv
-from typing import NamedTuple, Sequence
+from operator import truediv
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +17,8 @@ from .core import (
     StratumDesign,
     ValidationError,
     _BlockCounts,
+    _DesignFacts,
+    _design_facts,
     check_paired,
     memoised,
     normal_quantile,
@@ -44,26 +46,6 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     if N == 1:
         return 0.0
     return ((N - n) / (N - 1)) * p_h * (1.0 - p_h) / n
-
-
-class _DesignFacts(NamedTuple):
-    """Per stratum, what the estimators and the private mechanisms read of a design."""
-
-    sizes: tuple[int, ...]                    # n_h
-    weights: tuple[float, ...]                # w_h
-    squared_weights: tuple[float, ...]        # w_h**2
-    fpcs: tuple[float, ...]                   # (N_h - n_h)/N_h
-    deltas: tuple[float, ...]                 # 1/n_h, the sensitivity of p_hat_h
-    float_sizes: tuple[float, ...]            # float(n_h)
-    populations: tuple[tuple[int, int], ...]  # (N_h, N_h - 1)
-
-
-def _design_facts(design: Sequence[StratumDesign]) -> _DesignFacts:
-    """The facts of every stratum, in one pass; keep them with ``memoised(_design_facts, design)``."""
-    return _DesignFacts(*zip(*[
-        (n, w, w**2, (N - n) / N, 1.0 / n, float(n), (N, N - 1))
-        for N, n, w in map(attrgetter("population_size", "sample_size", "weight"), design)
-    ]))
 
 
 def _stratified(counts, facts: _DesignFacts):

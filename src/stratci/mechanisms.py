@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import StratumDesign, ValidationError, memoised
+from .core import StratumDesign, ValidationError, _design_facts, memoised
 from .randomness import RandomStream, standard_normals
 
 
@@ -88,15 +88,6 @@ def sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
 
 
 def _sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
-    if not design:
-        raise ValidationError("design must contain at least one stratum")
-    delta_p = max(s.weight / s.sample_size for s in design)
-    constants = tuple(
-        s.weight**2 * ((s.population_size - s.sample_size) / s.population_size) / (s.sample_size - 1)
-        for s in design
-    )
-    delta_v = max(
-        (C / s.sample_size) * (1.0 - 1.0 / s.sample_size)
-        for C, s in zip(constants, design)
-    )
-    return SensitivityReport(delta_p, delta_v, constants)
+    facts = memoised(_design_facts, design)
+    delta_v = max([(C / n) * (1.0 - delta) for C, n, delta in zip(facts.constants, facts.sizes, facts.deltas)])
+    return SensitivityReport(max(facts.shares), delta_v, facts.constants)

@@ -27,7 +27,9 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _design_facts,
     build_design,
+    memoised,
     normal_quantile,
     ordered_sum,
 )
@@ -344,7 +346,7 @@ def _run_all(setup: tuple, runs: list[tuple], keep_records: bool) -> list[Experi
     """
     config = runs[0][0]
     population, design, _ = setup
-    sizes = tuple(s.sample_size for s in design)
+    sizes = memoised(_design_facts, design).sizes
     prefixes = [derive_stream(config.base_seed, path).stream_id for _, path, _ in runs]
     counts = _SampleCounts(config.base_seed, population, sizes, [(p, order) for p, (*_, order) in zip(prefixes, runs)])
     return [
@@ -365,7 +367,6 @@ def _run(
     population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     true_p = population.proportion
-    sample_sizes = tuple(s.sample_size for s in design)
 
     R = config.repetitions
     tags = config.algorithms
@@ -425,7 +426,7 @@ def _run(
     return ExperimentSummary(
         true_proportion=true_p,
         stratum_sizes=population.stratum_sizes,
-        sample_sizes=sample_sizes,
+        sample_sizes=memoised(_design_facts, design).sizes,
         rho=rho,
         alpha=config.alpha,
         repetitions=R,
@@ -451,7 +452,8 @@ def qq_data(
     population, design, rho = setup
     budget = PrivacyBudget.total(rho, config.split)
     p_h = population.stratum_proportions
-    var_phat = ordered_sum(s.weight**2 * exact_stratum_variance(s, p) for s, p in zip(design, p_h))
+    squared_weights = memoised(_design_facts, design).squared_weights
+    var_phat = ordered_sum(w2 * exact_stratum_variance(s, p) for w2, s, p in zip(squared_weights, design, p_h))
     qs = np.arange(1, grid_size + 1) / (grid_size + 1)
     out = []
     for tag, (_, _, points) in zip(config.algorithms, records):

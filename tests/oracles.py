@@ -7,7 +7,9 @@ live with the tests because nothing at run time calls them, which keeps
 scipy a test-only dependency.
 
 :func:`reference_release` is the release path as first written, before each
-private mechanism became one pass over its strata.
+private mechanism became one pass over its strata.  :func:`design_facts` and
+:func:`sensitivity_report` derive the per-stratum design facts as each reader
+did before ``core._design_facts`` held them all.
 
 :func:`hypergeometric_trace` is numpy's ``random_hypergeometric`` for the
 strata the lane-parallel count kernel draws, transcribed line by line from
@@ -48,7 +50,7 @@ from stratci.dp_ci import (
     mechanism,
 )
 from stratci.estimators import wald_interval
-from stratci.mechanisms import sensitivities
+from stratci.mechanisms import SensitivityReport
 from stratci.randomness import RandomStream, child_normals
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -160,6 +162,33 @@ def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
         tuple(s.weight**2 for s in design),
         tuple((s.population_size - s.sample_size) / s.population_size for s in design),
     )
+
+
+def design_facts(design: Sequence[StratumDesign]) -> dict[str, tuple]:
+    """Per stratum, each field of ``core._DesignFacts``, by name, from the expression that field replaced."""
+    return {
+        "sizes": tuple(s.sample_size for s in design),
+        "weights": tuple(s.weight for s in design),
+        "squared_weights": tuple(s.weight**2 for s in design),
+        "fpcs": tuple((s.population_size - s.sample_size) / s.population_size for s in design),
+        "deltas": tuple(1.0 / s.sample_size for s in design),
+        "float_sizes": tuple(float(s.sample_size) for s in design),
+        "populations": tuple((s.population_size, s.population_size - 1) for s in design),
+        "shares": tuple(s.weight / s.sample_size for s in design),
+        "sampling_weights": tuple(s.population_size / s.sample_size for s in design),
+        "constants": tuple(
+            s.weight**2 * ((s.population_size - s.sample_size) / s.population_size) / (s.sample_size - 1)
+            for s in design
+        ),
+    }
+
+
+def sensitivity_report(design: Sequence[StratumDesign]) -> SensitivityReport:
+    """``mechanisms.sensitivities`` as first written, in a pass of its own over the strata."""
+    delta_p = max(s.weight / s.sample_size for s in design)
+    constants = design_facts(design)["constants"]
+    delta_v = max((C / s.sample_size) * (1.0 - 1.0 / s.sample_size) for C, s in zip(constants, design))
+    return SensitivityReport(delta_p, delta_v, constants)
 
 
 class NonPrivateEstimate(NamedTuple):
@@ -312,7 +341,7 @@ def population_noise_public_sizes(
     """
     est = non_private_estimate(design, counts)  # checks that counts pair with design
     row = mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
-    sens = sensitivities(design)
+    sens = sensitivity_report(design)
     # The proportion draws its noise from stream child(0), the variance from child(1).
     z_p, z_v = child_normals(stream, *row.noise_shape(len(design)))
     (p_noisy,), (p_noise_variance,) = gaussian_releases(

@@ -78,6 +78,17 @@ class TestExtrinsicVariance:
         with pytest.raises(ValidationError, match="rho 1e-320 is too small"):
             extrinsic_variance(design, STR_PUB, PrivacyBudget.total(1e-320))
 
+    @pytest.mark.parametrize("form,tag,budget,cause", [
+        (extrinsic_variance, POP_PUB, PrivacyBudget(1e-320, 0.01), "rho1 1e-320 is too small"),
+        (extrinsic_variance, STR_PRIV, PrivacyBudget(0.01, 1e-320), "rho1 0.01 or rho2 1e-320 is too small"),
+        (mean_shift, STR_PRIV, PrivacyBudget(0.01, 1e-320), "rho2 1e-320 is too small"),
+    ], ids=["pop-pub", "str-priv", "str-priv shift"])
+    def test_non_finite_names_the_budget_part_divided_by(self, form, tag, budget, cause):
+        design = build_design([(2000, 100)])
+        what = "extrinsic variance" if form is extrinsic_variance else "mean shift"
+        with pytest.raises(ValidationError, match=f"^{cause}: the {tag.value} {what} is not finite$"):
+            form(design, tag, budget, (0.5,))
+
     def test_non_private_is_zero(self):
         design = build_design([(2000, 100)])
         assert extrinsic_variance(design, AlgorithmTag.NON_PRIVATE, PrivacyBudget.total(1.0)) == 0.0

@@ -406,6 +406,16 @@ class TestCmdAnalyze:
         assert out == ""
         assert name in err and "inf" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--N", "3", "--n", "2", "--rho", "0.01", "--p", "1e-320"],
+         "p 1e-320 is too close to 0 or 1 for rho 0.01: the str-pub width ratio is not finite"),
+        (["--N", "2000", "--n", "152", "--rho", "0.01", "--split", "1e-320", "--p", "0.5"],
+         "rho1 1e-322 is too small: the pop-pub extrinsic variance is not finite"),
+    ], ids=["p", "split"])
+    def test_non_finite_names_its_cause(self, capsys, argv, message):
+        # p(1 - p) n rho underflows at a tiny p; pop-pub's proportion noise divides by rho1 = rho * split.
+        assert _run(capsys, ["analyze", *argv]) == (2, "", f"validation error: {message}\n")
+
     def test_multi_stratum_proportion_out_of_range(self, capsys, tmp_path):
         p = tmp_path / "two.csv"
         p.write_text(TWO_ROWS)

@@ -24,6 +24,7 @@ from stratci import (
     derive_stream,
     difference_ci,
     exact_stratum_variance,
+    extrinsic_variance,
     non_private_ci,
     normal_quantile,
     population_noise_public_sizes,
@@ -33,7 +34,7 @@ from stratci import (
     stratum_noise_public_sizes,
     wald_interval,
 )
-from stratci import dp_ci, estimators
+from stratci import core, dp_ci, estimators
 from stratci.core import _CLIP_FLAGS, Design, check_paired, memoised
 from stratci.estimators import _wald_block
 from stratci.randomness import _DrawnStream, _drawn_streams, gaussian
@@ -786,7 +787,7 @@ class TestBlockCounts:
         block = np.where(rng.random((len(design), samples)) < 0.5, n * rng.integers(0, 2, (len(design), samples)),
                          rng.integers(0, n + 1, (len(design), samples)))
         _, carried = _wald_block(design, block, 0.1, clip)
-        facts = memoised(estimators._design_facts, design)
+        facts = memoised(core._design_facts, design)
         assert len(carried) == samples
         for r, (counts, column) in enumerate(zip(carried, block.T.tolist())):
             assert counts.design is design and counts.counts == tuple(column)
@@ -813,7 +814,7 @@ class TestBlockCounts:
     def test_another_design_is_estimated_afresh(self):
         carried = self._carried([(2000, 100), (500, 50)], [40, 30])
         other = build_design([(1000, 100), (4000, 60)])
-        assert carried.estimate != estimators._stratified(carried.counts, memoised(estimators._design_facts, other))
+        assert carried.estimate != estimators._stratified(carried.counts, memoised(core._design_facts, other))
         stream = derive_stream(1, [0])
         assert repr(population_noise_public_sizes(stream, other, carried, self.BUDGET, 0.1)) == repr(
             population_noise_public_sizes(stream, other, StratumCounts(carried.counts), self.BUDGET, 0.1)
@@ -1038,7 +1039,7 @@ class TestDesignFacts:
     # Every per-design fact the package keeps, computed from a design.
     FACTS = (
         sensitivities,
-        lambda design: memoised(estimators._design_facts, design),
+        lambda design: memoised(core._design_facts, design),
     )
 
     def test_design_keeps_each_fact_for_every_thread(self):
@@ -1072,6 +1073,27 @@ class TestDesignFacts:
             for fact in self.FACTS:
                 assert fact(other) is not fact(other)
                 assert fact(other) == fact(design)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(TestOneStratifiedEstimate._STRATUM, min_size=1, max_size=50),
+           kind=st.sampled_from([Design, tuple, list]))
+    def test_record_holds_each_expression_it_replaced(self, sizes, kind):
+        design = kind(build_design(sizes))
+        facts, expected = memoised(core._design_facts, design), oracles.design_facts(design)
+        assert facts._fields == tuple(expected)
+        for name, values in expected.items():
+            assert repr(getattr(facts, name)) == repr(values), name
+        assert repr(sensitivities(design)) == repr(oracles.sensitivity_report(design))
+
+    @pytest.mark.parametrize("reader", [
+        lambda design: _wald_block(design, np.array([[1], [1]]), 0.1, False),
+        sensitivities,
+        lambda design: extrinsic_variance(design, AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, PrivacyBudget.total(0.01)),
+    ], ids=["_wald_block", "sensitivities", "extrinsic_variance"])
+    def test_every_reader_checks_the_weights(self, reader):
+        heavy = Design(StratumDesign(100, 10, w) for w in (0.5, 0.6))
+        with pytest.raises(ValidationError, match="stratum weights sum to 1.1, expected 1"):
+            reader(heavy)
 
     def test_build_design_is_its_strata_tuple(self):
         hand_built = Design(StratumDesign(N, n, w) for (N, n), w in zip(self.DESIGN, (0.5, 0.25, 0.25)))

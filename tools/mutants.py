@@ -61,6 +61,7 @@ _LAST_STRATUM = ("tests/test_randomness.py", "-k", "test_a_lane_that_runs_out_in
 _FINISH = ("tests/test_dp_ci.py", "-k", "TestFinish")
 _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or test_bool_counts_rejected")
 _CARRIED = ("tests/test_dp_ci.py", "-k", "TestBlockCounts")
+_ANALYZE = ("tests/test_cli.py", "-k", "test_non_finite_names_its_cause")
 
 MUTANTS = (
     # The one-pass g - gp table build: a last bit moved in any entry moves some count.
@@ -174,13 +175,37 @@ MUTANTS = (
     ),
     Mutant(
         "check-paired-shortcut-any-design", "src/stratci/core.py",
-        "    if type(counts) is _BlockCounts and counts.design is design:\n        memoised(_checked_sizes, design)\n",
-        "    if type(counts) is _BlockCounts:\n        memoised(_checked_sizes, design)\n", _CARRIED,
+        "    if type(counts) is _BlockCounts and counts.design is design:\n",
+        "    if type(counts) is _BlockCounts:\n", _CARRIED,
         "a block's counts were checked against its own design's n_h only",
     ),
     Mutant(
         "block-counts-float-accepted", "src/stratci/estimators.py", 'counts.dtype.kind not in "iu" or ', "",
         _CARRIED, "a carrier skips StratumCounts' per-count check, so its block must hold integers",
+    ),
+    # The one record of a design's facts, and the one check of its weights.
+    Mutant(
+        "design-facts-skip-weight-check", "src/stratci/core.py",
+        "    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:\n", "    if False:\n",
+        ("tests/test_dp_ci.py", "-k", "test_every_reader_checks_the_weights"),
+        "every reader of a design's facts rejects weights that do not sum to 1, as check_paired does",
+    ),
+    Mutant(
+        "design-facts-c-reassociated", "src/stratci/core.py",
+        "w**2 * ((N - n) / N) / (n - 1))", "w**2 * (((N - n) / N) / (n - 1)))",
+        ("tests/test_dp_ci.py", "-k", "test_record_holds_each_expression_it_replaced"),
+        "C_h multiplies w_h**2 by fpc_h before it divides by n_h - 1, as the sensitivity report did",
+    ),
+    # The closed forms' errors name the input that makes them non-finite.
+    Mutant(
+        "analyze-width-ratio-blames-rho", "src/stratci/analysis.py",
+        '"p {1!r} is too close to 0 or 1 for rho {0!r}"', '"rho {0!r} is too small"', _ANALYZE,
+        "a width ratio that p(1 - p) n rho underflows at a tiny p is p's fault, not rho's",
+    ),
+    Mutant(
+        "analyze-extrinsic-blames-rho", "src/stratci/analysis.py",
+        '_DIVISORS.get((term, algorithm), "rho {0.rho!r} is too small")', '"rho {0.rho!r} is too small"', _ANALYZE,
+        "pop-pub's extrinsic variance divides by rho1 alone, which a tiny split makes too small",
     ),
     # The value types' hand-written __init__s and checks.
     Mutant(

@@ -10,12 +10,10 @@ the way its caller makes the call.  "drawn" streams carry their normals, and
 the release function is resolved once and then called directly with
 ``per_stratum=False``, as ``run_experiment`` does, on the counts it passes:
 the ``core._BlockCounts`` that ``estimators._wald_block`` returns for the
-design's one-column block, already checked and estimated there, or, on a
-checkout whose ``_wald_block`` returns only its three arrays, the plain
-``StratumCounts``.  "fresh" streams draw theirs stream by stream, and each
-call goes through ``dp_ci.release`` with its per-stratum releases, as
-``stratci ci`` and the library do.  A second
-table times, per call, the layers a release stands on:
+design's one-column block, already checked and estimated there.  "fresh"
+streams draw theirs stream by stream, and each call goes through
+``dp_ci.release`` with its per-stratum releases, as ``stratci ci`` and the
+library do.  A second table times, per call, the layers a release stands on:
 ``derive_stream(seed, [i, slot])`` (how a library caller keys a stream),
 ``RandomStream.child(h)`` for h < H, ``non_private_ci`` on the same design
 and counts, and "count block": a fresh ``randomness._CountSampler`` of the
@@ -80,10 +78,7 @@ def cases(name: str, H: int, sizes: list, counts: list, seed: int, batches: int,
     budget = stratci.PrivacyBudget.total(1.0 / 160.0)
     design, counts = stratci.build_design(sizes), stratci.StratumCounts(tuple(counts))
     estimators = importlib.import_module(f"{name}.estimators")
-    baseline = estimators._wald_block(design, np.array([counts.counts]).T, 0.1, False)
-    # A checkout whose block baseline also returns its columns' counts hands those on, as run_experiment does.
-    # Delete the three-array fallback once no --against target predates the carried counts.
-    carried = baseline[1][0] if len(baseline) == 2 else counts
+    _, (carried,) = estimators._wald_block(design, np.array([counts.counts]).T, 0.1, False)
     fresh = [stratci.derive_stream(seed, [H, i]) for i in range(total)]
     out = {}
     for tag, row in dp_ci.MECHANISMS.items():
