@@ -15,8 +15,6 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-WEIGHT_SUM_TOL = 1e-12
-
 
 def ordered_sum(values: Iterable[float]) -> float:
     """The float sum added left to right from 0.0, as every CPython adds it.
@@ -55,19 +53,18 @@ class AlgorithmTag(enum.Enum):
 
 @dataclass(frozen=True, init=False)
 class StratumDesign:
-    """Public design facts for one stratum.
+    """Public design facts for one stratum: its population and sample sizes.
 
-    ``weight`` is the stratum's share of the population, N_h / N.  Sample
-    sizes below 2 are rejected because the within-stratum variance estimator
-    divides by n_h - 1.  Its fields are stored in one write to the instance
-    dict, as :class:`CiResult`'s are.
+    The stratum's weight N_h / N is a fact of the whole design, derived in
+    :func:`_design_facts`.  Sample sizes below 2 are rejected because the
+    within-stratum variance estimator divides by n_h - 1.  Its fields are
+    stored in one write to the instance dict, as :class:`CiResult`'s are.
     """
 
     population_size: int
     sample_size: int
-    weight: float
 
-    def __init__(self, population_size: int, sample_size: int, weight: float) -> None:
+    def __init__(self, population_size: int, sample_size: int) -> None:
         n, N = sample_size, population_size
         if not (isinstance(N, int) and isinstance(n, int)) or isinstance(N, bool) or isinstance(n, bool):
             raise ValidationError("stratum sizes must be integers")
@@ -79,9 +76,7 @@ class StratumDesign:
             raise ValidationError(f"sample_size must be at least 2, got {n}")
         if n > N:
             raise ValidationError(f"sample_size {n} exceeds population_size {N}")
-        if not (0.0 < weight <= 1.0) or not math.isfinite(weight):
-            raise ValidationError(f"weight must lie in (0, 1], got {weight}")
-        self.__dict__.update(population_size=N, sample_size=n, weight=weight)
+        self.__dict__.update(population_size=N, sample_size=n)
 
 
 class Design(tuple):
@@ -94,17 +89,10 @@ class Design(tuple):
 
 
 def build_design(sizes: Sequence[tuple[int, int]]) -> Design:
-    """Build a stratified design from (population_size, sample_size) pairs.
-
-    Weights are computed exactly as N_h / sum(N_k).
-    """
+    """Build a stratified design from (population_size, sample_size) pairs."""
     if not sizes:
         raise ValidationError("design must contain at least one stratum")
-    smallest = min(N for N, _ in sizes)
-    if smallest < 1:  # so that 0 < N_h / total <= 1
-        raise ValidationError(f"population_size must be positive, got {smallest}")
-    total = sum(N for N, _ in sizes)
-    return Design(StratumDesign(N, n, N / total) for N, n in sizes)
+    return Design(StratumDesign(N, n) for N, n in sizes)
 
 
 _T = TypeVar("_T")
@@ -169,12 +157,11 @@ class _BlockCounts(StratumCounts):
 
 
 def check_paired(design: Sequence[StratumDesign], counts: StratumCounts) -> tuple[float, float] | None:
-    """Validate that counts pair with a coherent design.
+    """Validate that counts pair with a design of at least one stratum.
 
-    Requires equal length, 0 <= c_h <= n_h, and a design whose facts
-    :func:`_design_facts` checks: once per :class:`Design`, counts on every
-    call, unless their block checked them for it.  Returns the (p_hat, V_hat)
-    that such counts carry, else None.
+    Requires equal length and 0 <= c_h <= n_h, checked on every call unless
+    the counts' block checked them for this very :class:`Design`.  Returns
+    the (p_hat, V_hat) that such counts carry, else None.
     """
     if type(counts) is _BlockCounts and counts.design is design:
         return counts.estimate
@@ -194,7 +181,7 @@ class _DesignFacts(NamedTuple):
     """Per stratum, every fact of a design that the estimators, mechanisms and closed forms read."""
 
     sizes: tuple[int, ...]                    # n_h
-    weights: tuple[float, ...]                # w_h
+    weights: tuple[float, ...]                # w_h = N_h/N
     squared_weights: tuple[float, ...]        # w_h**2
     fpcs: tuple[float, ...]                   # (N_h - n_h)/N_h
     deltas: tuple[float, ...]                 # 1/n_h, the sensitivity of p_hat_h
@@ -206,17 +193,14 @@ class _DesignFacts(NamedTuple):
 
 
 def _design_facts(design: Sequence[StratumDesign]) -> _DesignFacts:
-    """Every stratum's facts, in one pass, of a design with a stratum and weights summing to 1 within the tolerance."""
+    """Every stratum's facts, in one pass, of a design with a stratum; w_h is N_h over the int sum N, rounded once."""
     if not design:
         raise ValidationError("design must contain at least one stratum")
-    facts = _DesignFacts(*zip(*[
+    total = sum([s.population_size for s in design])
+    return _DesignFacts(*zip(*[
         (n, w, w**2, (N - n) / N, 1.0 / n, float(n), (N, N - 1), w / n, N / n, w**2 * ((N - n) / N) / (n - 1))
-        for N, n, w in map(operator.attrgetter("population_size", "sample_size", "weight"), design)
+        for N, n in map(operator.attrgetter("population_size", "sample_size"), design) for w in (N / total,)
     ]))
-    total_weight = ordered_sum(facts.weights)
-    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"stratum weights sum to {total_weight!r}, expected 1")
-    return facts
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from .core import (
     AlgorithmTag,
     CiResult,
     ClipFlags,
+    Design,
     PrivacyBudget,
     StratumCounts,
     StratumDesign,
@@ -43,8 +44,6 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     the two use different finite-population corrections.
     """
     N, n = stratum.population_size, stratum.sample_size
-    if N == 1:
-        return 0.0
     return ((N - n) / (N - 1)) * p_h * (1.0 - p_h) / n
 
 
@@ -65,7 +64,8 @@ def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: floa
     """The bits of :func:`non_private_ci`, clipped if ``clip_interval``, per column of an (H x R) count block.
 
     Returns (lower, upper, point) arrays, from :func:`_stratified` over the block's rows, and per column
-    a ``core._BlockCounts`` of its int counts, checked here against ``design``, and unclipped (p_hat, V_hat).
+    its int counts: on a :class:`Design`, a ``core._BlockCounts`` carrying the design, checked here, and
+    the unclipped (p_hat, V_hat); on any other sequence, a plain ``StratumCounts``.
     """
     if counts.dtype.kind not in "iu" or counts.ndim != 2 or len(counts) != len(design):
         raise ValidationError("a count block must be an integer array with one row per stratum")
@@ -76,12 +76,13 @@ def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: floa
     point, variance = _stratified(counts, facts)
     variances = variance.tolist()
     half_width = np.array([z * v**0.5 for v in variances])
-    lower, upper = point - half_width, point + half_width
-    columns = list(map(_BlockCounts, map(tuple, counts.T.tolist()), [design] * len(variances),
-                       zip(point.tolist(), variances)))
+    bounds = point - half_width, point + half_width, point
     if clip_interval:
-        return tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in (lower, upper, point)), columns
-    return (lower, upper, point), columns
+        bounds = tuple(np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x)) for x in bounds)
+    columns = map(tuple, counts.T.tolist())
+    if type(design) is not Design:  # a list may change before the release, which must check its counts then
+        return bounds, list(map(StratumCounts, columns))
+    return bounds, list(map(_BlockCounts, columns, [design] * len(variances), zip(point.tolist(), variances)))
 
 
 def _wald_quantile(alpha: float) -> float:

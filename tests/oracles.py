@@ -154,38 +154,46 @@ def gaussian_releases(
     return values, noise_variances
 
 
+def weights(design: Sequence[StratumDesign]) -> tuple[float, ...]:
+    """Per stratum W_h = N_h / N, as ``build_design`` once stored it: N is the int sum of the N_k."""
+    total = sum(s.population_size for s in design)
+    return tuple(s.population_size / total for s in design)
+
+
 def _estimate_facts(design: Sequence[StratumDesign]) -> tuple[tuple, ...]:
     """Per stratum n_h, w_h, w_h**2 and (N_h - n_h)/N_h."""
+    w = weights(design)
     return (
         tuple(s.sample_size for s in design),
-        tuple(s.weight for s in design),
-        tuple(s.weight**2 for s in design),
+        w,
+        tuple(x**2 for x in w),
         tuple((s.population_size - s.sample_size) / s.population_size for s in design),
     )
 
 
 def design_facts(design: Sequence[StratumDesign]) -> dict[str, tuple]:
     """Per stratum, each field of ``core._DesignFacts``, by name, from the expression that field replaced."""
+    w = weights(design)
     return {
         "sizes": tuple(s.sample_size for s in design),
-        "weights": tuple(s.weight for s in design),
-        "squared_weights": tuple(s.weight**2 for s in design),
+        "weights": w,
+        "squared_weights": tuple(x**2 for x in w),
         "fpcs": tuple((s.population_size - s.sample_size) / s.population_size for s in design),
         "deltas": tuple(1.0 / s.sample_size for s in design),
         "float_sizes": tuple(float(s.sample_size) for s in design),
         "populations": tuple((s.population_size, s.population_size - 1) for s in design),
-        "shares": tuple(s.weight / s.sample_size for s in design),
+        "shares": tuple(x / s.sample_size for x, s in zip(w, design)),
         "sampling_weights": tuple(s.population_size / s.sample_size for s in design),
         "constants": tuple(
-            s.weight**2 * ((s.population_size - s.sample_size) / s.population_size) / (s.sample_size - 1)
-            for s in design
+            x**2 * ((s.population_size - s.sample_size) / s.population_size) / (s.sample_size - 1)
+            for x, s in zip(w, design)
         ),
     }
 
 
 def sensitivity_report(design: Sequence[StratumDesign]) -> SensitivityReport:
     """``mechanisms.sensitivities`` as first written, in a pass of its own over the strata."""
-    delta_p = max(s.weight / s.sample_size for s in design)
+    delta_p = max(x / s.sample_size for x, s in zip(weights(design), design))
     constants = design_facts(design)["constants"]
     delta_v = max((C / s.sample_size) * (1.0 - 1.0 / s.sample_size) for C, s in zip(constants, design))
     return SensitivityReport(delta_p, delta_v, constants)
@@ -245,7 +253,8 @@ def _interval(
 
 def _weights(design: Sequence[StratumDesign]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per stratum w_h and w_h**2."""
-    return tuple(s.weight for s in design), tuple(s.weight**2 for s in design)
+    w = weights(design)
+    return w, tuple(x**2 for x in w)
 
 
 def _stratum_interval(

@@ -39,6 +39,7 @@ from stratci import (
 from stratci.cli import main
 from stratci.randomness import gaussian
 
+import oracles
 from oracles import conditional_reciprocal_moments_quadrature
 
 NON = AlgorithmTag.NON_PRIVATE
@@ -258,7 +259,7 @@ def test_c7_no_noise_limit():
         ci2, _ = population_noise_public_sizes(derive_stream(7, [0]), design, sc, huge, 0.1)
         p_hats = [c / s.sample_size for s, c in zip(design, counts)]
         exact_var = sum(
-            s.weight**2 * exact_stratum_variance(s, ph) for s, ph in zip(design, p_hats)
+            w**2 * exact_stratum_variance(s, ph) for w, s, ph in zip(oracles.weights(design), design, p_hats)
         )
         exact_baseline = wald_interval(baseline.point_estimate, exact_var, 0.1)
         ci3, _ = stratum_noise_private_sizes(derive_stream(7, [0]), design, sc, huge, 0.1)

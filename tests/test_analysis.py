@@ -45,7 +45,7 @@ class TestExtrinsicVariance:
     def test_equal_weights_ratio_is_half_strata_count(self):
         # with equal sampling weights, stratum/population extrinsic ratio = H/2
         for H in (1, 4, 20):
-            design = Design([StratumDesign(1000, 50, 1.0 / H)] * H)
+            design = Design([StratumDesign(1000, 50)] * H)
             budget = PrivacyBudget.total(0.01)
             ratio = extrinsic_variance(design, STR_PUB, budget) / extrinsic_variance(
                 design, POP_PUB, budget

@@ -24,7 +24,7 @@ from stratci import (
     normal_quantile,
     wald_interval,
 )
-from stratci.core import Design, check_paired, ordered_sum
+from stratci.core import _design_facts, check_paired, ordered_sum
 from stratci.randomness import RandomStream, _DrawnStream
 
 mpmath.mp.dps = 40
@@ -120,24 +120,23 @@ class TestNormalQuantile:
 
 class TestDesign:
     def test_weights_from_sizes(self):
-        design = build_design([(1500, 60), (2500, 100)])
-        assert [s.weight for s in design] == [1500 / 4000, 2500 / 4000]
-        assert math.isclose(sum(s.weight for s in design), 1.0, abs_tol=1e-12)
+        weights = _design_facts(build_design([(1500, 60), (2500, 100)])).weights
+        assert weights == (1500 / 4000, 2500 / 4000)
+        assert math.isclose(sum(weights), 1.0, abs_tol=1e-12)
 
     def test_single_stratum_weight_is_one(self):
-        (stratum,) = build_design([(2000, 100)])
-        assert stratum.weight == 1.0
+        assert _design_facts(build_design([(2000, 100)])).weights == (1.0,)
 
     def test_sample_size_one_rejected(self):
         with pytest.raises(ValidationError):
-            StratumDesign(population_size=100, sample_size=1, weight=1.0)
+            StratumDesign(population_size=100, sample_size=1)
 
     def test_sample_exceeding_population_rejected(self):
         with pytest.raises(ValidationError):
-            StratumDesign(population_size=10, sample_size=11, weight=1.0)
+            StratumDesign(population_size=10, sample_size=11)
 
     def test_census_allowed(self):
-        StratumDesign(population_size=10, sample_size=10, weight=1.0)
+        StratumDesign(population_size=10, sample_size=10)
 
     def test_population_size_beyond_float_range_rejected(self):
         with pytest.raises(ValidationError, match="population_size"):
@@ -155,14 +154,7 @@ class TestDesign:
         # bool is an int subclass; True as a size once reached the range checks.
         for N, n in ((True, 2), (10, True), (False, False)):
             with pytest.raises(ValidationError, match="^stratum sizes must be integers$"):
-                StratumDesign(population_size=N, sample_size=n, weight=1.0)
-
-    def test_user_weights_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="stratum weights sum to"):
-            check_paired(Design(StratumDesign(100, 10, w) for w in (0.5, 0.6)), StratumCounts((1, 1)))
-        design = Design(StratumDesign(100, 10, w) for w in (0.5, 0.5))
-        assert check_paired(design, StratumCounts((1, 1))) is None
-        assert [s.weight for s in design] == [0.5, 0.5]
+                StratumDesign(population_size=N, sample_size=n)
 
     def test_counts_validation(self):
         design = build_design([(100, 10)])
@@ -193,16 +185,6 @@ class TestDesign:
     def test_counts_taken_as_a_tuple(self):
         assert StratumCounts(iter([4, 0, 7])).counts == (4, 0, 7)
         assert StratumCounts([1, 2]) == StratumCounts((1, 2))
-
-    def test_incoherent_weights_rejected_at_pairing(self):
-        from stratci.core import check_paired
-
-        lopsided = (
-            StratumDesign(100, 10, 0.5),
-            StratumDesign(100, 10, 0.6),
-        )
-        with pytest.raises(ValidationError):
-            check_paired(lopsided, StratumCounts((5, 5)))
 
 
 class TestCiResult:
@@ -273,7 +255,7 @@ _VALUE_TYPES = {
         {"lower": 0.3, "clipped": ClipFlags()},
     ),
     StratumCounts: (((3, 0, 12),), {"counts": (1,)}),
-    StratumDesign: ((2000, 100, 0.25), {"sample_size": 2000}),
+    StratumDesign: ((2000, 100), {"sample_size": 2000}),
     RandomStream: ((7, 2**64 - 1), {"stream_id": 5}),
     _DrawnStream: ((7, 11, 2, 1, [0.25, -1.5]), {"normals": [0.0, 0.0]}),
 }

@@ -30,14 +30,14 @@ class TestProportions:
 
     def test_symmetric_two_strata(self):
         design = build_design([(1000, 100), (1000, 100)])
-        assert [s.weight for s in design] == [0.5, 0.5]
+        assert oracles.weights(design) == (0.5, 0.5)
         p, _ = sample_proportions(design, StratumCounts((40, 60)))
         assert p == 0.5
 
     def test_weighted_two_strata(self):
         # w=(0.75,0.25), p_h=(0.3,0.2) -> 0.275
         design = build_design([(3000, 100), (1000, 50)])
-        assert [s.weight for s in design] == [0.75, 0.25]
+        assert oracles.weights(design) == (0.75, 0.25)
         p, per = sample_proportions(design, StratumCounts((30, 10)))
         assert per == (0.3, 0.2)
         assert math.isclose(p, 0.275, rel_tol=1e-15)
@@ -52,9 +52,10 @@ class TestProportions:
         counts = StratumCounts((10, 45, 75))
         p, per = sample_proportions(design, counts)
         ci = non_private_ci(design, counts, 0.1)
-        assert p == ci.point_estimate == ordered_sum(s.weight * q for s, q in zip(design, per))
+        w = oracles.weights(design)
+        assert p == ci.point_estimate == ordered_sum(x * q for x, q in zip(w, per))
         assert ci.variance_estimate == ordered_sum(
-            s.weight**2 * v for s, v in zip(design, oracles.non_private_estimate(design, counts).stratum_variances)
+            x**2 * v for x, v in zip(w, oracles.non_private_estimate(design, counts).stratum_variances)
         )
 
     @settings(max_examples=200, deadline=None)
@@ -70,12 +71,13 @@ class TestProportions:
         counts = StratumCounts(tuple(round(u * n) for _, n, u in rows))
         per_stratum = tuple(c / s.sample_size for s, c in zip(design, counts.counts))
         variances = oracles.non_private_estimate(design, counts).stratum_variances
-        point = ordered_sum(s.weight * p for s, p in zip(design, per_stratum))
+        w = oracles.weights(design)
+        point = ordered_sum(x * p for x, p in zip(w, per_stratum))
         for layout in (design, design, list(design)):
             assert repr(sample_proportions(layout, counts)) == repr((point, per_stratum))
             ci = non_private_ci(layout, counts, 0.1)
             assert repr(ci.point_estimate) == repr(point)
-            assert repr(ci.variance_estimate) == repr(ordered_sum(s.weight**2 * v for s, v in zip(design, variances)))
+            assert repr(ci.variance_estimate) == repr(ordered_sum(x**2 * v for x, v in zip(w, variances)))
 
 
 class TestBlockBaseline:
@@ -209,8 +211,8 @@ class TestUnbiasedness:
             var_hats[r] = ci.variance_estimate
 
         exact_var = sum(
-            s.weight**2 * exact_stratum_variance(s, K / N)
-            for s, (N, K) in zip(design, populations)
+            w**2 * exact_stratum_variance(s, K / N)
+            for w, s, (N, K) in zip(oracles.weights(design), design, populations)
         )
         # mean of p_hat vs true p at 4 sigma
         se_p = math.sqrt(exact_var / reps)

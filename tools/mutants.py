@@ -183,12 +183,16 @@ MUTANTS = (
         "block-counts-float-accepted", "src/stratci/estimators.py", 'counts.dtype.kind not in "iu" or ', "",
         _CARRIED, "a carrier skips StratumCounts' per-count check, so its block must hold integers",
     ),
-    # The one record of a design's facts, and the one check of its weights.
     Mutant(
-        "design-facts-skip-weight-check", "src/stratci/core.py",
-        "    if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:\n", "    if False:\n",
-        ("tests/test_dp_ci.py", "-k", "test_every_reader_checks_the_weights"),
-        "every reader of a design's facts rejects weights that do not sum to 1, as check_paired does",
+        "block-carriers-any-sequence", "src/stratci/estimators.py", "if type(design) is not Design:", "if False:",
+        _CARRIED, "a list can change between its block and the release, so its counts are checked at the release",
+    ),
+    # The one record of a design's facts, derived from its sizes.
+    Mutant(
+        "weights-from-sample-sizes", "src/stratci/core.py",
+        "for w in (N / total,)", "for w in (n / sum([s.sample_size for s in design]),)",
+        ("tests/test_cli.py", "tests/test_dp_ci.py", "-k", "TestFrozenOutputs or test_weights_are_the_population_shares"),
+        "a stratum's weight is its share N_h / N of the population, not n_h / n of the sample",
     ),
     Mutant(
         "design-facts-c-reassociated", "src/stratci/core.py",
