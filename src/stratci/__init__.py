@@ -13,7 +13,6 @@ from .analysis import (
     extrinsic_variance,
     ratio_estimator_k2_moments,
     reciprocal_normal_moments,
-    sampling_weights,
     theoretical_width_ratio,
     width_ratio_lower_bound,
     width_ratio_report,
@@ -109,7 +108,6 @@ __all__ = [
     "rho_sweep",
     "run_experiment",
     "sample_proportions",
-    "sampling_weights",
     "sensitivities",
     "stratum_noise_private_sizes",
     "stratum_noise_public_sizes",

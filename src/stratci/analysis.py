@@ -95,11 +95,6 @@ def ratio_estimator_k2_moments(
     return mean, variance
 
 
-def sampling_weights(design: Sequence[StratumDesign]) -> tuple[float, ...]:
-    """u_h = N_h / n_h for each stratum."""
-    return memoised(_design_facts, design).sampling_weights
-
-
 # The budget parts a closed form divides by, blamed when its value is not finite; rho where none is listed.
 _DIVISORS = {
     ("extrinsic_variance", AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES): "rho1 {0.rho1!r} is too small",
@@ -236,7 +231,8 @@ class WidthRatioReport:
     ``width_ratios`` and ``lower_bounds`` are populated only for one-stratum
     designs, where the closed forms apply, and only where the sampling
     variance they divide by is positive: not for a census (n = N) and not at
-    a proportion of 0 or 1.
+    a proportion of 0 or 1.  Both budget ratios are taken over the sampling
+    weights u_h = N_h / n_h.
     """
 
     extrinsic_variances: tuple[tuple[AlgorithmTag, float], ...]
@@ -244,7 +240,6 @@ class WidthRatioReport:
     lower_bounds: tuple[tuple[AlgorithmTag, float], ...]
     ratio_stratum_vs_population: float
     ratio_private_vs_public: float | None
-    sampling_weights: tuple[float, ...]
 
 
 def width_ratio_report(
@@ -253,7 +248,7 @@ def width_ratio_report(
     stratum_proportions: Sequence[float] | None = None,
 ) -> WidthRatioReport:
     """Assemble the comparison quantities for a design in one pass."""
-    u = sampling_weights(design)
+    u = memoised(_design_facts, design).sampling_weights  # u_h = N_h / n_h
     vex = [
         (tag, extrinsic_variance(design, tag, budget, stratum_proportions))
         for tag, row in MECHANISMS.items()
@@ -279,5 +274,4 @@ def width_ratio_report(
         lower_bounds=tuple(bounds),
         ratio_stratum_vs_population=budget_ratio_stratum_vs_population(u),
         ratio_private_vs_public=ratio_priv,
-        sampling_weights=u,
     )

@@ -14,6 +14,7 @@ configuration, 141 (128 + SIGPIPE) standard output closed before written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -307,17 +308,7 @@ def _parse_config_file(path: str) -> tuple[ExperimentConfig, tuple[float, ...] |
 
 
 def _summary_payload(summary) -> dict:
-    return {
-        tag.value: {
-            "coverage": row.coverage,
-            "mean_width": row.mean_width,
-            "width_sd": row.width_sd,
-            "mean_width_ratio": row.mean_width_ratio,
-            "mean_lower": row.mean_lower,
-            "mean_upper": row.mean_upper,
-        }
-        for tag, row in summary.by_algorithm
-    }
+    return {tag.value: dataclasses.asdict(row) for tag, row in summary.by_algorithm}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

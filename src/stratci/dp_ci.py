@@ -446,13 +446,9 @@ def difference_ci(result_a: CiResult, result_b: CiResult, alpha: float) -> CiRes
     populations; their budgets apply per dataset (parallel composition), so
     the difference result carries no summed budget of its own.
     """
-    for name, r in (("first", result_a), ("second", result_b)):
-        if r.variance_estimate is None or not r.variance_estimate >= 0.0:
-            raise ValidationError(f"{name} input lacks a usable variance estimate")
     return wald_interval(
         result_a.point_estimate - result_b.point_estimate,
         result_a.variance_estimate + result_b.variance_estimate,
         alpha,
         algorithm=AlgorithmTag.DIFFERENCE,
-        budget=None,
     )

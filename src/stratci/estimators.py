@@ -11,9 +11,7 @@ import numpy as np
 from .core import (
     AlgorithmTag,
     CiResult,
-    ClipFlags,
     Design,
-    PrivacyBudget,
     StratumCounts,
     StratumDesign,
     ValidationError,
@@ -116,13 +114,9 @@ def wald_interval(
     alpha: float,
     *,
     algorithm: AlgorithmTag = AlgorithmTag.NON_PRIVATE,
-    budget: PrivacyBudget | None = None,
-    clipped: ClipFlags = ClipFlags(),
-    noise_variances: tuple[tuple[str, float], ...] = (),
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
-    lower, upper = _wald_bounds(estimate, variance, alpha)
-    return CiResult(estimate, variance, lower, upper, alpha, algorithm, budget, clipped, noise_variances)
+    return CiResult(estimate, variance, *_wald_bounds(estimate, variance, alpha), alpha, algorithm)
 
 
 def non_private_ci(

@@ -68,12 +68,12 @@ class SensitivityReport:
 
     Computed from the public design only (weights and sample sizes), never
     from observed counts, so the report itself is releasable without privacy
-    cost.
+    cost.  The per-stratum constants C_h it maximises over are the design
+    record's ``constants``.
     """
 
-    proportion: float                        # max_h w_h / n_h
-    variance: float                          # max_h (C_h / n_h)(1 - 1/n_h)
-    stratum_constants: tuple[float, ...]     # C_h = w_h^2 ((N_h-n_h)/N_h) / (n_h-1)
+    proportion: float  # max_h w_h / n_h
+    variance: float    # max_h (C_h / n_h)(1 - 1/n_h), C_h = w_h^2 ((N_h-n_h)/N_h) / (n_h-1)
 
 
 def sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
@@ -90,4 +90,4 @@ def sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
 def _sensitivities(design: Sequence[StratumDesign]) -> SensitivityReport:
     facts = memoised(_design_facts, design)
     delta_v = max([(C / n) * (1.0 - delta) for C, n, delta in zip(facts.constants, facts.sizes, facts.deltas)])
-    return SensitivityReport(max(facts.shares), delta_v, facts.constants)
+    return SensitivityReport(max(facts.shares), delta_v)

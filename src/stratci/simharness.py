@@ -218,12 +218,15 @@ def draw_sample(
     stream: RandomStream,
     population: Population,
     rates: Sequence[float],
-    min_sample_size: int | None = None,
 ) -> tuple[tuple[StratumDesign, ...], StratumCounts]:
-    """Stratified sample: independent without-replacement counts per stratum."""
+    """Stratified sample: independent without-replacement counts per stratum.
+
+    Each n_h is r_h N_h rounded half up, with no floor; a config's
+    ``min_sample_size`` floors the sizes of the run it configures.
+    """
     if len(rates) != len(population.stratum_sizes):
         raise ValidationError("rates must pair with the population's strata")
-    sizes = _sample_sizes(population, rates, min_sample_size)
+    sizes = _sample_sizes(population, rates, None)
     design = build_design(list(zip(population.stratum_sizes, sizes)))
     counts = hypergeometric_counts(stream, population.stratum_sizes, population.positive_counts, sizes)
     return design, StratumCounts(counts)

@@ -19,6 +19,7 @@ branches each draw reached, so that the tests can show what they covered.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -38,6 +39,7 @@ from stratci.core import (
     ValidationError,
     check_paired,
     memoised,
+    normal_quantile,
     ordered_sum,
 )
 from stratci.dp_ci import (
@@ -49,7 +51,6 @@ from stratci.dp_ci import (
     denominator_cv,
     mechanism,
 )
-from stratci.estimators import wald_interval
 from stratci.mechanisms import SensitivityReport
 from stratci.randomness import RandomStream, child_normals
 
@@ -196,7 +197,7 @@ def sensitivity_report(design: Sequence[StratumDesign]) -> SensitivityReport:
     delta_p = max(x / s.sample_size for x, s in zip(weights(design), design))
     constants = design_facts(design)["constants"]
     delta_v = max((C / s.sample_size) * (1.0 - 1.0 / s.sample_size) for C, s in zip(constants, design))
-    return SensitivityReport(delta_p, delta_v, constants)
+    return SensitivityReport(delta_p, delta_v)
 
 
 class NonPrivateEstimate(NamedTuple):
@@ -243,12 +244,27 @@ def _interval(
     algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool,
     point: float, variance: float, flags: ClipFlags, noise_variances: tuple[tuple[str, float], ...],
 ) -> CiResult:
-    """The Wald interval, clipped onto [0, 1] when ``clip_interval`` is set."""
-    ci = wald_interval(
-        point, variance, alpha, algorithm=algorithm, budget=budget, clipped=flags,
-        noise_variances=noise_variances,
-    )
-    return ci.clip_to_unit_interval() if clip_interval else ci
+    """point -/+ z_{1-alpha/2} sqrt(variance), each value clipped onto [0, 1] when ``clip_interval`` is set.
+
+    Checks alpha, then finiteness, then the variance's sign; the clip's flag is set only when a bound moved.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValidationError(
+            f"alpha {alpha} is too small: 1 - alpha/2 rounds to 1 when alpha is at most about 1.1e-16"
+        )
+    if not (math.isfinite(point) and math.isfinite(variance)):
+        raise ValidationError("the point or variance estimate is not finite; the privacy budget rho may be too small")
+    if variance < 0.0:
+        raise ValidationError(f"variance must be nonnegative, got {variance}")
+    half_width = normal_quantile(1.0 - alpha / 2.0) * variance**0.5
+    lower, upper = point - half_width, point + half_width
+    if clip_interval:
+        (lower, lower_moved), (upper, upper_moved), (point, _) = map(_clip_unit, (lower, upper, point))
+        if lower_moved or upper_moved:
+            flags = dataclasses.replace(flags, interval_clipped=True)
+    return CiResult(point, variance, lower, upper, alpha, algorithm, budget, flags, noise_variances)
 
 
 def _weights(design: Sequence[StratumDesign]) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -20,14 +20,13 @@ from stratci import (
     ratio_estimator_k2_moments,
     reciprocal_normal_moments,
     run_experiment,
-    sampling_weights,
     theoretical_width_ratio,
     width_ratio_lower_bound,
     width_ratio_report,
 )
 
 from stratci.analysis import mean_shift
-from stratci.core import Design
+from stratci.core import Design, _design_facts
 
 from oracles import conditional_reciprocal_moments_quadrature, truncated_even_moment
 
@@ -129,7 +128,7 @@ class TestBudgetRatios:
 
     def test_sampling_weights(self):
         design = build_design([(2000, 100), (1500, 75)])
-        assert sampling_weights(design) == (20.0, 20.0)
+        assert _design_facts(design).sampling_weights == (20.0, 20.0)
 
 
 class TestWidthRatios:

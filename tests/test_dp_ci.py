@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from stratci import (
     AlgorithmTag,
+    CiResult,
     ClipFlags,
     InfeasibleError,
     PrivacyBudget,
@@ -337,8 +338,8 @@ class TestDifferenceCi:
         assert math.isclose(diff.upper - diff.point_estimate, 0.023261743073533483, abs_tol=1e-12)
 
     def test_budget_reported_per_dataset(self):
-        a = wald_interval(0.4, 1e-4, 0.1, budget=PrivacyBudget.total(0.01))
-        b = wald_interval(0.3, 1e-4, 0.1, budget=PrivacyBudget.total(0.02))
+        a = CiResult(0.4, 1e-4, 0.39, 0.41, 0.1, AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, PrivacyBudget.total(0.01))
+        b = CiResult(0.3, 1e-4, 0.29, 0.31, 0.1, AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES, PrivacyBudget.total(0.02))
         diff = difference_ci(a, b, 0.1)
         # disjoint populations compose in parallel: no summed budget is claimed
         assert diff.budget_spent is None

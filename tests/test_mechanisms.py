@@ -19,6 +19,7 @@ from stratci import (
     release,
     sensitivities,
 )
+from stratci.core import _design_facts
 from stratci.dp_ci import MECHANISMS
 
 import oracles
@@ -80,10 +81,12 @@ class TestSensitivities:
         assert report.proportion == max(0.5 / 50, 0.5 / 100) == 0.01
 
     def test_frozen_variance_sensitivity(self):
-        report = sensitivities(build_design([(2000, 100)]))
+        design = build_design([(2000, 100)])
+        report = sensitivities(design)
         C = 0.95 / 99
-        assert math.isclose(report.stratum_constants[0], C, rel_tol=1e-15)
-        assert math.isclose(report.stratum_constants[0], 9.59595959595959e-3, rel_tol=1e-12)
+        (constant,) = _design_facts(design).constants
+        assert math.isclose(constant, C, rel_tol=1e-15)
+        assert math.isclose(constant, 9.59595959595959e-3, rel_tol=1e-12)
         assert math.isclose(report.variance, (C / 100) * 0.99, rel_tol=1e-15)
         assert math.isclose(report.variance, 9.5e-5, rel_tol=1e-12)
 
@@ -93,7 +96,7 @@ class TestSensitivities:
         ra, rb = sensitivities(a), sensitivities(b)
         assert ra.proportion == rb.proportion
         assert ra.variance == rb.variance
-        assert sorted(ra.stratum_constants) == sorted(rb.stratum_constants)
+        assert sorted(_design_facts(a).constants) == sorted(_design_facts(b).constants)
 
     @given(st.lists(st.tuples(st.integers(100, 5000), st.integers(2, 90)), min_size=1, max_size=8))
     @settings(max_examples=100)
@@ -154,9 +157,9 @@ class TestSensitivityByEnumeration:
 
     def test_census_strata_add_no_variance_sensitivity(self):
         design = build_design([(5, 5), (40, 12), (7, 7)])
-        report = sensitivities(design)
-        assert report.stratum_constants[0] == report.stratum_constants[2] == 0.0
-        assert report.variance == (report.stratum_constants[1] / 12) * (1 - 1 / 12)
+        report, constants = sensitivities(design), _design_facts(design).constants
+        assert constants[0] == constants[2] == 0.0
+        assert report.variance == (constants[1] / 12) * (1 - 1 / 12)
 
 
 def _zcdp_cost(change: float, noise_variance: float) -> float:

@@ -106,9 +106,9 @@ class TestDrawSample:
         assert design[0].sample_size == 63  # 62.5 rounds up
 
     def test_min_sample_size_floor(self):
-        pop = Population((10000,), (5000,))
-        design, _ = draw_sample(derive_stream(1, [0]), pop, (0.001,), min_sample_size=50)
-        assert design[0].sample_size == 50
+        # 0.001 * 10000 = 10 is floored to 50: the config's floor sizes the run's sample.
+        config = _config(stratum_size=10000, rate=0.001, min_sample_size=50, repetitions=1)
+        assert run_experiment(config).sample_sizes == (50,)
 
     def test_infeasible_rate(self):
         pop = Population((100,), (50,))

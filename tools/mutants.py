@@ -282,6 +282,12 @@ MUTANTS = (
         "a run binds each release function by name when it starts, so a wrapper bound before it sees every release",
     ),
     Mutant(
+        "wald-half-width-doubled", "src/stratci/estimators.py",
+        "    half_width = z * variance**0.5\n", "    half_width = 2.0 * z * variance**0.5\n",
+        ("tests/test_dp_ci.py", "-k", "TestReferenceRelease or TestFinish"),
+        "the reference release finishes its intervals with its own Wald bounds, not the package's",
+    ),
+    Mutant(
         "finiteness-after-sign", "src/stratci/estimators.py",
         "    if not (math.isfinite(estimate) and math.isfinite(variance)):\n"
         "        raise ValidationError(\n"

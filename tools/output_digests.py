@@ -31,7 +31,11 @@ estimate is 0 whatever the data) shows in a digest.  Last, at each budget
 in ``CI_RHOS``, it runs ``stratci analyze`` with ``--input`` on each of
 these two inputs, with and without ``--p 0.3``, and with the one-stratum
 shorthand ``--N 2000 --n 152 --p 0.5``; each run's line is digested as a
-``ci`` run's is.  With the five shipped configs that makes 72 outputs.
+``ci`` run's is.  ``stratci ci --algorithm nonprivate`` runs on ``CI_INPUT``
+and on a one-stratum input (``CLIP_INPUT``) whose interval reaches below 0,
+once per output format and clip flag, so that a change to the non-private
+interval or to its clip shows in a digest.  With the five shipped configs
+that makes 84 outputs.
 
 Given two roots, each line shows both sides, and the script exits 1 if any
 of them differ.  The standard library is all it needs.
@@ -70,6 +74,8 @@ CI_ALGORITHMS = ("str-pub", "pop-pub", "str-priv")
 CI_CLIPS = ((), ("--clip-proportions",), ("--clip-interval",))
 # (N_h, n_h, c_h) per stratum of the all-census ``stratci ci`` input.
 CENSUS_INPUT = [(120, 120, 30), (80, 80, 52)]
+# One stratum whose non-private interval reaches below 0 (lower about -0.06), so that ``--clip-interval`` moves it.
+CLIP_INPUT = [(1000, 10, 1)]
 
 
 def sha256(data: bytes) -> str:
@@ -106,7 +112,7 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
             done = stratci(root, ["qq", "--config", str(cfg), "--grid", "99"], work)
             out[config.name, "qq --grid 99"] = f"exit {done.returncode} {sha256(done.stdout)}"
         inputs = {}
-        for name, rows in (("ci", CI_INPUT), ("census", CENSUS_INPUT)):
+        for name, rows in (("ci", CI_INPUT), ("census", CENSUS_INPUT), ("clip", CLIP_INPUT)):
             inputs[name] = work / f"{name}.csv"
             body = "".join(f"{h},{N},{n},{c}\n" for h, (N, n, c) in enumerate(rows))
             inputs[name].write_text("stratum_id,N_h,n_h,c_h\n" + body)
@@ -118,8 +124,13 @@ def digests(root: Path, configs: list[Path]) -> dict[tuple[str, str], str]:
                         argv = ["ci", "--input", str(inputs[name]), "--algorithm", algorithm, "--rho", rho,
                                 "--seed", "7", "--format", fmt, *clip]
                         out[f"{label} --rho {rho}", " ".join((algorithm, fmt, *clip))] = ran(root, argv, work)
-        runs = [(f"--input {name}" + " --p 0.3" * p, ["--input", str(path)] + ["--p", "0.3"] * p)
-                for name, path in inputs.items() for p in (0, 1)]
+        for name in ("ci", "clip"):
+            for fmt in ("json", "csv"):
+                for clip in CI_CLIPS:
+                    argv = ["ci", "--input", str(inputs[name]), "--algorithm", "nonprivate", "--format", fmt, *clip]
+                    out[f"ci nonprivate {name}", " ".join((fmt, *clip))] = ran(root, argv, work)
+        runs = [(f"--input {name}" + " --p 0.3" * p, ["--input", str(inputs[name])] + ["--p", "0.3"] * p)
+                for name in ("ci", "census") for p in (0, 1)]
         runs.append(("--N 2000 --n 152 --p 0.5", ["--N", "2000", "--n", "152", "--p", "0.5"]))
         for rho in CI_RHOS:
             for label, flags in runs:
