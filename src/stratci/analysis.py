@@ -95,14 +95,6 @@ def ratio_estimator_k2_moments(
     return mean, variance
 
 
-# The budget parts a closed form divides by, blamed when its value is not finite; rho where none is listed.
-_DIVISORS = {
-    ("extrinsic_variance", AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES): "rho1 {0.rho1!r} is too small",
-    ("extrinsic_variance", AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES): "rho1 {0.rho1!r} or rho2 {0.rho2!r} is too small",
-    ("mean_shift", AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES): "rho2 {0.rho2!r} is too small",
-}
-
-
 def _finite(value: float, algorithm: AlgorithmTag, what: str, cause: str, *inputs) -> float:
     """``value``, once finite; else the error that blames ``cause.format(*inputs)``, formatted only then."""
     if not math.isfinite(value):
@@ -120,7 +112,7 @@ def _stratum_term(term: str, design, algorithm, budget, stratum_proportions) -> 
             raise ValidationError(f"the {what} needs one proportion per stratum")
         if not all(0.0 <= p <= 1.0 for p in stratum_proportions):
             raise ValidationError(f"the {what} needs proportions in [0, 1], got {tuple(stratum_proportions)}")
-    cause = _DIVISORS.get((term, algorithm), "rho {0.rho!r} is too small")
+    cause = row.extrinsic_blame if term == "extrinsic_variance" else row.shift_blame
     return _finite(getattr(row, term)(design, budget, stratum_proportions), algorithm, term, cause, budget)
 
 

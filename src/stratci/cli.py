@@ -89,79 +89,57 @@ def _read_stratum_file(path: str) -> tuple[tuple[StratumDesign, ...], StratumCou
         raise CliParseError(
             f"{path}: row 1: expected header {STRATUM_FILE_HEADER!r}, got {lines[0].strip()!r}"
         )
+    columns = STRATUM_FILE_HEADER.split(",")
     sizes: list[tuple[int, int]] = []
     counts: list[int] = []
     for i, line in enumerate(lines[1:], start=2):
         fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise CliParseError(f"{path}: row {i}: expected 4 columns, got {len(fields)}")
+        if len(fields) != len(columns):
+            raise CliParseError(f"{path}: row {i}: expected {len(columns)} columns, got {len(fields)}")
         values = []
-        for j, name in enumerate(("stratum_id", "N_h", "n_h", "c_h")):
+        for j, (name, field) in enumerate(zip(columns, fields), start=1):
             try:
-                values.append(int(fields[j]))
+                values.append(int(field))
             except ValueError as exc:
-                raise CliParseError(
-                    f"{path}: row {i}, column {j + 1} ({name}): not an integer: {fields[j]!r}"
-                ) from exc
+                raise CliParseError(f"{path}: row {i}, column {j} ({name}): not an integer: {field!r}") from exc
         sizes.append((values[1], values[2]))
         counts.append(values[3])
-    design = build_design(sizes)
-    stratum_counts = StratumCounts(tuple(counts))
-    return design, stratum_counts
+    return build_design(sizes), StratumCounts(counts)
 
 
 def _release_payload(release: PrivateStratumRelease, index: int) -> dict:
-    payload: dict = {
-        "stratum": index,
-        "proportion": release.proportion,
-        "variance": release.variance,
-        "proportion_clipped": release.proportion_clipped,
-        "variance_floored": release.variance_floored,
-    }
+    """A record's fields by group: every record's, then str-pub's and str-priv's where the record fills them."""
+    names = ("proportion", "variance", "proportion_clipped", "variance_floored")
     if release.proportion_noise_variance is not None:
-        payload["proportion_noise_variance"] = release.proportion_noise_variance
+        names += ("proportion_noise_variance",)
     if release.noisy_count is not None:
-        payload.update(
-            noisy_count=release.noisy_count,
-            noisy_size=release.noisy_size,
-            count_noise_variance=release.count_noise_variance,
-            size_noise_variance=release.size_noise_variance,
-            noisy_size_floored=release.noisy_size_floored,
-            fpc_floored=release.fpc_floored,
+        names += (
+            "noisy_count", "noisy_size", "count_noise_variance", "size_noise_variance", "noisy_size_floored",
+            "fpc_floored",
         )
-    return payload
+    return {"stratum": index, **{name: getattr(release, name) for name in names}}
 
 
 def _ci_payload(ci: CiResult, releases: Sequence[PrivateStratumRelease] | None) -> dict:
+    budget = ci.budget_spent
     payload: dict = {
         "algorithm": ci.algorithm.value,
-        "alpha": ci.alpha,
-        "point_estimate": ci.point_estimate,
-        "variance_estimate": ci.variance_estimate,
-        "lower": ci.lower,
-        "upper": ci.upper,
-        "budget": None
-        if ci.budget_spent is None
-        else {
-            "rho": ci.budget_spent.rho,
-            "rho1": ci.budget_spent.rho1,
-            "rho2": ci.budget_spent.rho2,
-        },
-        "clipped": {
-            "proportion": ci.clipped.proportion_clipped,
-            "interval": ci.clipped.interval_clipped,
-            "variance_floored": ci.clipped.variance_floored,
-            "noisy_size_floored": ci.clipped.noisy_size_floored,
-        },
-        "noise_variances": {label: value for label, value in ci.noise_variances},
+        **{name: getattr(ci, name) for name in ("alpha", "point_estimate", "variance_estimate", "lower", "upper")},
+        "budget": None if budget is None else {"rho": budget.rho, **dataclasses.asdict(budget)},
+        "clipped": {name.removesuffix("_clipped"): flag for name, flag in dataclasses.asdict(ci.clipped).items()},
+        "noise_variances": dict(ci.noise_variances),
     }
     if releases is not None:
         payload["strata"] = [_release_payload(r, h) for h, r in enumerate(releases)]
     return payload
 
 
+# The CSV field of each entry of a nested payload table, by the table's key.
+_CSV_FIELDS = {"budget": "budget_{}", "clipped": "clipped_{}", "noise_variances": "noise_variance[{}]"}
+
+
 def _payload_to_csv(payload: dict) -> str:
-    """Flatten the JSON payload to long-format rows ``field,stratum,value``."""
+    """Flatten the JSON payload to long-format rows ``field,stratum,value``, in the payload's order."""
     rows = ["field,stratum,value"]
 
     def emit(field: str, stratum: str, value) -> None:
@@ -173,20 +151,17 @@ def _payload_to_csv(payload: dict) -> str:
             text = str(value)
         rows.append(f"{field},{stratum},{text}")
 
-    for key in ("algorithm", "alpha", "point_estimate", "variance_estimate", "lower", "upper"):
-        emit(key, "", payload[key])
-    if payload["budget"] is not None:
-        for key, value in payload["budget"].items():
-            emit(f"budget_{key}", "", value)
-    for key, value in payload["clipped"].items():
-        emit(f"clipped_{key}", "", value)
-    for label, value in payload["noise_variances"].items():
-        emit(f"noise_variance[{label}]", "", value)
-    for stratum in payload.get("strata", []):
-        index = stratum["stratum"]
-        for key, value in stratum.items():
-            if key != "stratum":
-                emit(key, str(index), value)
+    for key, value in payload.items():
+        if key == "strata":
+            for stratum in value:
+                for name, x in stratum.items():
+                    if name != "stratum":
+                        emit(name, str(stratum["stratum"]), x)
+        elif key in _CSV_FIELDS:
+            for name, x in (value or {}).items():
+                emit(_CSV_FIELDS[key].format(name), "", x)
+        else:
+            emit(key, "", value)
     return "\n".join(rows) + "\n"
 
 

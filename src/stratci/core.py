@@ -215,9 +215,12 @@ class PrivacyBudget:
     rho2: float
 
     def __post_init__(self) -> None:
-        for name, part in (("rho1", self.rho1), ("rho2", self.rho2)):
-            if not math.isfinite(part) or part < 0.0:
-                raise ValidationError(f"{name} must be a finite nonnegative real, got {part}")
+        try:
+            for name, part in (("rho1", self.rho1), ("rho2", self.rho2)):
+                if not math.isfinite(part) or part < 0.0:
+                    raise ValidationError(f"{name} must be a finite nonnegative real, got {part}")
+        except TypeError as exc:
+            raise ValidationError(f"rho1 and rho2 must be real numbers, got {self.rho1!r} and {self.rho2!r}") from exc
         if self.rho1 + self.rho2 <= 0.0:
             raise ValidationError("total privacy budget must be positive")
 
@@ -228,10 +231,15 @@ class PrivacyBudget:
     @classmethod
     def total(cls, rho: float, split_fraction: float = 0.5) -> "PrivacyBudget":
         """Budget of total ``rho`` with ``rho1 = split_fraction * rho``."""
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ValidationError(f"rho must be a positive real, got {rho}")
-        if not (0.0 <= split_fraction <= 1.0):
-            raise ValidationError(f"split fraction must lie in [0, 1], got {split_fraction}")
+        try:
+            if not math.isfinite(rho) or rho <= 0.0:
+                raise ValidationError(f"rho must be a positive real, got {rho}")
+            if not (0.0 <= split_fraction <= 1.0):
+                raise ValidationError(f"split fraction must lie in [0, 1], got {split_fraction}")
+        except TypeError as exc:
+            raise ValidationError(
+                f"rho and the split fraction must be real numbers, got {rho!r} and {split_fraction!r}"
+            ) from exc
         rho1 = rho * split_fraction
         rho2 = rho - rho1
         if 0.0 < split_fraction < 1.0 and not (rho1 > 0.0 and rho2 > 0.0):
@@ -288,15 +296,18 @@ class CiResult:
         algorithm: AlgorithmTag, budget_spent: PrivacyBudget | None = None, clipped: ClipFlags = ClipFlags(),
         noise_variances: tuple[tuple[str, float], ...] = (),
     ) -> None:
-        if not (0.0 < alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-        if not variance_estimate >= 0.0:
-            raise ValidationError(f"variance_estimate must be nonnegative, got {variance_estimate}")
-        if not (lower <= point_estimate <= upper):
-            raise ValidationError(
-                f"interval [{lower}, {upper}] does not bracket point "
-                f"estimate {point_estimate}"
-            )
+        try:
+            if not (0.0 < alpha < 1.0):
+                raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+            if not variance_estimate >= 0.0:
+                raise ValidationError(f"variance_estimate must be nonnegative, got {variance_estimate}")
+            if not (lower <= point_estimate <= upper):
+                raise ValidationError(
+                    f"interval [{lower}, {upper}] does not bracket point "
+                    f"estimate {point_estimate}"
+                )
+        except TypeError as exc:
+            raise ValidationError(f"alpha, the estimates and the bounds must be real numbers: {exc}") from exc
         self.__dict__.update(
             point_estimate=point_estimate, variance_estimate=variance_estimate, lower=lower, upper=upper,
             alpha=alpha, algorithm=algorithm, budget_spent=budget_spent, clipped=clipped,

@@ -64,10 +64,12 @@ class RatioApproximationWarning(UserWarning):
 class PrivateStratumRelease(NamedTuple):
     """Per-stratum private quantities released by the stratum-level mechanisms.
 
-    ``noisy_count``/``noisy_size`` and their noise variances are populated
-    only by the private-sizes mechanism.  ``variance`` is floored at zero, and
-    ``fpc_floored`` marks a negative finite-population factor (noisy size
-    exceeding the stratum population) that was zeroed.
+    Both fill the proportion, the variance and their two flags.  str-pub adds
+    ``proportion_noise_variance`` and leaves the two size flags False, which
+    ``stratci ci`` omits for it; str-priv adds the rest, from ``noisy_count``
+    to ``fpc_floored``.  ``variance`` is floored at zero, and ``fpc_floored``
+    marks a negative finite-population factor (noisy size exceeding the
+    stratum population) that was zeroed.
     """
 
     proportion: float
@@ -358,7 +360,10 @@ class Mechanism(NamedTuple):
     (design, budget, per-stratum proportions), read only if
     ``needs_proportions``; ``p_factor(p)`` multiplies 1/(p(1-p) n rho) in the
     one-stratum width ratio at the even split, and ``bound_factor`` is its
-    numerator minimized over p, fpc dropped.
+    numerator minimized over p, fpc dropped.  ``extrinsic_blame`` and
+    ``shift_blame`` name the budget parts that ``extrinsic_variance`` and
+    ``mean_shift`` divide by, formatted with the budget when the value is not
+    finite.
     """
 
     function: str
@@ -370,6 +375,8 @@ class Mechanism(NamedTuple):
     p_factor: Callable[[float], float]
     bound_factor: float
     needs_proportions: bool = False
+    extrinsic_blame: str = "rho {0.rho!r} is too small"
+    shift_blame: str = "rho {0.rho!r} is too small"
 
 
 MECHANISMS = {
@@ -381,7 +388,7 @@ MECHANISMS = {
     AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES: Mechanism(
         "population_noise_public_sizes", 1, lambda H: (2, 1), True,
         lambda design, budget, p_h: max(_wn2(design)) / (2.0 * budget.rho1),
-        lambda *_: 0.0, lambda p: 1.0, 4.0,
+        lambda *_: 0.0, lambda p: 1.0, 4.0, extrinsic_blame="rho1 {0.rho1!r} is too small",
     ),
     AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES: Mechanism(
         "stratum_noise_private_sizes", 2, lambda H: (H, 2), True,
@@ -390,6 +397,8 @@ MECHANISMS = {
             w * p / (2.0 * budget.rho2 * n**2) for n, w, p in zip(*memoised(_design_facts, design)[:2], p_h)
         ),
         lambda p: 1.0 + p * p, 2.0 * (1.0 + math.sqrt(2.0)), needs_proportions=True,
+        extrinsic_blame="rho1 {0.rho1!r} or rho2 {0.rho2!r} is too small",
+        shift_blame="rho2 {0.rho2!r} is too small",
     ),
 }
 # Each body's tag and noise shape, bound from its row once: a release then reads no

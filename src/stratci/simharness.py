@@ -258,7 +258,6 @@ class ExperimentSummary:
     stratum_sizes: tuple[int, ...]
     sample_sizes: tuple[int, ...]
     rho: float
-    alpha: float
     repetitions: int
     by_algorithm: tuple[tuple[AlgorithmTag, AlgorithmSummary], ...]
     records: tuple[tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]], ...] | None = None
@@ -431,7 +430,6 @@ def _run(
         stratum_sizes=population.stratum_sizes,
         sample_sizes=memoised(_design_facts, design).sizes,
         rho=rho,
-        alpha=config.alpha,
         repetitions=R,
         by_algorithm=rows,
         records=records,

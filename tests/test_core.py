@@ -73,6 +73,16 @@ class TestPrivacyBudget:
         assert b.rho1 == 0.25
         assert b.rho1 + b.rho2 == b.rho
 
+    @pytest.mark.parametrize("make", [
+        lambda: PrivacyBudget(None, 1.0),
+        lambda: PrivacyBudget(1.0, "0.5"),
+        lambda: PrivacyBudget.total(None),
+        lambda: PrivacyBudget.total(0.01, None),
+    ], ids=["rho1", "rho2", "total-rho", "total-split"])
+    def test_non_numbers_raise_validation_errors(self, make):
+        with pytest.raises(ValidationError, match="must be real numbers, got "):
+            make()
+
 
 class TestNormalQuantile:
     def test_median_is_zero(self):
@@ -205,6 +215,17 @@ class TestCiResult:
     def test_nan_variance_rejected(self):
         with pytest.raises(ValidationError, match="^variance_estimate must be nonnegative, got nan$"):
             CiResult(0.5, float("nan"), 0.4, 0.6, 0.1, AlgorithmTag.NON_PRIVATE)
+
+    @pytest.mark.parametrize("args", [
+        (0.5, None, 0.4, 0.6, 0.1),
+        (0.5, 0.01, 0.4, 0.6, None),
+        (0.5, 0.01, None, 0.6, 0.1),
+        (0.5, 0.01, 0.4, None, 0.1),
+        (None, 0.01, 0.4, 0.6, 0.1),
+    ], ids=["variance", "alpha", "lower", "upper", "point"])
+    def test_non_numbers_raise_validation_errors(self, args):
+        with pytest.raises(ValidationError, match="^alpha, the estimates and the bounds must be real numbers: "):
+            CiResult(*args, AlgorithmTag.NON_PRIVATE)
 
     def test_checks_run_in_order_with_their_texts(self):
         # Alpha, then the variance, then the bracketing: each input fails every check after its own.

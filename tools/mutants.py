@@ -62,6 +62,7 @@ _FINISH = ("tests/test_dp_ci.py", "-k", "TestFinish")
 _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or test_bool_counts_rejected")
 _CARRIED = ("tests/test_dp_ci.py", "-k", "TestBlockCounts")
 _ANALYZE = ("tests/test_cli.py", "-k", "test_non_finite_names_its_cause")
+_CI_OUTPUT = ("tests/test_cli.py", "-k", "TestFrozenOutputs and test_ci")
 
 MUTANTS = (
     # The one-pass g - gp table build: a last bit moved in any entry moves some count.
@@ -208,7 +209,8 @@ MUTANTS = (
     ),
     Mutant(
         "analyze-extrinsic-blames-rho", "src/stratci/analysis.py",
-        '_DIVISORS.get((term, algorithm), "rho {0.rho!r} is too small")', '"rho {0.rho!r} is too small"', _ANALYZE,
+        'row.extrinsic_blame if term == "extrinsic_variance" else row.shift_blame', '"rho {0.rho!r} is too small"',
+        _ANALYZE,
         "pop-pub's extrinsic variance divides by rho1 alone, which a tiny split makes too small",
     ),
     # The value types' hand-written __init__s and checks.
@@ -232,15 +234,24 @@ MUTANTS = (
     ),
     Mutant(
         "ci-result-checks-swapped", "src/stratci/core.py",
-        "        if not (0.0 < alpha < 1.0):\n"
-        "            raise ValidationError(f\"alpha must lie in (0, 1), got {alpha}\")\n"
-        "        if not variance_estimate >= 0.0:\n"
-        "            raise ValidationError(f\"variance_estimate must be nonnegative, got {variance_estimate}\")\n",
-        "        if not variance_estimate >= 0.0:\n"
-        "            raise ValidationError(f\"variance_estimate must be nonnegative, got {variance_estimate}\")\n"
-        "        if not (0.0 < alpha < 1.0):\n"
-        "            raise ValidationError(f\"alpha must lie in (0, 1), got {alpha}\")\n",
+        "            if not (0.0 < alpha < 1.0):\n"
+        "                raise ValidationError(f\"alpha must lie in (0, 1), got {alpha}\")\n"
+        "            if not variance_estimate >= 0.0:\n"
+        "                raise ValidationError(f\"variance_estimate must be nonnegative, got {variance_estimate}\")\n",
+        "            if not variance_estimate >= 0.0:\n"
+        "                raise ValidationError(f\"variance_estimate must be nonnegative, got {variance_estimate}\")\n"
+        "            if not (0.0 < alpha < 1.0):\n"
+        "                raise ValidationError(f\"alpha must lie in (0, 1), got {alpha}\")\n",
         _VALUES, "CiResult checks alpha before the variance, and each error keeps its text",
+    ),
+    Mutant(
+        "ci-result-type-error-escapes", "src/stratci/core.py",
+        "        except TypeError as exc:\n"
+        "            raise ValidationError(f\"alpha, the estimates and the bounds must be real numbers: {exc}\") from exc\n",
+        "        except ZeroDivisionError as exc:\n"
+        "            raise ValidationError(f\"alpha, the estimates and the bounds must be real numbers: {exc}\") from exc\n",
+        ("tests/test_core.py", "-k", "TestCiResult and test_non_numbers_raise_validation_errors"),
+        "a CiResult input that cannot be compared is a ValidationError, not a bare TypeError",
     ),
     Mutant(
         "ci-result-nan-variance", "src/stratci/core.py",
@@ -304,6 +315,16 @@ MUTANTS = (
         _FINISH, "a Wald interval checks finiteness before the variance's sign, and each error keeps its text",
     ),
     # The command line.
+    Mutant(
+        "ci-private-fields-swapped", "src/stratci/cli.py",
+        '"noisy_count", "noisy_size",', '"noisy_size", "noisy_count",', _CI_OUTPUT,
+        "each str-priv stratum prints its fields in the order that the frozen outputs hold",
+    ),
+    Mutant(
+        "ci-clip-keys-keep-suffix", "src/stratci/cli.py",
+        'name.removesuffix("_clipped")', "name", _CI_OUTPUT,
+        "the interval's flags print as proportion and interval, without ClipFlags' _clipped suffix",
+    ),
     Mutant(
         "cli-broken-pipe-escapes", "src/stratci/cli.py",
         "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
