@@ -13,8 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError, _design_facts, memoised, ordered_sum
+from .core import (
+    AlgorithmTag, PrivacyBudget, StratumDesign, ValidationError, _check_number, _design_facts, memoised, ordered_sum,
+)
 from .dp_ci import MECHANISMS, mechanism
+from .estimators import exact_stratum_variance
 
 
 def double_factorial(n: int) -> int:
@@ -43,12 +46,9 @@ def reciprocal_normal_moments(mu: float, sigma: float, k: int) -> ReciprocalMome
     with remainder O((sigma/mu)^(2k+2)); the j = 0 mean term is 1/mu by the
     (-1)!! = 1 convention.
     """
-    if not mu > 1.0:
-        raise ValidationError(f"mu must exceed 1, got {mu}")
-    if not sigma > 0.0:
-        raise ValidationError(f"sigma must be positive, got {sigma}")
-    if k < 0:
-        raise ValidationError(f"k must be a nonnegative integer, got {k}")
+    _check_number("mu", mu, "(1, inf)")
+    _check_number("sigma", sigma, "(0, inf)")
+    _check_number("k", k, "[0, 149]", integer=True)  # (2k + 1)!! converts to a float up to k = 149
     r2 = (sigma / mu) ** 2
     mean = 0.0
     second = 0.0
@@ -77,12 +77,10 @@ def ratio_estimator_k2_moments(
     The leading bias p x = p / (2 n^2 rho2) is the term the private-sizes
     mechanism leaves uncorrected (it vanishes under rho2 >> 1/n).
     """
-    if n < 2:
-        raise ValidationError(f"sample size must be at least 2, got {n}")
-    if not (rho1 > 0.0 and rho2 > 0.0):
-        raise ValidationError("rho1 and rho2 must be positive")
-    N = population_size
-    var_phat = ((N - n) / (N - 1)) * p * (1.0 - p) / n
+    _check_number("p", p, "[0, 1]")
+    _check_number("rho1", rho1, "(0, inf)")
+    _check_number("rho2", rho2, "(0, inf)")
+    var_phat = exact_stratum_variance(StratumDesign(population_size, n), p)
     x = 1.0 / (2.0 * n * n * rho2)
     odd = ordered_sum(double_factorial(2 * j - 1) * x**j for j in range(3))   # 1 + x + 3x^2
     even = ordered_sum(double_factorial(2 * j + 1) * x**j for j in range(3))  # 1 + 3x + 15x^2
@@ -110,8 +108,8 @@ def _stratum_term(term: str, design, algorithm, budget, stratum_proportions) -> 
         what = f"{algorithm.value} {term.replace('_', ' ')}"
         if stratum_proportions is None or len(stratum_proportions) != len(design):
             raise ValidationError(f"the {what} needs one proportion per stratum")
-        if not all(0.0 <= p <= 1.0 for p in stratum_proportions):
-            raise ValidationError(f"the {what} needs proportions in [0, 1], got {tuple(stratum_proportions)}")
+        for p in stratum_proportions:
+            _check_number(what, p, "[0, 1]", message="the {name} needs proportions in [0, 1], got {value}")
     cause = row.extrinsic_blame if term == "extrinsic_variance" else row.shift_blame
     return _finite(getattr(row, term)(design, budget, stratum_proportions), algorithm, term, cause, budget)
 
@@ -155,6 +153,8 @@ def budget_ratio_stratum_vs_population(sampling_weights: Sequence[float]) -> flo
     """
     if not sampling_weights:
         raise ValidationError("at least one sampling weight is required")
+    for u in sampling_weights:
+        _check_number("sampling weight", u, "(0, inf)")
     sq = [u * u for u in sampling_weights]
     return ordered_sum(sq) / (2.0 * max(sq))
 
@@ -171,6 +171,9 @@ def budget_ratio_private_vs_public(
         raise ValidationError("at least one sampling weight is required")
     if len(sampling_weights) != len(stratum_proportions):
         raise ValidationError("weights and proportions must have equal length")
+    for u, p in zip(sampling_weights, stratum_proportions):
+        _check_number("sampling weight", u, "(0, inf)")
+        _check_number("proportion", p, "[0, 1]")
     sq = [u * u for u in sampling_weights]
     return 2.0 * ordered_sum(s * (1.0 + p * p) for s, p in zip(sq, stratum_proportions)) / ordered_sum(sq)
 
@@ -183,15 +186,14 @@ def theoretical_width_ratio(
     sqrt(1 + ((N-1)/(N-n)) * factor / (p (1-p) n rho)) with factor 1/2, 1,
     or 1 + p^2 depending on where noise enters.
     """
+    StratumDesign(population_size, sample_size)
+    _check_number("p", p, "(0, 1)")
+    _check_number("rho", rho, "(0, inf)")
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
     row = mechanism(algorithm)
-    if not (0.0 < p < 1.0):
-        raise ValidationError(f"p must lie strictly inside (0, 1), got {p}")
     if sample_size >= population_size:
         raise ValidationError("width ratio requires sample_size < population_size")
-    if not rho > 0.0:
-        raise ValidationError(f"rho must be positive, got {rho}")
     N, n = population_size, sample_size
     denominator = p * (1.0 - p) * n * rho
     ratio = ((N - 1) / (N - n)) * row.p_factor(p) / denominator if denominator > 0.0 else math.inf
@@ -207,11 +209,11 @@ def width_ratio_lower_bound(sample_size: int, rho: float, algorithm: AlgorithmTa
     Attained as N -> infinity at p = 1/2 for the public-sizes mechanisms and
     at p = sqrt(2) - 1 for the private-sizes one.
     """
+    _check_number("sample_size", sample_size, "[1, 1e308]", integer=True)
+    _check_number("rho", rho, "(0, inf)")
     if algorithm is AlgorithmTag.NON_PRIVATE:
         return 1.0
     row = mechanism(algorithm)
-    if not rho > 0.0:
-        raise ValidationError(f"rho must be positive, got {rho}")
     bound = math.sqrt(1.0 + row.bound_factor / (sample_size * rho))
     return _finite(bound, algorithm, "width-ratio bound", "rho {0!r} is too small", rho)
 

@@ -30,6 +30,7 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _check_number,
     build_design,
 )
 from .dp_ci import PrivateStratumRelease, release
@@ -352,8 +353,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ValidationError("either --input or both --N and --n are required")
         design = build_design([(args.N, args.n)])
         proportions = (args.p,) * 1 if args.p is not None else None
-    if not 0.0 < args.split < 1.0:
-        raise ValidationError(f"split must lie in (0, 1), got {args.split}")
+    _check_number("split", args.split, "(0, 1)")
     budget = PrivacyBudget.total(args.rho, args.split)
     report = width_ratio_report(design, budget, proportions)
     lines = ["metric,algorithm,value"]

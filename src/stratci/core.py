@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -36,6 +37,33 @@ class ValidationError(ValueError):
 
 class InfeasibleError(ValueError):
     """A requested configuration cannot produce a valid sampling design."""
+
+
+_BOUNDS: dict[str, tuple[float, float, bool, bool]] = {}  # per interval text: low, high, low open, high open
+
+
+def _check_number(name: str, value, interval: str = "(-inf, inf)", integer: bool = False, message: str = "") -> None:
+    """Raise :class:`ValidationError` unless ``value`` is a number, not a bool, in ``interval``, such as "[1, inf)".
+
+    An ``integer`` is a ``numbers.Integral`` and compares exactly; a real converts to a float, so NaN and an int
+    past the float range lie in no interval.  The text is ``message`` or "{name} must lie in {interval}, got {value}".
+    """
+    if integer and type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    x = value
+    if not integer and type(value) is not float:
+        try:
+            real = type(value) is int or type(value) is not bool and isinstance(value, numbers.Real)
+            x = float(value) if real else math.nan
+        except OverflowError:
+            x = math.nan
+    if interval not in _BOUNDS:  # each call site passes a constant text, so this holds a few dozen entries
+        low, high = interval[1:-1].split(", ")
+        _BOUNDS[interval] = float(low), float(high), interval[0] == "(", interval[-1] == ")"
+    low, high, low_open, high_open = _BOUNDS[interval]
+    if not ((low < x if low_open else low <= x) and (x < high if high_open else x <= high)):
+        text = message or "{name} must lie in {interval}, got {value}"
+        raise ValidationError(text.format(name=name, interval=interval, value=value))
 
 
 class AlgorithmTag(enum.Enum):
@@ -208,21 +236,17 @@ class PrivacyBudget:
     """A zCDP budget with an explicit two-way split.
 
     The total ``rho`` is defined as ``rho1 + rho2`` so the split sums to the
-    total exactly.  Parts must be nonnegative and the total strictly positive.
+    total exactly.  Parts must be finite and nonnegative; their total, finite and positive.
     """
 
     rho1: float
     rho2: float
+    _TEXT = "budget values must be real numbers, got {name} = {value!r}, outside {interval}"
 
     def __post_init__(self) -> None:
-        try:
-            for name, part in (("rho1", self.rho1), ("rho2", self.rho2)):
-                if not math.isfinite(part) or part < 0.0:
-                    raise ValidationError(f"{name} must be a finite nonnegative real, got {part}")
-        except TypeError as exc:
-            raise ValidationError(f"rho1 and rho2 must be real numbers, got {self.rho1!r} and {self.rho2!r}") from exc
-        if self.rho1 + self.rho2 <= 0.0:
-            raise ValidationError("total privacy budget must be positive")
+        for name in ("rho1", "rho2"):
+            _check_number(name, getattr(self, name), "[0, inf)", message=self._TEXT)
+        _check_number("the total rho1 + rho2", self.rho, "(0, inf)")
 
     @property
     def rho(self) -> float:
@@ -231,15 +255,8 @@ class PrivacyBudget:
     @classmethod
     def total(cls, rho: float, split_fraction: float = 0.5) -> "PrivacyBudget":
         """Budget of total ``rho`` with ``rho1 = split_fraction * rho``."""
-        try:
-            if not math.isfinite(rho) or rho <= 0.0:
-                raise ValidationError(f"rho must be a positive real, got {rho}")
-            if not (0.0 <= split_fraction <= 1.0):
-                raise ValidationError(f"split fraction must lie in [0, 1], got {split_fraction}")
-        except TypeError as exc:
-            raise ValidationError(
-                f"rho and the split fraction must be real numbers, got {rho!r} and {split_fraction!r}"
-            ) from exc
+        _check_number("rho", rho, "(0, inf)", message=cls._TEXT)
+        _check_number("split fraction", split_fraction, "[0, 1]", message=cls._TEXT)
         rho1 = rho * split_fraction
         rho2 = rho - rho1
         if 0.0 < split_fraction < 1.0 and not (rho1 > 0.0 and rho2 > 0.0):
@@ -306,6 +323,8 @@ class CiResult:
                     f"interval [{lower}, {upper}] does not bracket point "
                     f"estimate {point_estimate}"
                 )
+            if not (-math.inf < lower and upper < math.inf and variance_estimate < math.inf):
+                raise ValidationError(f"interval [{lower}, {upper}] with variance {variance_estimate} is not finite")
         except TypeError as exc:
             raise ValidationError(f"alpha, the estimates and the bounds must be real numbers: {exc}") from exc
         self.__dict__.update(
@@ -362,6 +381,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
+    _check_number("x", x, "[-inf, inf]")
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
@@ -387,7 +407,7 @@ def _acklam(q: float) -> float:
 def _refine(x: float, p: float) -> float:
     half_xsq = 0.5 * x * x
     if half_xsq < 700.0:  # exp would overflow beyond; raw Acklam is already ~1e-9
-        err = normal_cdf(x) - p
+        err = 0.5 * math.erfc(-x / _SQRT2) - p  # normal_cdf(x), unchecked: x comes from a checked q
         if err != 0.0:
             u = err * _SQRT_2PI * math.exp(half_xsq)
             x -= u / (1.0 + 0.5 * x * u)
@@ -403,8 +423,7 @@ def normal_quantile(q: float) -> float:
     result is accurate to a few ulp and normal_quantile(q) ==
     -normal_quantile(1 - q) exactly.
     """
-    if not (0.0 < q < 1.0):
-        raise ValidationError(f"quantile argument must lie in (0, 1), got {q}")
+    _check_number("quantile argument", q, "(0, 1)")
     if q > 0.5:
         p = 1.0 - q
         return -_refine(_acklam(p), p)

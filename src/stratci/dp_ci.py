@@ -43,6 +43,7 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _check_number,
     _clipped_to_unit,
     _design_facts,
     check_paired,
@@ -50,7 +51,7 @@ from .core import (
     ordered_sum,
 )
 from .estimators import _stratified, _wald_bounds, wald_interval
-from .mechanisms import _noise_scale, _not_finite, gaussian_releases, sensitivities
+from .mechanisms import _noise_scales, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
 NOISY_SIZE_FLOOR = 2.0
@@ -96,6 +97,8 @@ def denominator_cv(sample_size: int, rho2: float) -> float:
     Values at or above :data:`CV_NORMAL_APPROX_THRESHOLD` mean the normal
     approximation for the count/size ratio is unreliable (rule of thumb).
     """
+    _check_number("sample_size", sample_size, "[1, 1e308]", integer=True)
+    _check_number("rho2", rho2, "(0, inf)")
     return math.sqrt(1.0 / (2.0 * rho2)) / sample_size
 
 
@@ -179,8 +182,7 @@ def stratum_noise_public_sizes(
 
 def _public_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBudget):
     """Per stratum the noise variance s2_h = (1/n_h)^2/(2 rho) and its square root, and the labelled s2_h."""
-    rho = budget.rho
-    scales = tuple([_noise_scale(delta, rho) for delta in memoised(_design_facts, design).deltas])
+    scales = tuple(_noise_scales(budget.rho, *memoised(_design_facts, design).deltas))
     return scales, tuple(zip(_labels(len(scales), "stratum_proportion"), [s2 for s2, _ in scales]))
 
 
@@ -227,10 +229,10 @@ def _population_constants(design: Sequence[StratumDesign], budget: PrivacyBudget
     """pop-pub's proportion and variance noise scales, and its labelled noise variances."""
     mechanism(AlgorithmTag.POPULATION_NOISE_PUBLIC_SIZES, budget)  # checks the budget split
     sens = sensitivities(design)
-    p_scale = _noise_scale(sens.proportion, budget.rho1)
+    p_scale = _noise_scales(budget.rho1, sens.proportion)[0]
     # Every stratum a census makes the variance estimate 0 whatever the data:
     # a sensitivity-0 query, 0-zCDP, released exactly.
-    v_scale = (0.0, 0.0) if sens.variance == 0.0 else _noise_scale(sens.variance, budget.rho2)
+    v_scale = (0.0, 0.0) if sens.variance == 0.0 else _noise_scales(budget.rho2, sens.variance)[0]
     return p_scale, v_scale, (("population_proportion", p_scale[0]), ("variance_estimate", v_scale[0]))
 
 
@@ -328,7 +330,7 @@ def _private_sizes_constants(design: Sequence[StratumDesign], budget: PrivacyBud
             f"noisy-size coefficient of variation {worst_cv:.3g} is at or above "
             f"{CV_NORMAL_APPROX_THRESHOLD}; the ratio's normal approximation may be poor"
         )
-    count_scale, size_scale = _noise_scale(1.0, budget.rho1), _noise_scale(1.0, budget.rho2)
+    count_scale, size_scale = _noise_scales(budget.rho1, 1.0)[0], _noise_scales(budget.rho2, 1.0)[0]
     labels = _labels(len(sizes), "stratum_count", "stratum_size")
     return warning, count_scale, size_scale, tuple(zip(labels, [count_scale[0], size_scale[0]] * len(sizes)))
 

@@ -17,6 +17,7 @@ from .core import (
     ValidationError,
     _BlockCounts,
     _DesignFacts,
+    _check_number,
     _design_facts,
     check_paired,
     memoised,
@@ -41,6 +42,7 @@ def exact_stratum_variance(stratum: StratumDesign, p_h: float) -> float:
     that :func:`_stratified` adds: this is the sampling-theory variance, and
     the two use different finite-population corrections.
     """
+    _check_number("p_h", p_h, "[0, 1]")
     N, n = stratum.population_size, stratum.sample_size
     return ((N - n) / (N - 1)) * p_h * (1.0 - p_h) / n
 
@@ -85,8 +87,7 @@ def _wald_block(design: Sequence[StratumDesign], counts: np.ndarray, alpha: floa
 
 def _wald_quantile(alpha: float) -> float:
     """z_{1-alpha/2}, once alpha lies in (0, 1) and 1 - alpha/2 is below 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_number("alpha", alpha, "(0, 1)")
     q = 1.0 - alpha / 2.0
     if not q < 1.0:
         raise ValidationError(
@@ -116,6 +117,8 @@ def wald_interval(
     algorithm: AlgorithmTag = AlgorithmTag.NON_PRIVATE,
 ) -> CiResult:
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
+    for name, value in (("estimate", estimate), ("variance", variance)):
+        _check_number(name, value, message="the {name} is not finite, or not a real number")
     return CiResult(estimate, variance, *_wald_bounds(estimate, variance, alpha), alpha, algorithm)
 
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import StratumDesign, ValidationError, _design_facts, memoised
+from .core import StratumDesign, ValidationError, _check_number, _design_facts, memoised
 from .randomness import RandomStream, standard_normals
 
 
@@ -17,14 +17,11 @@ class MechanismOutput(NamedTuple):
     noise_variance: float
 
 
-def _noise_scale(sensitivity: float, rho: float) -> tuple[float, float]:
-    """The noise variance sensitivity^2 / (2 rho) and its square root, once both inputs are checked."""
-    if not sensitivity > 0.0:
-        raise ValidationError(f"sensitivity must be positive, got {sensitivity}")
-    if not rho > 0.0:
-        raise ValidationError(f"rho must be positive, got {rho}")
-    v = sensitivity * sensitivity / (2.0 * rho)
-    return v, v**0.5
+def _noise_scales(rho: float, *sensitivities: float) -> list[tuple[float, float]]:
+    """Per sensitivity s, the noise variance s^2 / (2 rho) and its square root, once rho and the least s are checked."""
+    _check_number("rho", rho, "(0, inf)")
+    _check_number("sensitivity", min(sensitivities), "(0, inf)")
+    return [(v, v**0.5) for v in [s * s / (2.0 * rho) for s in sensitivities]]
 
 
 def _not_finite(rho: float) -> ValidationError:
@@ -35,7 +32,7 @@ def _not_finite(rho: float) -> ValidationError:
 def gaussian_releases(
     normals: Sequence[float], true_values: Sequence[float], scale: tuple[float, float], rho: float
 ) -> list[float]:
-    """Release each true_value + N(0, sensitivity^2 / (2 rho)), given ``scale = _noise_scale(sensitivity, rho)``.
+    """Release each true_value + N(0, sensitivity^2 / (2 rho)), given ``scale = _noise_scales(rho, sensitivity)[0]``.
 
     Value i scales the standard normal ``normals[i]``, which must be a fresh
     draw of a stream no other release reads (the first draw of its own
@@ -57,7 +54,8 @@ def gaussian_mechanism(
     stream: RandomStream, true_value: float, sensitivity: float, rho: float
 ) -> MechanismOutput:
     """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
-    scale = _noise_scale(sensitivity, rho)
+    _check_number("true_value", true_value)
+    scale = _noise_scales(rho, sensitivity)[0]
     (value,) = gaussian_releases(standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), scale, rho)
     return MechanismOutput(value, scale[0])
 

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _ziggurat
-from .core import ValidationError
+from .core import _check_number
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -63,6 +63,9 @@ class RandomStream:
     stream_id: int
 
     def __init__(self, base_seed: int, stream_id: int) -> None:
+        if type(base_seed) is not int or type(stream_id) is not int:  # a plain int passes on its type alone
+            _check_number("base_seed", base_seed, integer=True)
+            _check_number("stream_id", stream_id, integer=True)
         self.__dict__.update(base_seed=base_seed, stream_id=stream_id)
 
     def child(self, *indices: int) -> "RandomStream":
@@ -81,11 +84,14 @@ class RandomStream:
 def derive_stream(base_seed: int, indices: Sequence[int]) -> RandomStream:
     """Map (base_seed, index tuple) to a stream, injectively up to hash collisions.
 
-    Like every index, ``base_seed`` is taken modulo 2**64, so seeds that agree
-    modulo 2**64 give the same streams; the CLI accepts only [0, 2**64 - 1].
+    The seed and the indices are integers.  Like every index, ``base_seed``
+    is taken modulo 2**64, so seeds that agree modulo 2**64 give the same
+    streams; the CLI accepts only [0, 2**64 - 1].
     """
-    sid = _combine(0, int(base_seed))
-    for idx in indices:
+    sid = 0
+    for idx in (base_seed, *indices):
+        if type(idx) is not int:  # a plain int passes on its type alone
+            _check_number("every seed and index", idx, integer=True)
         sid = _combine(sid, int(idx))
     return RandomStream(base_seed, sid)
 
@@ -285,8 +291,7 @@ def gaussian(stream: RandomStream, mean: float, variance: float, size: int | Non
     ``variance == 0`` returns the mean exactly.  ``size=None`` gives a scalar
     float, otherwise an ndarray.
     """
-    if not variance >= 0.0:
-        raise ValidationError(f"variance must be nonnegative, got {variance}")
+    _check_number("variance", variance, "[0, inf)")
     if variance == 0.0:
         return mean if size is None else np.full(size, mean)
     gen = _scratch.reset(stream)

@@ -27,6 +27,7 @@ from .core import (
     StratumCounts,
     StratumDesign,
     ValidationError,
+    _check_number,
     _design_facts,
     build_design,
     memoised,
@@ -51,6 +52,7 @@ MAX_STRATA = 10_000
 # some 300 numpy calls, few enough to keep a block's draws near a megabyte.
 # A block of sample counts also holds at most this many counts.
 _NOISE_BLOCK_DRAWS = 1 << 14
+_RHO_TEXT = "rho must be a finite positive number, got {value!r}"
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class Uniform:
     high: float
 
     def __post_init__(self) -> None:
+        _check_number("low", self.low)
+        _check_number("high", self.high)
         if not self.low <= self.high:
             raise ValidationError(f"uniform range has low {self.low} > high {self.high}")
 
@@ -119,40 +123,24 @@ class ExperimentConfig:
     min_sample_size: int | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        for name in ("strata", "repetitions", "min_sample_size", "base_seed"):
-            value = getattr(self, name)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not (integral or (name == "min_sample_size" and value is None)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not 1 <= self.strata <= MAX_STRATA:
-            raise ValidationError(f"strata must lie in [1, {MAX_STRATA}], got {self.strata}")
-        if not 1 <= self.repetitions <= MAX_REPETITIONS:
-            raise ValidationError(f"repetitions must lie in [1, {MAX_REPETITIONS}], got {self.repetitions}")
-        if self.min_sample_size is not None and self.min_sample_size < 2:
-            raise ValidationError(f"min_sample_size must be at least 2, got {self.min_sample_size}")
-        if isinstance(self.rho, str):
-            if self.rho != RHO_ONE_OVER_MAX_N:
-                raise ValidationError(f"rho must be a number or {RHO_ONE_OVER_MAX_N!r}, got {self.rho!r}")
-        elif isinstance(self.rho, bool) or not isinstance(self.rho, (int, float)) or not 0.0 < self.rho < math.inf:
-            raise ValidationError(f"rho must be a finite positive number, got {self.rho!r}")
-        if not (0.0 < self.split < 1.0):
-            raise ValidationError(f"split must lie in (0, 1), got {self.split}")
-        size = self.stratum_size
-        low, high = (size.low, size.high) if isinstance(size, Uniform) else (size, size)
-        if not (1 <= low and high <= MAX_STRATUM_SIZE):
-            raise ValidationError(f"stratum_size values must lie in [1, {MAX_STRATUM_SIZE}], got {size}")
-        if not (float(low).is_integer() and float(high).is_integer()):
-            raise ValidationError(f"stratum_size values must be whole numbers, got {size}")
+        _check_number("alpha", self.alpha, "(0, 1)")
+        _check_number("strata", self.strata, f"[1, {MAX_STRATA}]", integer=True)
+        _check_number("repetitions", self.repetitions, f"[1, {MAX_REPETITIONS}]", integer=True)
+        if (floor := self.min_sample_size) is not None:
+            _check_number("min_sample_size", floor, "[2, inf)", True, "{name} must be at least 2, got {value}")
+        _check_number("base_seed", self.base_seed, integer=True)
+        if self.rho != RHO_ONE_OVER_MAX_N:
+            _check_number("rho", self.rho, "(0, inf)", message=_RHO_TEXT)
+        _check_number("split", self.split, "(0, 1)")
         for name, spec, interval in (
+            ("stratum_size", self.stratum_size, f"[1, {MAX_STRATUM_SIZE}]"),
             ("rate", self.rate, "(0.0, 1.0]"),
             ("proportion", self.proportion, "[0.0, 1.0]"),
         ):
-            low = spec.low if isinstance(spec, Uniform) else spec
-            high = spec.high if isinstance(spec, Uniform) else spec
-            if not (0.0 < low if name == "rate" else 0.0 <= low) or high > 1.0:
-                raise ValidationError(f"{name} values must lie in {interval}, got {spec}")
+            for value in (spec.low, spec.high) if isinstance(spec, Uniform) else (spec,):
+                _check_number(f"{name} values", value, interval)
+                if name == "stratum_size" and not float(value).is_integer():
+                    raise ValidationError(f"stratum_size values must be whole numbers, got {spec}")
         if not self.algorithms:
             raise ValidationError("at least one algorithm is required")
         repeated = sorted({tag.value for tag in self.algorithms if self.algorithms.count(tag) > 1})
@@ -197,8 +185,7 @@ def _sample_sizes(
 ) -> tuple[int, ...]:
     sizes = []
     for h, (N, r) in enumerate(zip(population.stratum_sizes, rates)):
-        if not math.isfinite(r):
-            raise ValidationError(f"stratum {h}: rate must be a finite number, got {r}")
+        _check_number(f"stratum {h}: rate", r, message="{name} must be a finite number, got {value}")
         n = _round_half_up(r * N)
         if min_sample_size is not None:
             n = max(n, min_sample_size)
@@ -445,8 +432,7 @@ def qq_data(
     the private-sizes law includes its second-order bias term.
     """
     # A grid finer than the largest run's repetitions adds no empirical information.
-    if not 1 <= grid_size <= MAX_REPETITIONS:
-        raise ValidationError(f"grid_size must lie in [1, {MAX_REPETITIONS}], got {grid_size}")
+    _check_number("grid_size", grid_size, f"[1, {MAX_REPETITIONS}]", integer=True)
     setup = _set_up(config)
     records = _run_all(setup, [(config, [], range(config.repetitions))], True)[0].records
     assert records is not None
@@ -487,6 +473,5 @@ def _grid_configs(config: ExperimentConfig, rho_grid: Sequence[float]) -> list[E
     if not rho_grid:
         raise ValidationError("rho grid must be nonempty")
     for rho in rho_grid:
-        if isinstance(rho, bool) or not isinstance(rho, numbers.Real):
-            raise ValidationError(f"rho must be a finite positive number, got {rho!r}")
+        _check_number("rho", rho, "(0, inf)", message=_RHO_TEXT)
     return [replace(config, rho=float(rho)) for rho in rho_grid]

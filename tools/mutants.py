@@ -63,6 +63,7 @@ _VALUES = ("tests/test_core.py", "-k", "TestHandWrittenInit or TestCiResult or t
 _CARRIED = ("tests/test_dp_ci.py", "-k", "TestBlockCounts")
 _ANALYZE = ("tests/test_cli.py", "-k", "test_non_finite_names_its_cause")
 _CI_OUTPUT = ("tests/test_cli.py", "-k", "TestFrozenOutputs and test_ci")
+_BOUNDARY = ("tests/test_boundary.py",)
 
 MUTANTS = (
     # The one-pass g - gp table build: a last bit moved in any entry moves some count.
@@ -265,7 +266,7 @@ MUTANTS = (
     ),
     Mutant(
         "str-priv-size-noise-at-rho", "src/stratci/dp_ci.py",
-        "_noise_scale(1.0, budget.rho2)", "_noise_scale(1.0, budget.rho)",
+        "_noise_scales(budget.rho2, 1.0)", "_noise_scales(budget.rho, 1.0)",
         ("tests/test_dp_ci.py", "tests/test_mechanisms.py", "-k", "TestStratumNoisePrivateSizes or TestZcdpLedger"),
         "str-priv's size noise is scaled by its own share rho2 of the budget",
     ),
@@ -313,6 +314,33 @@ MUTANTS = (
         "            \"the point or variance estimate is not finite; the privacy budget rho may be too small\"\n"
         "        )\n",
         _FINISH, "a Wald interval checks finiteness before the variance's sign, and each error keeps its text",
+    ),
+    # The one domain checker, and the public functions that call it.
+    Mutant(
+        "checker-accepts-nan", "src/stratci/core.py",
+        "    if not ((low < x if low_open else low <= x)", "    if x == x and not ((low < x if low_open else low <= x)",
+        _BOUNDARY, "NaN fails every comparison, so only a test that reads 'not in the interval' rejects it",
+    ),
+    Mutant(
+        "checker-accepts-bool", "src/stratci/core.py",
+        "type(value) is not bool and isinstance(value, numbers.Real)", "isinstance(value, numbers.Real)", _BOUNDARY,
+        "bool is an int subclass; PrivacyBudget(True, 0.01) would spend a budget of 1",
+    ),
+    Mutant(
+        "checker-accepts-huge-int", "src/stratci/core.py",
+        "x = float(value) if real else math.nan", "x = value if real else math.nan",
+        _BOUNDARY,
+        "an int past the float range compares as a number but overflows the first float arithmetic on it",
+    ),
+    Mutant(
+        "noise-scale-accepts-inf-rho", "src/stratci/mechanisms.py",
+        '_check_number("rho", rho, "(0, inf)")', '_check_number("rho", rho, "(0, inf]")', _BOUNDARY,
+        "at rho = inf the noise variance is 0 and the mechanism releases the exact value",
+    ),
+    Mutant(
+        "derive-stream-non-integer-index", "src/stratci/randomness.py",
+        '_check_number("every seed and index", idx, integer=True)', '_check_number("every seed and index", idx)',
+        _BOUNDARY, "int() would truncate a seed or index of 0.5 to another stream's key",
     ),
     # The command line.
     Mutant(
