@@ -10,6 +10,7 @@ Each mechanism's closed forms are its row of :data:`stratci.dp_ci.MECHANISMS`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -49,7 +50,11 @@ def reciprocal_normal_moments(mu: float, sigma: float, k: int) -> ReciprocalMome
     _check_number("mu", mu, "(1, inf)")
     _check_number("sigma", sigma, "(0, inf)")
     _check_number("k", k, "[0, 149]", integer=True)  # (2k + 1)!! converts to a float up to k = 149
-    r2 = (sigma / mu) ** 2
+    mu = float(mu)  # an int mu's square may pass the float range
+    try:
+        r2 = (sigma / mu) ** 2
+    except OverflowError:
+        r2 = math.inf
     mean = 0.0
     second = 0.0
     r2j = 1.0
@@ -57,7 +62,14 @@ def reciprocal_normal_moments(mu: float, sigma: float, k: int) -> ReciprocalMome
         mean += double_factorial(2 * j - 1) * r2j
         second += double_factorial(2 * j + 1) * r2j
         r2j *= r2
-    return ReciprocalMomentSeries(mean / mu, second / (mu * mu), r2j)
+    series = ReciprocalMomentSeries(mean / mu, second / (mu * mu), r2j)
+    if not all(map(math.isfinite, series)):
+        raise ValidationError(f"sigma {sigma!r} is too large for mu {mu!r}: the order-{k} series is not finite")
+    return series
+
+
+# The root of 9x^3 + 6x^2 - 8x - 1: past it the order-2 spread even - odd^2 = x + 8x^2 - 6x^3 - 9x^4 is negative.
+_K2_X_MAX = 0.7391935697695519
 
 
 def ratio_estimator_k2_moments(
@@ -82,6 +94,11 @@ def ratio_estimator_k2_moments(
     _check_number("rho2", rho2, "(0, inf)")
     var_phat = exact_stratum_variance(StratumDesign(population_size, n), p)
     x = 1.0 / (2.0 * n * n * rho2)
+    if not x <= _K2_X_MAX:
+        raise ValidationError(
+            f"rho2 {rho2!r} is too small for n = {n}: x = 1/(2 n^2 rho2) = {x:.4g} is past {_K2_X_MAX:.4f}, "
+            "where the order-2 variance turns negative"
+        )
     odd = ordered_sum(double_factorial(2 * j - 1) * x**j for j in range(3))   # 1 + x + 3x^2
     even = ordered_sum(double_factorial(2 * j + 1) * x**j for j in range(3))  # 1 + 3x + 15x^2
     mean = p * odd
@@ -90,6 +107,8 @@ def ratio_estimator_k2_moments(
         + p * p * (even - odd * odd)
         + (1.0 / (2.0 * rho1 * n * n)) * even
     )
+    if not math.isfinite(variance):
+        raise ValidationError(f"rho1 {rho1!r} is too small for n = {n}: the order-2 variance is not finite")
     return mean, variance
 
 
@@ -144,6 +163,15 @@ def mean_shift(
     return _stratum_term("mean_shift", design, algorithm, budget, stratum_proportions)
 
 
+def _squares(weights: Sequence[float]) -> list[float]:
+    """Each weight squared, over the largest square if four times their sum could leave the normal float range."""
+    sq = [u * u for u in weights]
+    if not sys.float_info.min <= max(sq) <= sys.float_info.max / (4 * len(sq)):  # the budget ratios are scale-free
+        top = max(weights)
+        sq = [(u / top) ** 2 for u in weights]
+    return sq
+
+
 def budget_ratio_stratum_vs_population(sampling_weights: Sequence[float]) -> float:
     """Extrinsic-variance ratio of stratum-level to population-level noise.
 
@@ -155,7 +183,7 @@ def budget_ratio_stratum_vs_population(sampling_weights: Sequence[float]) -> flo
         raise ValidationError("at least one sampling weight is required")
     for u in sampling_weights:
         _check_number("sampling weight", u, "(0, inf)")
-    sq = [u * u for u in sampling_weights]
+    sq = _squares(sampling_weights)
     return ordered_sum(sq) / (2.0 * max(sq))
 
 
@@ -174,7 +202,7 @@ def budget_ratio_private_vs_public(
     for u, p in zip(sampling_weights, stratum_proportions):
         _check_number("sampling weight", u, "(0, inf)")
         _check_number("proportion", p, "[0, 1]")
-    sq = [u * u for u in sampling_weights]
+    sq = _squares(sampling_weights)
     return 2.0 * ordered_sum(s * (1.0 + p * p) for s, p in zip(sq, stratum_proportions)) / ordered_sum(sq)
 
 

@@ -278,13 +278,6 @@ class ClipFlags:
 _CLIP_FLAGS = {bits: ClipFlags(*bits) for bits in itertools.product((False, True), repeat=4)}
 
 
-def _clipped_to_unit(lower: float, upper: float, point: float) -> tuple[float, float, float] | None:
-    """(lower, upper, point) each clipped onto [0, 1], or None when none moves; lower <= point <= upper."""
-    if 0.0 <= lower and upper <= 1.0:
-        return None
-    return tuple([0.0 if x < 0.0 else min(x, 1.0) for x in (lower, upper, point)])
-
-
 @dataclass(frozen=True, init=False)
 class CiResult:
     """A confidence interval plus the provenance needed to audit it.
@@ -339,10 +332,9 @@ class CiResult:
         Data-independent, so the privacy guarantee and budget are unchanged.
         The flag is set only when a value actually moved.
         """
-        clipped = _clipped_to_unit(self.lower, self.upper, self.point_estimate)
-        if clipped is None:
+        if 0.0 <= self.lower and self.upper <= 1.0:
             return self
-        lower, upper, point = clipped
+        lower, upper, point = [0.0 if x < 0.0 else min(x, 1.0) for x in (self.lower, self.upper, self.point_estimate)]
         flags = self.clipped
         return CiResult(
             point, self.variance_estimate, lower, upper, self.alpha, self.algorithm, self.budget_spent,

@@ -36,7 +36,6 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .core import (
-    _CLIP_FLAGS,
     AlgorithmTag,
     CiResult,
     PrivacyBudget,
@@ -44,13 +43,12 @@ from .core import (
     StratumDesign,
     ValidationError,
     _check_number,
-    _clipped_to_unit,
     _design_facts,
     check_paired,
     memoised,
     ordered_sum,
 )
-from .estimators import _stratified, _wald_bounds, wald_interval
+from .estimators import _interval, _stratified, wald_interval
 from .mechanisms import _noise_scales, _not_finite, gaussian_releases, sensitivities
 from .randomness import RandomStream, child_normals
 
@@ -99,27 +97,16 @@ def denominator_cv(sample_size: int, rho2: float) -> float:
     """
     _check_number("sample_size", sample_size, "[1, 1e308]", integer=True)
     _check_number("rho2", rho2, "(0, inf)")
-    return math.sqrt(1.0 / (2.0 * rho2)) / sample_size
+    sd = math.sqrt(1.0 / (2.0 * rho2))
+    if sd == math.inf:  # 1/(2 rho2) overflowed, at a subnormal rho2
+        sd = 1.0 / math.sqrt(2.0 * rho2)
+    return sd / sample_size
 
 
 @lru_cache(maxsize=64)
 def _labels(strata: int, *names: str) -> tuple[str, ...]:
     """The noise labels ``f"{name}[{h}]"``, stratum by stratum and name by name within a stratum."""
     return tuple(f"{name}[{h}]" for h in range(strata) for name in names)
-
-
-def _interval(
-    algorithm: AlgorithmTag, budget: PrivacyBudget, alpha: float, clip_interval: bool, point: float,
-    variance: float, proportion_clipped: bool, variance_floored: bool, noisy_size_floored: bool,
-    noise_variances: tuple[tuple[str, float], ...],
-) -> CiResult:
-    """The bits and flags of ``wald_interval(...)``, then ``.clip_to_unit_interval()`` if asked, in one result."""
-    lower, upper = _wald_bounds(point, variance, alpha)
-    clipped = _clipped_to_unit(lower, upper, point) if clip_interval else None
-    if clipped is not None:
-        lower, upper, point = clipped
-    flags = _CLIP_FLAGS[proportion_clipped, clipped is not None, variance_floored, noisy_size_floored]
-    return CiResult(point, variance, lower, upper, alpha, algorithm, budget, flags, noise_variances)
 
 
 def stratum_noise_public_sizes(

@@ -9,9 +9,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _CLIP_FLAGS,
     AlgorithmTag,
     CiResult,
     Design,
+    PrivacyBudget,
     StratumCounts,
     StratumDesign,
     ValidationError,
@@ -96,17 +98,25 @@ def _wald_quantile(alpha: float) -> float:
     return normal_quantile(q)
 
 
-def _wald_bounds(estimate: float, variance: float, alpha: float) -> tuple[float, float]:
-    """estimate -/+ z_{1-alpha/2} sqrt(variance), checking alpha, then finiteness, then the variance's sign."""
+def _interval(
+    algorithm: AlgorithmTag, budget: PrivacyBudget | None, alpha: float, clip_interval: bool, point: float,
+    variance: float, proportion_clipped: bool = False, variance_floored: bool = False,
+    noisy_size_floored: bool = False, noise_variances: tuple[tuple[str, float], ...] = (),
+) -> CiResult:
+    """Every scalar Wald interval: point -/+ z sqrt(variance) with its flags, onto [0, 1] if ``clip_interval``."""
     z = _wald_quantile(alpha)
-    if not (math.isfinite(estimate) and math.isfinite(variance)):
+    if not (math.isfinite(point) and math.isfinite(variance)):
         raise ValidationError(
             "the point or variance estimate is not finite; the privacy budget rho may be too small"
         )
     if variance < 0.0:
         raise ValidationError(f"variance must be nonnegative, got {variance}")
     half_width = z * variance**0.5
-    return estimate - half_width, estimate + half_width
+    ci = CiResult(
+        point, variance, point - half_width, point + half_width, alpha, algorithm, budget,
+        _CLIP_FLAGS[proportion_clipped, False, variance_floored, noisy_size_floored], noise_variances,
+    )
+    return ci.clip_to_unit_interval() if clip_interval else ci
 
 
 def wald_interval(
@@ -119,7 +129,7 @@ def wald_interval(
     """estimate +/- z_{1-alpha/2} * sqrt(variance) as a CiResult."""
     for name, value in (("estimate", estimate), ("variance", variance)):
         _check_number(name, value, message="the {name} is not finite, or not a real number")
-    return CiResult(estimate, variance, *_wald_bounds(estimate, variance, alpha), alpha, algorithm)
+    return _interval(algorithm, None, alpha, False, estimate, variance)
 
 
 def non_private_ci(
@@ -127,4 +137,5 @@ def non_private_ci(
 ) -> CiResult:
     """Classic stratified Wald interval from observed counts."""
     check_paired(design, counts)
-    return wald_interval(*_stratified(counts.counts, memoised(_design_facts, design)), alpha)
+    point, variance = _stratified(counts.counts, memoised(_design_facts, design))
+    return _interval(AlgorithmTag.NON_PRIVATE, None, alpha, False, point, variance)

@@ -18,9 +18,7 @@ class MechanismOutput(NamedTuple):
 
 
 def _noise_scales(rho: float, *sensitivities: float) -> list[tuple[float, float]]:
-    """Per sensitivity s, the noise variance s^2 / (2 rho) and its square root, once rho and the least s are checked."""
-    _check_number("rho", rho, "(0, inf)")
-    _check_number("sensitivity", min(sensitivities), "(0, inf)")
+    """Per sensitivity s > 0, the noise variance s^2 / (2 rho) and its square root, at a finite rho > 0."""
     return [(v, v**0.5) for v in [s * s / (2.0 * rho) for s in sensitivities]]
 
 
@@ -55,7 +53,9 @@ def gaussian_mechanism(
 ) -> MechanismOutput:
     """Release true_value + N(0, sensitivity^2 / (2 rho)) from the stream's first draw."""
     _check_number("true_value", true_value)
-    scale = _noise_scales(rho, sensitivity)[0]
+    _check_number("rho", rho, "(0, inf)")
+    _check_number("sensitivity", sensitivity, "(0, inf)")
+    scale = _noise_scales(rho, float(sensitivity))[0]
     (value,) = gaussian_releases(standard_normals(stream.base_seed, (stream.stream_id,)), (true_value,), scale, rho)
     return MechanismOutput(value, scale[0])
 

@@ -186,7 +186,9 @@ def _sample_sizes(
     sizes = []
     for h, (N, r) in enumerate(zip(population.stratum_sizes, rates)):
         _check_number(f"stratum {h}: rate", r, message="{name} must be a finite number, got {value}")
-        n = _round_half_up(r * N)
+        n = r * N  # an infinite size is infeasible below
+        if math.isfinite(n):
+            n = _round_half_up(n)
         if min_sample_size is not None:
             n = max(n, min_sample_size)
         if n < 2:

@@ -337,6 +337,19 @@ class TestRatioEstimatorMoments:
         mc_var = float(np.var(ratios))
         assert abs(mc_var - approx_var) <= 0.05 * approx_var
 
+    @pytest.mark.parametrize("p", [0.5, 0.0])
+    def test_past_the_expansion_range_blames_rho2(self, p):
+        # x = 1/(2 n^2 rho2) = 125, where even - odd^2 is far below 0: the variance was about -5.5e8 at p = 0.5.
+        with pytest.raises(ValidationError, match=r"^rho2 0\.001 is too small for n = 2: x = 1/\(2 n\^2 rho2\) = 125 "):
+            ratio_estimator_k2_moments(p, 2, 2000, 0.1, 0.001)
+
+    def test_up_to_the_root_the_variance_is_nonnegative(self):
+        # x = 0.739 is just below the root of 9x^3 + 6x^2 - 8x - 1; 0.74 is just past it.
+        for n in (2, 10, 152):
+            assert ratio_estimator_k2_moments(1.0, n, 2000, 1e12, 1.0 / (2 * n * n * 0.739))[1] >= 0.0
+            with pytest.raises(ValidationError, match="^rho2 "):
+                ratio_estimator_k2_moments(1.0, n, 2000, 1e12, 1.0 / (2 * n * n * 0.74))
+
     def test_cv_helper(self):
         assert math.isclose(denominator_cv(100, 0.05), math.sqrt(10.0) / 100, rel_tol=1e-15)
 

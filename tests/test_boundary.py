@@ -1,6 +1,7 @@
 """The library boundary: every numeric scalar argument of a public name is checked.
 
-A public callable given a bad number ends in a ``ValidationError``, an
+A public callable given a bad number, or an extreme one inside its domain
+(5e-324, 1e300, 10**300), ends in a ``ValidationError``, an
 ``InfeasibleError`` or a result whose floats are all finite; never in a bare
 ``TypeError``, ``OverflowError`` or ``ZeroDivisionError``, a NaN or an
 unchecked value.  The domains live in one checker, ``core._check_number``.
@@ -58,7 +59,8 @@ from stratci.core import _check_number
 NON_PRIVATE = AlgorithmTag.NON_PRIVATE
 STR_PUB = AlgorithmTag.STRATUM_NOISE_PUBLIC_SIZES
 STR_PRIV = AlgorithmTag.STRATUM_NOISE_PRIVATE_SIZES
-BAD = (None, math.nan, math.inf, -math.inf, 0, -1, True, 10**400, -0.0)
+# Values outside most domains, then extreme values inside many: each must end typed or finite.
+BAD = (None, math.nan, math.inf, -math.inf, 0, -1, True, 10**400, -0.0, 5e-324, 1e-300, 1e300, 1.7e308, 10**300)
 ONE = build_design([(2000, 152)])
 COUNTS = StratumCounts([70])
 BUDGET = PrivacyBudget.total(0.01)
@@ -222,8 +224,28 @@ def test_every_default_is_valid():
 @example(("extrinsic_variance", "p"), None)
 @example(("CiResult", "lower"), -math.inf)
 @example(("RandomStream", "base_seed"), math.nan)
+@example(("budget_ratio_private_vs_public", "weight"), 5e-324)
+@example(("budget_ratio_private_vs_public", "weight"), 1e-300)
+@example(("budget_ratio_private_vs_public", "weight"), 1e300)
+@example(("budget_ratio_private_vs_public", "weight"), 1.7e308)
+@example(("budget_ratio_private_vs_public", "weight"), 10**300)
+@example(("budget_ratio_stratum_vs_population", "weight"), 5e-324)
+@example(("budget_ratio_stratum_vs_population", "weight"), 1e-300)
+@example(("budget_ratio_stratum_vs_population", "weight"), 1e300)
+@example(("budget_ratio_stratum_vs_population", "weight"), 1.7e308)
+@example(("budget_ratio_stratum_vs_population", "weight"), 10**300)
+@example(("reciprocal_normal_moments", "mu"), 10**300)
+@example(("reciprocal_normal_moments", "sigma"), 1e300)
+@example(("reciprocal_normal_moments", "sigma"), 1.7e308)
+@example(("reciprocal_normal_moments", "sigma"), 10**300)
+@example(("ratio_estimator_k2_moments", "rho1"), 5e-324)
+@example(("ratio_estimator_k2_moments", "rho2"), 5e-324)
+@example(("ratio_estimator_k2_moments", "rho2"), 1e-300)
+@example(("denominator_cv", "rho2"), 5e-324)
+@example(("draw_sample", "rate"), 1.7e308)
+@example(("gaussian_mechanism", "sensitivity"), 10**300)
 def test_bad_scalar_is_typed_or_finite(slot, value):
-    """One numeric argument replaced by a bad value: a typed error or a finite result."""
+    """One numeric argument replaced by a bad or extreme value: a typed error or a finite result."""
     _typed_or_finite(*slot, value)
 
 

@@ -278,13 +278,18 @@ MUTANTS = (
     # The scalar release's finish and binding.
     Mutant(
         "clip-test-strict", "src/stratci/core.py",
-        "if 0.0 <= lower and upper <= 1.0:", "if 0.0 < lower and upper <= 1.0:", _FINISH,
+        "if 0.0 <= self.lower and self.upper <= 1.0:", "if 0.0 < self.lower and self.upper <= 1.0:", _FINISH,
         "an interval whose lower bound is exactly 0 is not clipped",
     ),
     Mutant(
-        "interval-clipped-from-flag", "src/stratci/dp_ci.py", "proportion_clipped, clipped is not None,",
-        "proportion_clipped, clip_interval,", _FINISH,
+        "interval-clipped-from-flag", "src/stratci/estimators.py", "_CLIP_FLAGS[proportion_clipped, False,",
+        "_CLIP_FLAGS[proportion_clipped, clip_interval,", _FINISH,
         "interval_clipped says that the clip moved a bound, not that it was asked for",
+    ),
+    Mutant(
+        "finish-ignores-clip-interval", "src/stratci/estimators.py",
+        "    return ci.clip_to_unit_interval() if clip_interval else ci\n", "    return ci\n", _CI_OUTPUT,
+        "--clip-interval reaches every private release through the one finish",
     ),
     Mutant(
         "release-function-bound-once", "src/stratci/dp_ci.py",
@@ -301,7 +306,7 @@ MUTANTS = (
     ),
     Mutant(
         "finiteness-after-sign", "src/stratci/estimators.py",
-        "    if not (math.isfinite(estimate) and math.isfinite(variance)):\n"
+        "    if not (math.isfinite(point) and math.isfinite(variance)):\n"
         "        raise ValidationError(\n"
         "            \"the point or variance estimate is not finite; the privacy budget rho may be too small\"\n"
         "        )\n"
@@ -309,7 +314,7 @@ MUTANTS = (
         "        raise ValidationError(f\"variance must be nonnegative, got {variance}\")\n",
         "    if variance < 0.0:\n"
         "        raise ValidationError(f\"variance must be nonnegative, got {variance}\")\n"
-        "    if not (math.isfinite(estimate) and math.isfinite(variance)):\n"
+        "    if not (math.isfinite(point) and math.isfinite(variance)):\n"
         "        raise ValidationError(\n"
         "            \"the point or variance estimate is not finite; the privacy budget rho may be too small\"\n"
         "        )\n",
@@ -335,7 +340,18 @@ MUTANTS = (
     Mutant(
         "noise-scale-accepts-inf-rho", "src/stratci/mechanisms.py",
         '_check_number("rho", rho, "(0, inf)")', '_check_number("rho", rho, "(0, inf]")', _BOUNDARY,
-        "at rho = inf the noise variance is 0 and the mechanism releases the exact value",
+        "at rho = inf the noise variance is 0 and gaussian_mechanism releases the exact value",
+    ),
+    Mutant(
+        "budget-ratio-squares-unguarded", "src/stratci/analysis.py",
+        "    if not sys.float_info.min <= max(sq) <= sys.float_info.max / (4 * len(sq)):",
+        "    if False:", _BOUNDARY,
+        "a weight of 1e-300 or 1e300 squares to 0 or inf, and the ratio divides by zero or is NaN",
+    ),
+    Mutant(
+        "k2-range-unchecked", "src/stratci/analysis.py", "    if not x <= _K2_X_MAX:\n", "    if False:\n",
+        ("tests/test_analysis.py", "-k", "TestRatioEstimatorMoments"),
+        "past x = 0.739 the order-2 term even - odd^2 is negative, and at x = 125 the variance is about -5.5e8",
     ),
     Mutant(
         "derive-stream-non-integer-index", "src/stratci/randomness.py",
