@@ -339,7 +339,7 @@ class TestRatioEstimatorMoments:
 
     @pytest.mark.parametrize("p", [0.5, 0.0])
     def test_past_the_expansion_range_blames_rho2(self, p):
-        # x = 1/(2 n^2 rho2) = 125, where even - odd^2 is far below 0: the variance was about -5.5e8 at p = 0.5.
+        # x = 1/(2 n^2 rho2) = 125, where even - odd^2 is far below 0 and the variance would be about -5.5e8.
         with pytest.raises(ValidationError, match=r"^rho2 0\.001 is too small for n = 2: x = 1/\(2 n\^2 rho2\) = 125 "):
             ratio_estimator_k2_moments(p, 2, 2000, 0.1, 0.001)
 
